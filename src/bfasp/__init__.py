@@ -52,7 +52,6 @@ from .program import (
     validate_valuation,
 )
 from .solver import (
-    BranchOrder,
     OptimizeOutcome,
     PropagationLevel,
     Search,

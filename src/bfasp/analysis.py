@@ -196,41 +196,50 @@ class _RulePlan:
     atoms: tuple
 
 
+def substitution_plan(rule: Rule, variables) -> _RulePlan:
+    """Split the rule's members into substituted and kept occurrences.
+
+    An occurrence is substituted when it is not the head and its variable is
+    standard or not decreasing in the clause.  The split depends only on the
+    program, so one plan serves every valuation.
+    """
+    substitute = {}
+    for var in set(rule.clause.variables()):
+        if var == rule.head:
+            continue
+        info = variables[var]
+        mono = monotonicity(rule.clause, var)
+        substitute[var] = (info.kind is VarKind.STANDARD
+                           or mono is not Monotonicity.DECREASING)
+    kept_lits = tuple(l for l in rule.clause.lits
+                      if l.var == rule.head or not substitute[l.var])
+    sub_lits = tuple(l for l in rule.clause.lits
+                     if l.var != rule.head and substitute[l.var])
+    atom_plans = []
+    for atom in rule.clause.atoms:
+        kept = tuple((c, v) for c, v in atom.terms
+                     if v == rule.head or not substitute[v])
+        subbed = tuple((c, v) for c, v in atom.terms
+                       if v != rule.head and substitute[v])
+        has_head = any(v == rule.head for _, v in atom.terms)
+        atom_plans.append(_AtomPlan(kept, subbed, atom.bound, has_head))
+    return _RulePlan(rule.head, kept_lits, sub_lits, tuple(atom_plans))
+
+
 class ReductBuilder:
     """Precomputed substitution plans for building reducts of one program.
 
     The plan partition depends only on the program (which occurrences are
-    standard or non-decreasing), so a search reuses one builder across all
-    candidate valuations.
+    standard or non-decreasing), so one builder serves every valuation.
+    Search evaluates its leaves from the same plans without building a
+    reduct (``fixpoint.LeafEvaluator``); the explicit reduct is the
+    reference for that path and for ``check_stable``.
     """
 
     def __init__(self, program: Program):
         self.program = program
-        plans = []
-        for rule in program.rules:
-            substitute = {}
-            for var in set(rule.clause.variables()):
-                if var == rule.head:
-                    continue
-                info = program.variables[var]
-                mono = monotonicity(rule.clause, var)
-                substitute[var] = (info.kind is VarKind.STANDARD
-                                   or mono is not Monotonicity.DECREASING)
-            kept_lits = tuple(l for l in rule.clause.lits
-                              if l.var == rule.head or not substitute[l.var])
-            sub_lits = tuple(l for l in rule.clause.lits
-                             if l.var != rule.head and substitute[l.var])
-            atom_plans = []
-            for atom in rule.clause.atoms:
-                kept = tuple((c, v) for c, v in atom.terms
-                             if v == rule.head or not substitute[v])
-                subbed = tuple((c, v) for c, v in atom.terms
-                               if v != rule.head and substitute[v])
-                has_head = any(v == rule.head for _, v in atom.terms)
-                atom_plans.append(_AtomPlan(kept, subbed, atom.bound, has_head))
-            plans.append(_RulePlan(rule.head, kept_lits, sub_lits,
-                                   tuple(atom_plans)))
-        self._plans = plans
+        self._plans = [substitution_plan(rule, program.variables)
+                       for rule in program.rules]
 
     def build(self, valuation, *, drop_tautologies: bool = True) -> PositiveCP:
         """Fold ``valuation`` into every rule and collect the surviving clauses.

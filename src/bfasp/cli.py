@@ -9,7 +9,7 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import BfaspError, GroundingError
+from .errors import BfaspError, GroundingError, WatchdogError
 from .ground_format import format_program, parse_assignment, \
     parse_ground_program
 from .grounder import ground
@@ -115,10 +115,11 @@ def _load_program(args) -> Program:
     return program
 
 
-def _tracer(program: Program):
+def _tracer(program: Program, numbered: str):
+    """Bound-raise log; ``numbered`` names what the hook's index counts."""
     def on_update(head, old, new, index):
         print(f"{program.name(head)} {format_value(old)} -> "
-              f"{format_value(new)} by clause {index}", file=sys.stderr)
+              f"{format_value(new)} by {numbered} {index}", file=sys.stderr)
     return on_update
 
 
@@ -146,7 +147,8 @@ def _cmd_solve(args) -> int:
         solution_limit=limit,
         time_budget=args.time_budget,
     )
-    tracer = _tracer(program) if args.trace_fixpoint else None
+    # Search reports source rule indices, as `ground` prints the rules.
+    tracer = _tracer(program, "rule") if args.trace_fixpoint else None
     search = Search(program, config, on_update=tracer)
     found = 0
     for model in search.models():
@@ -173,7 +175,8 @@ def _cmd_check(args) -> int:
         reduct = build_reduct(program, valuation)
         sys.stdout.write(format_program(
             Program(reduct.variables, (), reduct.rules, None)))
-    tracer = _tracer(program) if args.trace_fixpoint else None
+    # check_stable numbers the reduct's clauses, as --dump-reduct prints them.
+    tracer = _tracer(program, "clause") if args.trace_fixpoint else None
     verdict = check_stable(program, valuation, on_update=tracer)
     if verdict.stable:
         print("STABLE")
@@ -197,6 +200,12 @@ def run(argv=None) -> int:
     except (BfaspError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except RecursionError:
+        print("error: input nested too deeply to process", file=sys.stderr)
+        return 3
+    except WatchdogError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 4
 
 
 def main():

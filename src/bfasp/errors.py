@@ -31,3 +31,11 @@ class FormatError(BfaspError):
 
 class SolveError(BfaspError):
     """Search-time failure, e.g. an objective without a finite value."""
+
+
+class WatchdogError(RuntimeError):
+    """A fixpoint raised more bounds than its lattice allows.
+
+    Monotone propagation on a finite lattice cannot do that, so this marks a
+    solver fault, reported as a resource limit rather than a wrong answer.
+    """

@@ -10,9 +10,19 @@ unsatisfiability.
 
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .analysis import PositiveCP, validate_positive_cp
-from .program import NEG_INF, POS_INF, Rule, Sort, _Infinity
+from .analysis import (
+    PositiveCP,
+    is_tautology,
+    substitution_plan,
+    validate_positive_cp,
+)
+from .errors import WatchdogError
+from .program import NEG_INF, POS_INF, Clause, Program, Rule, Sort, _Infinity
+
+
+_WATCHDOG_MESSAGE = "fixpoint watchdog: bound raises exceeded the lattice budget"
 
 
 def _ceil_div(num: int, den: int) -> int:
@@ -172,13 +182,232 @@ def minimal_model(pcp: PositiveCP, *, on_update=None,
         bounds[rule.head] = new
         raises += 1
         if raises > budget:
-            raise RuntimeError("fixpoint watchdog: bound raises exceeded "
-                               "the lattice budget")
+            raise WatchdogError(_WATCHDOG_MESSAGE)
         for watching in watchers.get(rule.head, ()):
             if not queued[watching]:
                 queued[watching] = True
                 queue.append(watching)
     return FixpointResult(bounds)
+
+
+class _LeafAtom(NamedTuple):
+    kept: tuple  # (coeff, var) of kept occurrences other than the head
+    substituted: tuple  # (coeff, var) read from the valuation
+    bound: int
+    head_coeff: int | None  # the head's coefficient, when the head is here
+
+
+class _LeafRule(NamedTuple):
+    head: int
+    lo: int | None  # integer head domain; None for a Boolean head
+    hi: int | None
+    substituted_lits: tuple  # (var, positive)
+    kept_lits: tuple  # (var, positive), the head literal excluded
+    atoms: tuple  # _LeafAtom
+    # The atoms' fold, when no atom has a substituted term to fold.
+    fixed_fold: tuple | None
+
+
+class LeafEvaluator:
+    """The reduct and its minimal model, compiled once per program.
+
+    ``minimal_model(valuation)`` gives the same result as
+    ``minimal_model(build_reduct(program, valuation))`` without building the
+    reduct: every rule keeps its substitution plan, and each call folds the
+    valuation into the plans and runs the same bounds-raising fixpoint over
+    the rules the fold leaves active.  Rule indices, in ``on_update`` and in
+    ``unsat_index``, are source rule indices: the reduct's ``origin_of``
+    mapping, applied.
+
+    Kept occurrences other than the head are founded and decreasing, so
+    their literals are negative and their coefficients negative.
+    """
+
+    def __init__(self, program: Program):
+        variables = program.variables
+        self._founded = [i for i, v in enumerate(variables) if v.is_founded]
+        self._template = [v.least_value() if v.is_founded else None
+                          for v in variables]
+        budget = len(program.rules)
+        for var in self._founded:
+            info = variables[var]
+            budget += 2 if info.sort is Sort.BOOL else info.hi - info.lo + 2
+        self._budget = budget
+        # None for a rule that no reduct keeps, whatever the valuation:
+        # complementary kept literals, or constant atoms that satisfy it.
+        self._rules: list[_LeafRule | None] = []
+        # var -> (rule index, atom index or None for a literal) for every
+        # kept non-head occurrence, in rule order.
+        self._watchers = [[] for _ in variables]
+        for index, rule in enumerate(program.rules):
+            compiled = _compile_rule(substitution_plan(rule, variables),
+                                     variables)
+            self._rules.append(compiled)
+            if compiled is None:
+                continue
+            for var, _ in compiled.kept_lits:
+                self._watchers[var].append((index, None))
+            for slot, atom in enumerate(compiled.atoms):
+                for _, var in atom.kept:
+                    self._watchers[var].append((index, slot))
+
+    def minimal_model(self, valuation, *, on_update=None) -> FixpointResult:
+        """Least fixpoint of the program's reduct under ``valuation``.
+
+        ``valuation`` must cover every substituted occurrence (the guess set
+        suffices).  The model covers every founded variable.
+        """
+        rules = self._rules
+        folds = [None if rule is None else _fold_rule(rule, valuation)
+                 for rule in rules]
+        watchers = self._watchers
+        bounds = self._template.copy()
+        budget = self._budget
+        raises = 0
+        queue = deque([i for i, fold in enumerate(folds) if fold is not None])
+        # Inactive rules are never popped, so they stay marked and never
+        # join the queue.
+        queued = [True] * len(rules)
+        while queue:
+            index = queue.popleft()
+            queued[index] = False
+            head, lo, hi, _, kept_lits, atoms, _ = rules[index]
+            required = _leaf_requirement(kept_lits, atoms, folds[index],
+                                         bounds, lo is None)
+            if required is None:
+                continue
+            if required is POS_INF:
+                return FixpointResult(None, index)
+            current = bounds[head]
+            if lo is None:
+                if current:
+                    continue
+                new = True
+            else:
+                new = required if required > lo else lo
+                if new > hi:
+                    return FixpointResult(None, index)
+                if current is not NEG_INF and new <= current:
+                    continue
+            if on_update is not None:
+                on_update(head, current, new, index)
+            bounds[head] = new
+            raises += 1
+            if raises > budget:
+                raise WatchdogError(_WATCHDOG_MESSAGE)
+            for watching, slot in watchers[head]:
+                if queued[watching]:
+                    continue
+                if slot is None or folds[watching][slot] is not None:
+                    queued[watching] = True
+                    queue.append(watching)
+        return FixpointResult({var: bounds[var] for var in self._founded})
+
+
+def _compile_rule(plan, variables) -> _LeafRule | None:
+    """The leaf form of one rule plan, or None when no reduct keeps it."""
+    head = plan.head
+    if is_tautology(Clause(plan.kept_lits), variables):
+        return None  # complementary kept literals
+    atoms = tuple(
+        _LeafAtom(tuple((c, v) for c, v in ap.kept if v != head),
+                  ap.substituted, ap.bound,
+                  next((c for c, v in ap.kept if v == head), None))
+        for ap in plan.atoms)
+    fixed_fold = None
+    if not any(atom.substituted for atom in atoms):
+        fixed_fold = _fold_atoms(atoms, {})
+        if fixed_fold is None:
+            return None  # a constant member satisfies it
+        fixed_fold = tuple(fixed_fold)
+    info = variables[head]
+    return _LeafRule(
+        head, info.lo, info.hi,
+        tuple((l.var, l.positive) for l in plan.substituted_lits),
+        tuple((l.var, l.positive) for l in plan.kept_lits if l.var != head),
+        atoms, fixed_fold)
+
+
+def _fold_rule(rule: _LeafRule, valuation):
+    """Folded atom bounds of one rule, or None when the reduct drops it."""
+    for var, positive in rule.substituted_lits:
+        if valuation[var] == positive:
+            return None
+    if rule.fixed_fold is not None:
+        return rule.fixed_fold
+    return _fold_atoms(rule.atoms, valuation)
+
+
+def _fold_atoms(atoms, valuation):
+    """Folded bounds of a rule's atoms, or None when the reduct drops it.
+
+    As in ReductBuilder.build, a satisfied member drops the rule and a
+    falsified member is deleted (None in its slot).  A rule the reduct drops
+    as a tautology stays: one of its members holds at every bound, so it
+    never raises its head.
+    """
+    fold = []
+    for kept, substituted, bound, head_coeff in atoms:
+        shift = 0
+        bottomed = False
+        for coeff, var in substituted:
+            value = valuation[var]
+            if isinstance(value, _Infinity):
+                # Substituted occurrences are standard (finite) or
+                # increasing, so only -inf at coeff > 0 occurs.
+                bottomed = True
+            else:
+                shift += coeff * value
+        if not kept and head_coeff is None:
+            if not bottomed and shift >= bound:
+                return None
+            fold.append(None)
+        elif bottomed:
+            fold.append(None if head_coeff is None else POS_INF)
+        else:
+            fold.append(bound - shift)
+    return fold
+
+
+def _leaf_requirement(kept_lits, atoms, fold, bounds, boolean_head):
+    """clause_requirement of one folded rule, None when it owes nothing.
+
+    An integer requirement is returned unclamped; POS_INF means that no
+    head value satisfies the rule.  A kept non-head term at -inf has a
+    negative coefficient, so it satisfies its atom.
+    """
+    for var, positive in kept_lits:
+        if bounds[var] == positive:
+            return None
+    head_atom = None
+    for atom, bound in zip(atoms, fold):
+        if bound is None:
+            continue
+        if atom.head_coeff is not None:
+            head_atom = atom, bound
+            continue
+        total = 0
+        for coeff, var in atom.kept:
+            value = bounds[var]
+            if value is NEG_INF:
+                return None
+            total += coeff * value
+        if total >= bound:
+            return None
+    if boolean_head:
+        return True
+    if head_atom is None:
+        return POS_INF
+    atom, bound = head_atom
+    if bound is POS_INF:
+        return POS_INF
+    slack = 0
+    for coeff, var in atom.kept:
+        value = bounds[var]
+        if value is NEG_INF:
+            return None
+        slack += coeff * value
+    return _ceil_div(bound - slack, atom.head_coeff)
 
 
 def satisfied_at(rule: Rule, valuation, variables) -> bool:

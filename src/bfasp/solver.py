@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .analysis import ReductBuilder, guess_set, validate_positive_cp
 from .errors import SolveError
-from .fixpoint import minimal_model
+from .fixpoint import LeafEvaluator, minimal_model
 from .program import (
     NEG_INF,
     Program,
@@ -109,11 +109,6 @@ class PropagationLevel(enum.Enum):
     CLAUSE = "clause"
 
 
-class BranchOrder(enum.Enum):
-    DECLARATION = "declaration"
-    ACTIVITY = "activity"
-
-
 class ValueOrder(enum.Enum):
     MIN_FIRST = "min-first"
     MAX_FIRST = "max-first"
@@ -127,7 +122,6 @@ class SearchStatus(enum.Enum):
 
 @dataclass
 class SearchConfig:
-    branch_order: BranchOrder = BranchOrder.DECLARATION
     value_order: ValueOrder = ValueOrder.MIN_FIRST
     propagation: PropagationLevel = PropagationLevel.CLAUSE
     solution_limit: int | None = None
@@ -160,6 +154,13 @@ class Search:
     objective mode each yielded model strictly improves on the previous one.
     ``status`` reports, after the generator finishes, whether the space was
     exhausted or a limit cut the run short.
+
+    Guess variables are branched on in index order.  Each leaf evaluates
+    the program's reduct under the guesses without building it (see
+    ``LeafEvaluator``), so ``on_update(var, old, new, index)`` receives the
+    index of the source rule in ``program.rules`` that raised ``var``.
+    ``check_stable`` builds the reduct, and there the index numbers the
+    reduct's clauses instead.
     """
 
     def __init__(self, program: Program, config: SearchConfig | None = None,
@@ -168,7 +169,7 @@ class Search:
         self.config = config or SearchConfig()
         self.status: SearchStatus | None = None
         self._on_update = on_update
-        self._builder = ReductBuilder(program)
+        self._evaluator = LeafEvaluator(program)
         self._guess = self._order_guesses()
         self._guess_founded = [v for v in self._guess
                                if program.variables[v].is_founded]
@@ -185,15 +186,6 @@ class Search:
 
     def _order_guesses(self) -> list[int]:
         chosen = sorted(guess_set(self.program))
-        if self.config.branch_order is BranchOrder.ACTIVITY:
-            occurrences = {v: 0 for v in chosen}
-            clauses = list(self.program.constraints) + \
-                [r.clause for r in self.program.rules]
-            for clause in clauses:
-                for var in clause.variables():
-                    if var in occurrences:
-                        occurrences[var] += 1
-            chosen.sort(key=lambda v: (-occurrences[v], v))
         for var in chosen:
             info = self.program.variables[var]
             if info.is_founded and info.sort is Sort.INT:
@@ -255,33 +247,51 @@ class Search:
         if any(c.is_empty for c in self.program.constraints):
             self.status = SearchStatus.EXHAUSTED
             return
-        assignment: dict = {}
         try:
-            yield from self._node(assignment, 0)
+            yield from self._search()
         except _StopSearch:
             return
         self.status = SearchStatus.EXHAUSTED
 
-    def _node(self, assignment: dict, depth: int):
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            self.status = SearchStatus.TIME_LIMIT
-            raise _StopSearch
-        if depth == len(self._guess):
-            model = self._leaf(assignment)
-            if model is not None:
-                yield model
-                self._emitted += 1
-                limit = self.config.solution_limit
-                if limit is not None and self._emitted >= limit:
-                    self.status = SearchStatus.SOLUTION_LIMIT
-                    raise _StopSearch
-            return
-        var = self._guess[depth]
-        for value in self._values_for(var):
-            assignment[var] = value
-            if not self._pruned(assignment, var):
-                yield from self._node(assignment, depth + 1)
-        del assignment[var]
+    def _search(self):
+        """Depth first over the guess variables, one value iterator per level.
+
+        The stack replaces recursion, so the depth is not bounded by the
+        interpreter's recursion limit.
+        """
+        guess = self._guess
+        assignment: dict = {}
+        levels = []
+        while True:
+            # A node is entered: a leaf once every guess has a value.
+            if self._deadline is not None and time.monotonic() > self._deadline:
+                self.status = SearchStatus.TIME_LIMIT
+                raise _StopSearch
+            if len(levels) == len(guess):
+                model = self._leaf(assignment)
+                if model is not None:
+                    yield model
+                    self._emitted += 1
+                    limit = self.config.solution_limit
+                    if limit is not None and self._emitted >= limit:
+                        self.status = SearchStatus.SOLUTION_LIMIT
+                        raise _StopSearch
+            else:
+                levels.append(iter(self._values_for(guess[len(levels)])))
+            # Move to the next unpruned value of the deepest open level.
+            while levels:
+                var = guess[len(levels) - 1]
+                for value in levels[-1]:
+                    assignment[var] = value
+                    if not self._pruned(assignment, var):
+                        break
+                else:
+                    del assignment[var]
+                    levels.pop()
+                    continue
+                break
+            else:
+                return
 
     def _pruned(self, assignment: dict, var: int) -> bool:
         if self.config.propagation is not PropagationLevel.CLAUSE:
@@ -332,8 +342,8 @@ class Search:
         return True
 
     def _leaf(self, assignment: dict):
-        reduct = self._builder.build(assignment)
-        result = minimal_model(reduct, on_update=self._on_update)
+        result = self._evaluator.minimal_model(assignment,
+                                               on_update=self._on_update)
         if not result.ok:
             return None
         model = result.model

@@ -2,7 +2,9 @@
 
 import pytest
 
+import bfasp.fixpoint
 from bfasp.cli import run
+from bfasp.errors import WatchdogError
 
 from conftest import MODELS
 from test_ground_format import EX1_TEXT
@@ -130,6 +132,24 @@ def test_fixpoint_trace_goes_to_stderr(capsys):
                    "a 0 -> 3 by clause 2\n")
 
 
+def test_solve_traces_source_rules_and_check_reduct_clauses(tmp_path,
+                                                           capsys):
+    # at p = false rule 0 is satisfied and left out of the reduct, so r's
+    # rule is rule 1 of the program but clause 0 of the reduct
+    program = tmp_path / "shift.bfg"
+    program.write_text("var bool standard p;\nvar bool founded q;\n"
+                       "var bool founded r;\nrule ~p | q head q;\n"
+                       "rule r head r;\n")
+    assert run(["solve", str(program), "--trace-fixpoint"]) == 0
+    solved = capsys.readouterr()
+    assert solved.err == "r false -> true by rule 1\n"
+    model = tmp_path / "model.bfa"
+    model.write_text(solved.out.replace("----------\n", ""))
+    assert run(["check", str(program), "--assign", str(model),
+                "--trace-fixpoint"]) == 0
+    assert capsys.readouterr().err == "r false -> true by clause 0\n"
+
+
 def test_ground_prints_the_normalized_text(capsys):
     assert run(["ground", EX1]) == 0
     assert capsys.readouterr().out == EX1_TEXT
@@ -217,3 +237,25 @@ def test_incomplete_assignments_exit_three(tmp_path, capsys):
     partial.write_text("s = 9;\n")
     assert run(["check", EX1, "--assign", str(partial)]) == 3
     assert "missing assignments" in capsys.readouterr().err
+
+
+def test_deep_nesting_exits_three_without_a_traceback(tmp_path, capsys):
+    deep = tmp_path / "deep.bfz"
+    deep.write_text("var bool: p;\nconstraint " + "(" * 3000 + "p"
+                    + ")" * 3000 + ";\n")
+    assert run(["solve", str(deep)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: input nested too deeply to process\n"
+
+
+def test_fixpoint_watchdog_exits_four(monkeypatch, capsys):
+    def runaway(*args, **kwargs):
+        raise WatchdogError("fixpoint watchdog: bound raises exceeded the "
+                            "lattice budget")
+    monkeypatch.setattr(bfasp.fixpoint.LeafEvaluator, "minimal_model",
+                        runaway)
+    assert run(["solve", EX1]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: fixpoint watchdog: bound raises exceeded "
+                            "the lattice budget\n")

@@ -1,5 +1,7 @@
 """Bounds propagation: requirements, minimal models, and their invariants."""
 
+import itertools
+
 import pytest
 
 from bfasp import (
@@ -9,6 +11,7 @@ from bfasp import (
     LinearAtom,
     Literal,
     PositiveCP,
+    Program,
     Rule,
     Sort,
     Truth,
@@ -17,12 +20,15 @@ from bfasp import (
     build_reduct,
     clause_requirement,
     eval_clause,
+    guess_set,
     minimal_model,
     satisfied_at,
+    validate_program,
 )
+from bfasp.fixpoint import LeafEvaluator
 
 from conftest import THETA_PRIME, build_example_one, valuation_of
-from oracles import least_solution, random_positive_cp
+from oracles import least_solution, random_mixed_program, random_positive_cp
 
 
 def int_var(name, lo, hi, founded=True):
@@ -228,3 +234,117 @@ def test_adding_rules_never_lowers_the_model(rng):
             continue
         for var, value in prefix.model.items():
             assert not full.model[var] < value
+
+
+# -- the compiled leaf evaluator against the explicit reduct ---------------------
+
+
+def with_substituted_terms(rand, pcp: PositiveCP) -> Program:
+    """A positive program turned mixed, with several terms per atom.
+
+    Some variables that head no rule become standard, and atoms gain a
+    term on a variable not yet in the clause.  Either way the occurrence is
+    substituted, so kept, substituted and head terms share one atom, and a
+    body atom whose substituted term sits at -inf is deleted.
+    """
+    heads = {rule.head for rule in pcp.rules}
+    variables = tuple(
+        Variable(v.name, VarKind.STANDARD, v.sort, v.lo, v.hi)
+        if i not in heads and rand.random() < 0.5 else v
+        for i, v in enumerate(pcp.variables))
+    ints = [i for i, v in enumerate(variables) if v.sort is Sort.INT]
+    rules = []
+    for rule in pcp.rules:
+        unused = [v for v in ints if v not in set(rule.clause.variables())]
+        rand.shuffle(unused)
+        atoms = list(rule.clause.atoms)
+        for k, atom in enumerate(atoms):
+            if unused and rand.random() < 0.7:
+                extra = (rand.choice((-2, -1, 1, 2)), unused.pop())
+                atoms[k] = LinearAtom(atom.terms + (extra,), atom.bound)
+        rules.append(Rule(Clause(rule.clause.lits, tuple(atoms)), rule.head))
+    return Program(variables, rules=tuple(rules))
+
+
+def guess_assignments(program: Program):
+    """Every assignment of the guess set, as the search reaches its leaves."""
+    guess = sorted(guess_set(program))
+    domains = []
+    for var in guess:
+        info = program.variables[var]
+        if info.sort is Sort.BOOL:
+            domains.append((False, True))
+        elif info.is_founded:
+            domains.append((NEG_INF, *range(info.lo, info.hi + 1)))
+        else:
+            domains.append(range(info.lo, info.hi + 1))
+    for combo in itertools.product(*domains):
+        yield dict(zip(guess, combo))
+
+
+def typed(model):
+    """A model with each value's type, so that False and 0 differ."""
+    return None if model is None else {
+        var: (type(value), value) for var, value in model.items()}
+
+
+def differential_programs(rng):
+    for _ in range(1000):
+        yield random_mixed_program(rng, max_vars=5)
+    for _ in range(300):
+        pcp = random_positive_cp(rng)
+        yield Program(pcp.variables, rules=pcp.rules)
+    for _ in range(300):
+        program = with_substituted_terms(rng, random_positive_cp(rng))
+        if validate_program(program).ok:
+            yield program
+
+
+def test_leaf_evaluator_matches_the_explicit_reduct(rng):
+    """Models, unsat rules and update sequences, on every guess assignment.
+
+    The spec path's indices number the reduct's clauses; mapped through
+    origin_of they must name the rules the evaluator reports.
+    """
+    leaves = unsat = 0
+    for program in differential_programs(rng):
+        evaluator = LeafEvaluator(program)
+        for assignment in guess_assignments(program):
+            reduct = build_reduct(program, assignment)
+            spec_updates, updates = [], []
+            spec = minimal_model(reduct, on_update=lambda v, old, new, i:
+                                 spec_updates.append(
+                                     (v, old, new, reduct.origin_of(i))))
+            got = evaluator.minimal_model(
+                assignment, on_update=lambda *update: updates.append(update))
+            assert got.ok == spec.ok
+            assert typed(got.model) == typed(spec.model)
+            if not spec.ok:
+                assert got.unsat_index == reduct.origin_of(spec.unsat_index)
+            assert updates == spec_updates
+            leaves += 1
+            unsat += not spec.ok
+    # the comparison covers both outcomes, many times over
+    assert leaves > 6000 and unsat > 500
+
+
+def test_leaf_evaluator_ignores_raises_in_deleted_atoms():
+    """A raise of v, which only a deleted atom of rule 0 holds, must not
+    queue rule 0: z's rule, queued before w re-queues rule 0, goes first."""
+    h, w, v, y, z, u = range(6)
+    variables = tuple(int_var(name, 0, 5) for name in "hwvyzu")
+    rules = (
+        Rule(Clause(atoms=(LinearAtom(((1, h), (-1, w)), 0),
+                           LinearAtom(((-1, v), (1, u)), 5))), h),
+        Rule(Clause(atoms=(LinearAtom(((1, z), (-1, y)), 0),)), z),
+        Rule(Clause(atoms=(LinearAtom(((1, v),), 0),)), v),
+        Rule(Clause(atoms=(LinearAtom(((1, y),), 0),)), y),
+        Rule(Clause(atoms=(LinearAtom(((1, w),), 0),)), w),
+    )
+    program = Program(variables, rules=rules)
+    updates, spec_updates = [], []
+    result = LeafEvaluator(program).minimal_model(
+        {u: NEG_INF}, on_update=lambda var, old, new, i: updates.append(var))
+    minimal_model(build_reduct(program, {u: NEG_INF}),
+                  on_update=lambda var, old, new, i: spec_updates.append(var))
+    assert result.ok and updates == spec_updates == [v, y, w, z, h]

@@ -163,6 +163,15 @@ def test_enumeration_matches_the_one_by_one_checker(rng):
         assert set(got) == expected
 
 
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    free = tuple(Variable(f"p{i}", VarKind.STANDARD, Sort.BOOL)
+                 for i in range(1200))
+    search = Search(Program(free), SearchConfig(solution_limit=1))
+    models = list(search.models())
+    assert models == [dict.fromkeys(range(1200), False)]
+    assert search.status is SearchStatus.SOLUTION_LIMIT
+
+
 def test_propagation_levels_agree(rng):
     leaf = SearchConfig(propagation=PropagationLevel.LEAF_CHECK)
     clause = SearchConfig(propagation=PropagationLevel.CLAUSE)
