@@ -13,7 +13,6 @@ import enum
 from dataclasses import dataclass
 
 from .program import (
-    NEG_INF,
     POS_INF,
     Clause,
     LinearAtom,
@@ -22,7 +21,7 @@ from .program import (
     Sort,
     VarKind,
     Variable,
-    _Infinity,
+    linear_sum,
 )
 
 
@@ -122,23 +121,11 @@ def is_tautology(clause: Clause, variables) -> bool:
     if positive & negative:
         return True
     for atom in clause.atoms:
-        if isinstance(atom.bound, _Infinity):
-            if atom.bound.sign < 0:
-                return True
-            continue
-        least = 0
-        for coeff, var in atom.terms:
-            info = variables[var]
-            if coeff > 0:
-                if info.kind is VarKind.FOUNDED:
-                    least = NEG_INF
-                    break
-                least += coeff * info.lo
-            else:
-                # At -inf a negative coefficient pushes the sum up, so the
-                # minimum over the extended domain sits at hi.
-                least += coeff * info.hi
-        if not isinstance(least, _Infinity) and least >= atom.bound:
+        # At -inf a negative coefficient pushes the sum up, so the minimum
+        # over the extended domain sits at hi.
+        lowest = {var: variables[var].least_value() if coeff > 0
+                  else variables[var].hi for coeff, var in atom.terms}
+        if linear_sum(atom.terms, lowest) >= atom.bound:
             return True
     return False
 
@@ -270,23 +257,16 @@ class ReductBuilder:
             atoms = []
             if not satisfied:
                 for ap in plan.atoms:
-                    shift = 0
-                    bottomed = False
-                    for coeff, var in ap.substituted:
-                        value = valuation[var]
-                        if isinstance(value, _Infinity):
-                            # Substituted occurrences are standard (finite)
-                            # or increasing, so only -inf at coeff > 0 occurs.
-                            bottomed = True
-                        else:
-                            shift += coeff * value
+                    # Substituted occurrences are standard (finite) or
+                    # increasing, so a bottom value among them makes the
+                    # folded bound POS_INF.
+                    bound = ap.bound - linear_sum(ap.substituted, valuation)
                     if not ap.kept:
-                        if not bottomed and shift >= ap.bound:
+                        if bound <= 0:
                             satisfied = True
                             break
                         continue
-                    bound = POS_INF if bottomed else ap.bound - shift
-                    if isinstance(bound, _Infinity) and not ap.has_head:
+                    if bound == POS_INF and not ap.has_head:
                         continue  # unsatisfiable member, deleted
                     atoms.append(LinearAtom(ap.kept, bound))
             if satisfied:

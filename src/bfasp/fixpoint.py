@@ -19,7 +19,17 @@ from .analysis import (
     validate_positive_cp,
 )
 from .errors import WatchdogError
-from .program import NEG_INF, POS_INF, Clause, Program, Rule, Sort, _Infinity
+from .program import (
+    NEG_INF,
+    POS_INF,
+    Clause,
+    Program,
+    Rule,
+    Sort,
+    Truth,
+    eval_linear,
+    linear_sum,
+)
 
 
 _WATCHDOG_MESSAGE = "fixpoint watchdog: bound raises exceeded the lattice budget"
@@ -31,32 +41,6 @@ def _ceil_div(num: int, den: int) -> int:
 
 def _member_literal_true(lit, bounds) -> bool:
     return bounds[lit.var] == lit.positive
-
-
-def _member_atom_true(atom, bounds) -> bool:
-    """Truth of a non-head atom at the current bounds.
-
-    Decreasing terms at -inf contribute +inf.  An infinite folded bound is
-    unreachable, and a mixed sum counts as not satisfied.
-    """
-    pulled_up = pulled_down = False
-    total = 0
-    for coeff, var in atom.terms:
-        value = bounds[var]
-        if isinstance(value, _Infinity):
-            if coeff < 0:
-                pulled_up = True
-            else:
-                pulled_down = True
-        else:
-            total += coeff * value
-    if isinstance(atom.bound, _Infinity):
-        return atom.bound.sign < 0
-    if pulled_down:
-        return False
-    if pulled_up:
-        return True
-    return total >= atom.bound
 
 
 def clause_requirement(rule: Rule, bounds, variables):
@@ -79,7 +63,7 @@ def clause_requirement(rule: Rule, bounds, variables):
         if any(var == head for _, var in atom.terms):
             head_atom = atom
             continue
-        if _member_atom_true(atom, bounds):
+        if eval_linear(atom, bounds) is Truth.TRUE:
             return no_requirement
 
     if variables[head].sort is Sort.BOOL:
@@ -88,26 +72,18 @@ def clause_requirement(rule: Rule, bounds, variables):
         # Head occurs as a literal in a clause with an integer-sorted head:
         # ruled out by validation.
         return POS_INF
-    if isinstance(head_atom.bound, _Infinity):
-        return POS_INF if head_atom.bound.sign > 0 else NEG_INF
-    coefficient = None
-    slack = 0
-    slack_up = False
+    rest = []
     for coeff, var in head_atom.terms:
         if var == head:
             coefficient = coeff
-            continue
-        value = bounds[var]
-        if isinstance(value, _Infinity):
-            if coeff < 0:
-                slack_up = True
-            else:
-                return POS_INF  # increasing non-head at bottom: invalid shape
         else:
-            slack += coeff * value
-    if slack_up:
-        return NEG_INF
-    return _ceil_div(head_atom.bound - slack, coefficient)
+            rest.append((coeff, var))
+    residual = head_atom.bound - linear_sum(rest, bounds)
+    if isinstance(residual, int):
+        return _ceil_div(residual, coefficient)
+    # A -inf residual owes nothing; +inf, or nan from a +inf bound against a
+    # +inf sum, can never be met.
+    return NEG_INF if residual == NEG_INF else POS_INF
 
 
 @dataclass
@@ -276,8 +252,6 @@ class LeafEvaluator:
                                          bounds, lo is None)
             if required is None:
                 continue
-            if required is POS_INF:
-                return FixpointResult(None, index)
             current = bounds[head]
             if lo is None:
                 if current:
@@ -285,9 +259,9 @@ class LeafEvaluator:
                 new = True
             else:
                 new = required if required > lo else lo
-                if new > hi:
+                if new > hi:  # POS_INF too: no head value satisfies it
                     return FixpointResult(None, index)
-                if current is not NEG_INF and new <= current:
+                if new <= current:
                     continue
             if on_update is not None:
                 on_update(head, current, new, index)
@@ -348,24 +322,17 @@ def _fold_atoms(atoms, valuation):
     """
     fold = []
     for kept, substituted, bound, head_coeff in atoms:
-        shift = 0
-        bottomed = False
-        for coeff, var in substituted:
-            value = valuation[var]
-            if isinstance(value, _Infinity):
-                # Substituted occurrences are standard (finite) or
-                # increasing, so only -inf at coeff > 0 occurs.
-                bottomed = True
-            else:
-                shift += coeff * value
+        # Substituted occurrences are standard (finite) or increasing, so a
+        # bottom value among them makes the folded bound POS_INF.
+        folded = bound - linear_sum(substituted, valuation)
         if not kept and head_coeff is None:
-            if not bottomed and shift >= bound:
+            if folded <= 0:
                 return None
             fold.append(None)
-        elif bottomed:
-            fold.append(None if head_coeff is None else POS_INF)
+        elif folded == POS_INF and head_coeff is None:
+            fold.append(None)
         else:
-            fold.append(bound - shift)
+            fold.append(folded)
     return fold
 
 
@@ -374,7 +341,7 @@ def _leaf_requirement(kept_lits, atoms, fold, bounds, boolean_head):
 
     An integer requirement is returned unclamped; POS_INF means that no
     head value satisfies the rule.  A kept non-head term at -inf has a
-    negative coefficient, so it satisfies its atom.
+    negative coefficient, so its sum is +inf and satisfies its atom.
     """
     for var, positive in kept_lits:
         if bounds[var] == positive:
@@ -386,28 +353,17 @@ def _leaf_requirement(kept_lits, atoms, fold, bounds, boolean_head):
         if atom.head_coeff is not None:
             head_atom = atom, bound
             continue
-        total = 0
-        for coeff, var in atom.kept:
-            value = bounds[var]
-            if value is NEG_INF:
-                return None
-            total += coeff * value
-        if total >= bound:
+        if linear_sum(atom.kept, bounds) >= bound:
             return None
     if boolean_head:
         return True
     if head_atom is None:
         return POS_INF
     atom, bound = head_atom
-    if bound is POS_INF:
-        return POS_INF
-    slack = 0
-    for coeff, var in atom.kept:
-        value = bounds[var]
-        if value is NEG_INF:
-            return None
-        slack += coeff * value
-    return _ceil_div(bound - slack, atom.head_coeff)
+    residual = bound - linear_sum(atom.kept, bounds)
+    if isinstance(residual, int):
+        return _ceil_div(residual, atom.head_coeff)
+    return None if residual == NEG_INF else POS_INF  # as in clause_requirement
 
 
 def satisfied_at(rule: Rule, valuation, variables) -> bool:

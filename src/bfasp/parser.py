@@ -624,14 +624,34 @@ def _span_of(expr) -> Span:
     return getattr(expr, "span", Span("<unknown>", 0, 0))
 
 
+_TOO_DEEP = "input nested too deeply to process"
+
+
 def parse_model(text: str, file: str = "<model>") -> Model:
-    """Parse and resolve a model file; raises ParseError with a span."""
-    items = _Parser(text, file).model_items()
-    return _Resolver(file).run(items)
+    """Parse and resolve a model file; raises ParseError with a span.
+
+    Parsing and resolution recurse once per nesting level, so input nested
+    past the interpreter's recursion limit raises a ParseError.
+    """
+    try:
+        items = _Parser(text, file).model_items()
+        return _Resolver(file).run(items)
+    except RecursionError:
+        raise ParseError(_TOO_DEEP) from None
 
 
 def parse_data(text: str, file: str = "<data>") -> tuple:
-    """Parse a data file: ``name = literal;`` items only."""
+    """Parse a data file: ``name = literal;`` items only.
+
+    Nesting past the interpreter's recursion limit raises a ParseError.
+    """
+    try:
+        return _parse_data(text, file)
+    except RecursionError:
+        raise ParseError(_TOO_DEEP) from None
+
+
+def _parse_data(text: str, file: str) -> tuple:
     parser = _Parser(text, file)
     assigns = []
     while not parser._at_end():

@@ -7,10 +7,14 @@ variables admit an extra bottom value below every integer, spelled
 bodies share one normalized clause shape: a disjunction of Boolean literals
 and integer linear inequalities ``c1*x1 + ... + cn*xn >= k``.
 
-Evaluation uses extended arithmetic: ``NEG_INF`` times a positive coefficient
-contributes negative infinity, times a negative coefficient positive
-infinity, and a sum mixing both is ``Truth.UNDEFINED`` rather than an
-exception.  Undefined never counts as satisfied.
+The bottom values are IEEE float infinities, and evaluation is IEEE
+arithmetic on them (``linear_sum``): ``NEG_INF`` times a positive
+coefficient contributes negative infinity, times a negative coefficient
+positive infinity, and a sum mixing both is ``nan``, which evaluates to
+``Truth.UNDEFINED`` rather than an exception.  Undefined never counts as
+satisfied.  Valuations and models built here hold the ``NEG_INF``
+constant itself; a computed infinity equals it but is another float object,
+so compare with ``==``, not ``is``.
 """
 
 import enum
@@ -18,66 +22,18 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 
-class _Infinity:
-    """A signed infinite value, below or above every integer.
+NEG_INF = float("-inf")
+POS_INF = float("inf")
 
-    ``NEG_INF`` is storable (it is the founded-integer bottom); ``POS_INF``
-    only appears transiently in extended arithmetic and in folded reduct
-    bounds, never in a valuation.
-    """
+# Adding an integer to an infinity converts it to a float, so validation
+# keeps every integer within ±2**256: sums of products of two such integers
+# stay far inside the float range.
+_INT_LIMIT = 2**256
 
-    __slots__ = ("sign",)
-
-    def __init__(self, sign: int):
-        self.sign = sign
-
-    def __lt__(self, other):
-        if isinstance(other, _Infinity):
-            return self.sign < other.sign
-        if isinstance(other, int):
-            return self.sign < 0
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, _Infinity):
-            return self.sign > other.sign
-        if isinstance(other, int):
-            return self.sign > 0
-        return NotImplemented
-
-    def __le__(self, other):
-        eq = self.__eq__(other)
-        lt = self.__lt__(other)
-        if lt is NotImplemented:
-            return NotImplemented
-        return lt or eq is True
-
-    def __ge__(self, other):
-        eq = self.__eq__(other)
-        gt = self.__gt__(other)
-        if gt is NotImplemented:
-            return NotImplemented
-        return gt or eq is True
-
-    def __eq__(self, other):
-        return isinstance(other, _Infinity) and other.sign == self.sign
-
-    def __hash__(self):
-        return hash(("infinity", self.sign))
-
-    def __neg__(self):
-        return POS_INF if self.sign < 0 else NEG_INF
-
-    def __repr__(self):
-        return "-inf" if self.sign < 0 else "inf"
-
-
-NEG_INF = _Infinity(-1)
-POS_INF = _Infinity(1)
-
-# A variable's value: bool for Boolean sorts, int for integer sorts,
-# NEG_INF for founded integers left at their bottom.
-Value = int  # documentation alias; bool and _Infinity also occur
+# A variable's value: bool for Boolean sorts, int for integer sorts, the
+# NEG_INF constant itself for founded integers left at their bottom.
+# Extended sums may also be POS_INF, or nan when undefined.
+Value = int  # documentation alias; bool and float also occur
 
 
 class Sort(enum.Enum):
@@ -121,8 +77,8 @@ class Variable:
             return isinstance(value, bool)
         if isinstance(value, bool):
             return False
-        if isinstance(value, _Infinity):
-            return value == NEG_INF and self.is_founded
+        if value == NEG_INF:
+            return self.is_founded
         return isinstance(value, int) and self.lo <= value <= self.hi
 
 
@@ -220,44 +176,38 @@ class Truth(enum.Enum):
 
 
 def format_value(value) -> str:
-    """Canonical spelling of a value: true/false, -inf, or the integer."""
+    """Canonical spelling of a value: true/false, -inf, inf, or the integer."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return repr(value) if isinstance(value, _Infinity) else str(value)
+    return str(value)
+
+
+def linear_sum(terms, valuation):
+    """``sum(coeff * valuation[var])`` over ``(coeff, var)`` terms.
+
+    Returns an int when every value is finite (bools count 0/1), NEG_INF or
+    POS_INF when bottom values pull the sum one way, and ``nan`` when they
+    pull it both ways: the sum is undefined.
+    """
+    total = 0
+    for coeff, var in terms:
+        total += coeff * valuation[var]
+    return total
 
 
 def eval_linear(atom: LinearAtom, valuation) -> Truth:
     """Evaluate one inequality under a valuation, with extended arithmetic.
 
-    All atom variables must be assigned.  NEG_INF times a positive
-    coefficient pulls the sum to -inf, times a negative coefficient to +inf;
-    a sum with both is UNDEFINED.
+    All atom variables must be assigned.  A mixed (``nan``) sum is
+    UNDEFINED.  A -inf bound holds for every other sum, and a +inf bound
+    for none: it is FALSE, or UNDEFINED against a +inf sum.
     """
-    pulled_down = pulled_up = False
-    total = 0
-    for coeff, var in atom.terms:
-        value = valuation[var]
-        if isinstance(value, _Infinity):
-            if coeff > 0:
-                pulled_down = True
-            else:
-                pulled_up = True
-        else:
-            total += coeff * value
-    if pulled_down and pulled_up:
-        return Truth.UNDEFINED
-    bound = atom.bound
-    if isinstance(bound, _Infinity):
-        if bound.sign < 0:
-            return Truth.TRUE
-        # bound +inf: unreachable by finite sums; an infinite sum against an
-        # infinite bound has no defined answer.
-        return Truth.UNDEFINED if pulled_up else Truth.FALSE
-    if pulled_down:
-        return Truth.FALSE
-    if pulled_up:
+    total = linear_sum(atom.terms, valuation)
+    if total >= atom.bound:
+        if total == atom.bound == POS_INF:
+            return Truth.UNDEFINED
         return Truth.TRUE
-    return Truth.TRUE if total >= bound else Truth.FALSE
+    return Truth.UNDEFINED if total != total else Truth.FALSE  # nan
 
 
 def eval_clause(clause: Clause, valuation) -> Truth:
@@ -299,26 +249,8 @@ def eval_linear_expr(expr: LinearExpr, valuation):
     Returns an int, or NEG_INF/POS_INF for pure infinite sums, or None when
     the sum mixes both infinities.
     """
-    pulled_down = pulled_up = False
-    total = expr.constant
-    for coeff, var in expr.terms:
-        value = valuation[var]
-        if isinstance(value, bool):
-            total += coeff if value else 0
-        elif isinstance(value, _Infinity):
-            if coeff > 0:
-                pulled_down = True
-            else:
-                pulled_up = True
-        else:
-            total += coeff * value
-    if pulled_down and pulled_up:
-        return None
-    if pulled_down:
-        return NEG_INF
-    if pulled_up:
-        return POS_INF
-    return total
+    total = expr.constant + linear_sum(expr.terms, valuation)
+    return None if total != total else total  # nan
 
 
 @dataclass
@@ -354,12 +286,17 @@ def _check_clause(clause: Clause, variables, where: str, issues: list):
             if coeff == 0:
                 issues.append(f"{where}: zero coefficient on "
                               f"'{variables[var].name}'")
+            elif abs(coeff) > _INT_LIMIT:
+                issues.append(f"{where}: coefficient beyond ±2**256 on "
+                              f"'{variables[var].name}'")
             if var in seen:
                 issues.append(f"{where}: variable '{variables[var].name}' "
                               f"repeats within one atom")
             seen.add(var)
-        if isinstance(atom.bound, _Infinity):
+        if atom.bound in (NEG_INF, POS_INF):
             issues.append(f"{where}: infinite bound outside a reduct")
+        elif abs(atom.bound) > _INT_LIMIT:
+            issues.append(f"{where}: bound beyond ±2**256")
 
 
 def validate_program(program: Program) -> ValidationReport:
@@ -382,6 +319,9 @@ def validate_program(program: Program) -> ValidationReport:
             elif var.lo > var.hi:
                 issues.append(f"variable '{var.name}': empty interval "
                               f"{var.lo}..{var.hi}")
+            elif max(-var.lo, var.hi) > _INT_LIMIT:
+                issues.append(f"variable '{var.name}': interval beyond "
+                              f"±2**256")
         elif var.lo is not None or var.hi is not None:
             issues.append(f"variable '{var.name}': interval on a Boolean")
 
@@ -414,9 +354,14 @@ def validate_program(program: Program) -> ValidationReport:
             if coeff == 0:
                 issues.append(f"objective: zero coefficient on "
                               f"'{program.name(var)}'")
+            elif abs(coeff) > _INT_LIMIT:
+                issues.append(f"objective: coefficient beyond ±2**256 on "
+                              f"'{program.name(var)}'")
             if var in seen:
                 issues.append(f"objective: variable '{program.name(var)}' repeats")
             seen.add(var)
+        if abs(program.objective.constant) > _INT_LIMIT:
+            issues.append("objective: constant beyond ±2**256")
 
     return ValidationReport(issues)
 

@@ -21,11 +21,11 @@ from .program import (
     Sort,
     Truth,
     VarKind,
-    _Infinity,
     eval_clause,
     eval_linear_expr,
     failing_constraint,
     format_value,
+    linear_sum,
     validate_valuation,
 )
 
@@ -178,7 +178,7 @@ class Search:
             self._index_clauses()
         self._objective = program.objective
         self._bound: int | None = None
-        self._obj_floor = self._objective_floor_terms()
+        self._obj_floor = self._objective_floor_values()
         self._emitted = 0
         self._deadline = None
 
@@ -220,19 +220,19 @@ class Search:
                 if var in guessed:
                     self._watch.setdefault(var, []).append(clause)
 
-    def _objective_floor_terms(self):
-        """Per-term minima for bound pruning; None disables the prune."""
+    def _objective_floor_values(self):
+        """Values minimising each objective term; None disables the prune."""
         if self._objective is None:
             return None
         floors = {}
         for coeff, var in self._objective.terms:
             info = self.program.variables[var]
             if info.sort is Sort.BOOL:
-                floors[var] = min(coeff, 0)
+                floors[var] = coeff < 0
             elif info.is_founded:
                 return None  # -inf possible, no useful floor
             else:
-                floors[var] = min(coeff * info.lo, coeff * info.hi)
+                floors[var] = info.lo if coeff > 0 else info.hi
         return floors
 
     # -- search ----------------------------------------------------------
@@ -300,14 +300,8 @@ class Search:
             if self._definitely_false(clause, assignment):
                 return True
         if self._bound is not None and self._obj_floor is not None:
-            floor = self._objective.constant
-            for coeff, v in self._objective.terms:
-                if v in assignment:
-                    value = assignment[v]
-                    floor += coeff * (1 if value is True else
-                                      0 if value is False else value)
-                else:
-                    floor += self._obj_floor[v]
+            floor = self._objective.constant + linear_sum(
+                self._objective.terms, {**self._obj_floor, **assignment})
             if floor > self._bound:
                 return True
         return False
@@ -320,24 +314,11 @@ class Search:
             if assignment[lit.var] == lit.positive:
                 return False
         for atom in clause.atoms:
-            pulled_down = pulled_up = False
-            total = 0
-            for coeff, v in atom.terms:
+            for _, v in atom.terms:
                 if v not in assignment:
                     return False
-                value = assignment[v]
-                if isinstance(value, _Infinity):
-                    if coeff > 0:
-                        pulled_down = True
-                    else:
-                        pulled_up = True
-                else:
-                    total += coeff * value
-            if pulled_up and pulled_down:
-                return False  # undefined: not definitely false
-            if pulled_up:
-                return False
-            if not pulled_down and total >= atom.bound:
+            # An undefined (nan) sum is not definitely false either.
+            if not linear_sum(atom.terms, assignment) < atom.bound:
                 return False
         return True
 

@@ -12,7 +12,10 @@ from bfasp import (
     Literal,
     PositiveCP,
     Program,
+    PropagationLevel,
     Rule,
+    Search,
+    SearchConfig,
     Sort,
     Truth,
     VarKind,
@@ -326,6 +329,28 @@ def test_leaf_evaluator_matches_the_explicit_reduct(rng):
             unsat += not spec.ok
     # the comparison covers both outcomes, many times over
     assert leaves > 6000 and unsat > 500
+
+
+def test_model_values_are_bools_ints_or_the_bottom_constant(rng):
+    """No computed float reaches a model: a bottom value is NEG_INF itself,
+    so ``model[v] is NEG_INF`` holds, and nothing is nan or POS_INF."""
+    def check(model):
+        for value in model.values():
+            assert value is NEG_INF or type(value) in (bool, int), value
+
+    for _ in range(300):
+        program = random_mixed_program(rng, max_vars=5,
+                                       with_objective=rng.random() < 0.3)
+        for level in PropagationLevel:
+            config = SearchConfig(propagation=level)
+            for model in Search(program, config).models():
+                check(model)
+        evaluator = LeafEvaluator(program)
+        for assignment in guess_assignments(program):
+            for result in (evaluator.minimal_model(assignment),
+                           minimal_model(build_reduct(program, assignment))):
+                if result.ok:
+                    check(result.model)
 
 
 def test_leaf_evaluator_ignores_raises_in_deleted_atoms():

@@ -172,6 +172,9 @@ def test_assignment_accepts_bottom_for_founded_only():
     ("s = 99;", "outside the domain of 's'"),
     ("s = 0;", "missing assignments: a, b, x, y"),
     ("x = 2;", "outside the domain of 'x'"),
+    ("a = inf;", "expected integer, found 'inf'"),
+    ("a = nan;", "expected integer, found 'nan'"),
+    ("s = 2.0;", "unexpected character '.'"),
 ])
 def test_assignment_errors(text, message):
     with pytest.raises(FormatError, match=message):

@@ -259,3 +259,14 @@ def test_comments_and_multiple_generators_parse():
         "constraint forall (u, v in 1..N) (g[u, v]);\n")
     agg = model.constraints[0].expr
     assert agg.gens[0].names == ("u", "v")
+
+
+@pytest.mark.parametrize("parse,text", [
+    (parse_model, "var bool: p;\nconstraint " + "(" * 3000 + "p"
+     + ")" * 3000 + ";\n"),
+    (parse_data, "n = " + "(" * 3000 + "1" + ")" * 3000 + ";\n"),
+], ids=["model", "data"])
+def test_deep_nesting_is_a_parse_error(parse, text):
+    with pytest.raises(ParseError,
+                       match="^input nested too deeply to process$"):
+        parse(text)

@@ -87,6 +87,10 @@ def test_admits_respects_sort_kind_and_interval():
     assert flag.admits(True) and flag.admits(False)
     assert not flag.admits(0)
     assert not flag.admits(NEG_INF)
+    standard_flag = Variable("q", VarKind.STANDARD, Sort.BOOL)
+    for info in (founded, standard, flag, standard_flag):
+        for value in (2.0, float("nan"), POS_INF):
+            assert not info.admits(value)
 
 
 # -- extended evaluation ------------------------------------------------------
@@ -96,32 +100,49 @@ def atom(*terms, bound):
     return LinearAtom(tuple(terms), bound)
 
 
-def test_eval_linear_finite():
-    a = atom((2, 0), (-1, 1), bound=3)
-    assert eval_linear(a, {0: 2, 1: 1}) is Truth.TRUE  # 4 - 1 >= 3
-    assert eval_linear(a, {0: 1, 1: 0}) is Truth.FALSE
+# (coeff, value) per term, bound, verdict: NEG_INF times a positive
+# coefficient sinks the sum, times a negative one lifts it, and both at once
+# leave it undefined; a -inf bound holds for every defined sum, a +inf bound
+# for none, and against a +inf sum it is undefined.
+EXTENDED_ARITHMETIC = [
+    (((2, 3),), 5, Truth.TRUE),
+    (((2, 3),), 7, Truth.FALSE),
+    (((2, 3),), NEG_INF, Truth.TRUE),
+    (((2, 3),), POS_INF, Truth.FALSE),
+    (((-2, 3),), -6, Truth.TRUE),
+    (((-2, 3),), 5, Truth.FALSE),
+    (((-2, 3),), NEG_INF, Truth.TRUE),
+    (((-2, 3),), POS_INF, Truth.FALSE),
+    (((1, NEG_INF),), 0, Truth.FALSE),
+    (((2, NEG_INF),), -10**9, Truth.FALSE),
+    (((2, NEG_INF),), NEG_INF, Truth.TRUE),
+    (((2, NEG_INF),), POS_INF, Truth.FALSE),
+    (((-1, NEG_INF),), -4, Truth.TRUE),
+    (((-2, NEG_INF),), 10**9, Truth.TRUE),
+    (((-2, NEG_INF),), NEG_INF, Truth.TRUE),
+    (((-2, NEG_INF),), POS_INF, Truth.UNDEFINED),  # though inf >= inf
+    (((2, 2), (-1, 1)), 3, Truth.TRUE),
+    (((2, 1), (-1, 0)), 3, Truth.FALSE),
+    (((1, 100), (1, NEG_INF)), 0, Truth.FALSE),
+    (((-1, 100), (-1, NEG_INF)), 0, Truth.TRUE),
+    (((1, NEG_INF), (-1, NEG_INF)), 1, Truth.UNDEFINED),
+    (((1, NEG_INF), (-1, NEG_INF)), NEG_INF, Truth.UNDEFINED),
+    (((1, NEG_INF), (-1, NEG_INF)), POS_INF, Truth.UNDEFINED),
+]
 
 
-def test_eval_linear_bottom_pulls():
-    down = atom((1, 0), bound=0)
-    up = atom((-1, 0), bound=-4)
-    assert eval_linear(down, {0: NEG_INF}) is Truth.FALSE
-    assert eval_linear(up, {0: NEG_INF}) is Truth.TRUE
+def spelled(terms, bound):
+    return "+".join(f"{c}*{format_value(v)}" for c, v in terms) \
+        + f">={format_value(bound)}"
 
 
-def test_eval_linear_mixed_is_undefined():
-    a = atom((1, 0), (-1, 1), bound=1)
-    assert eval_linear(a, {0: NEG_INF, 1: NEG_INF}) is Truth.UNDEFINED
-
-
-def test_eval_linear_infinite_bounds():
-    always = atom((1, 0), bound=NEG_INF)
-    never = atom((1, 0), bound=POS_INF)
-    assert eval_linear(always, {0: 5}) is Truth.TRUE
-    assert eval_linear(never, {0: 5}) is Truth.FALSE
-    # an infinite sum against an infinite bound has no defined answer
-    assert eval_linear(atom((-1, 0), bound=POS_INF),
-                       {0: NEG_INF}) is Truth.UNDEFINED
+@pytest.mark.parametrize(
+    "terms,bound,verdict", EXTENDED_ARITHMETIC,
+    ids=[spelled(terms, bound) for terms, bound, _ in EXTENDED_ARITHMETIC])
+def test_eval_linear_extended_arithmetic(terms, bound, verdict):
+    a = LinearAtom(tuple((c, i) for i, (c, _) in enumerate(terms)), bound)
+    valuation = {i: value for i, (_, value) in enumerate(terms)}
+    assert eval_linear(a, valuation) is verdict
 
 
 def test_eval_clause_member_combination():
@@ -246,6 +267,27 @@ def test_validate_program_flags_objective_issues():
     assert any("objective: zero coefficient" in i for i in issues)
     assert any("objective: variable 'n' repeats" in i for i in issues)
     assert any("objective: unknown variable 9" in i for i in issues)
+
+
+def test_validate_program_flags_integers_beyond_float_range():
+    """Sums meet the float infinities, so integers past ±2**256 are refused:
+    in a sum with a bottom value they could not convert to a float."""
+    big = 2**256
+    variables = (Variable("n", VarKind.FOUNDED, Sort.INT, 0, big),
+                 Variable("m", VarKind.FOUNDED, Sort.INT, -big - 1, 0))
+    rule = Rule(Clause(atoms=(LinearAtom(((1, 0), (-big - 1, 1)), big),)), 0)
+    wide = Clause(atoms=(LinearAtom(((1, 0),), -big - 1),))
+    objective = LinearExpr(((big + 1, 0), (-big, 1)), big + 1)
+    issues = validate_program(Program(variables, constraints=(wide,),
+                                      rules=(rule,),
+                                      objective=objective)).issues
+    assert issues == [
+        "variable 'm': interval beyond ±2**256",
+        "constraint 0: bound beyond ±2**256",
+        "rule 0: coefficient beyond ±2**256 on 'm'",
+        "objective: coefficient beyond ±2**256 on 'n'",
+        "objective: constant beyond ±2**256",
+    ]
 
 
 def test_validate_valuation_totality_and_domains():
