@@ -130,7 +130,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.solution_limit is not None and self.solution_limit <= 0:
             raise ValueError("solution limit must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
+        if self.time_budget is not None and not self.time_budget > 0:
             raise ValueError("time budget must be positive")
 
 
@@ -155,12 +155,15 @@ class Search:
     ``status`` reports, after the generator finishes, whether the space was
     exhausted or a limit cut the run short.
 
-    Guess variables are branched on in index order.  Each leaf evaluates
-    the program's reduct under the guesses without building it (see
-    ``LeafEvaluator``), so ``on_update(var, old, new, index)`` receives the
-    index of the source rule in ``program.rules`` that raised ``var``.
-    ``check_stable`` builds the reduct, and there the index numbers the
-    reduct's clauses instead.
+    Guess variables are branched on in index order.  A clause over guess
+    variables only is checked once, at the guess that decides it (the last
+    of them); any other constraint at the leaf, a variable-free one before
+    the search.  ``LEAF_CHECK`` moves every constraint to the leaf and turns
+    the objective-bound prune off.  Each leaf evaluates the program's reduct
+    under the guesses without building it (see ``LeafEvaluator``), so
+    ``on_update(var, old, new, index)`` receives the index of the source
+    rule in ``program.rules`` that raised ``var``.  ``check_stable`` builds
+    the reduct, and there the index numbers the reduct's clauses instead.
     """
 
     def __init__(self, program: Program, config: SearchConfig | None = None,
@@ -173,9 +176,7 @@ class Search:
         self._guess = self._order_guesses()
         self._guess_founded = [v for v in self._guess
                                if program.variables[v].is_founded]
-        self._watch: dict[int, list] = {}
-        if self.config.propagation is PropagationLevel.CLAUSE:
-            self._index_clauses()
+        self._at_root, self._at_guess, self._at_leaf = self._schedule_checks()
         self._objective = program.objective
         self._bound: int | None = None
         self._obj_floor = self._objective_floor_values()
@@ -208,21 +209,34 @@ class Search:
             values.reverse()
         return values
 
-    def _index_clauses(self):
-        guessed = set(self._guess)
-        clauses = list(self.program.constraints) + \
-            [r.clause for r in self.program.rules]
-        for clause in clauses:
-            if clause.is_empty:
-                self._watch.setdefault(-1, []).append(clause)
-                continue
-            for var in set(clause.variables()):
-                if var in guessed:
-                    self._watch.setdefault(var, []).append(clause)
+    def _schedule_checks(self):
+        """Constraints checked before the search, ``(clause, pruning
+        verdicts)`` per deciding guess position, and leaf constraints."""
+        position = {var: i for i, var in enumerate(self._guess)}
+        by_guess = self.config.propagation is PropagationLevel.CLAUSE
+        not_true = (Truth.FALSE, Truth.UNDEFINED)
+        checks = [(clause, not_true) for clause in self.program.constraints]
+        if by_guess:
+            # An UNDEFINED rule clause can hold at a stable model.  A rule
+            # clause over a settled variable (its head, say) is left to the
+            # leaf fixpoint.
+            checks += [(r.clause, (Truth.FALSE,)) for r in self.program.rules
+                       if r.head in position]
+        at_root, at_guess, at_leaf = [], [[] for _ in self._guess], []
+        for clause, pruning in checks:
+            slots = {position.get(var) for var in clause.variables()}
+            if not slots:
+                at_root.append(clause)
+            elif by_guess and None not in slots:
+                at_guess[max(slots)].append((clause, pruning))
+            elif pruning is not_true:  # a constraint
+                at_leaf.append(clause)
+        return at_root, at_guess, at_leaf
 
     def _objective_floor_values(self):
         """Values minimising each objective term; None disables the prune."""
-        if self._objective is None:
+        if (self._objective is None
+                or self.config.propagation is PropagationLevel.LEAF_CHECK):
             return None
         floors = {}
         for coeff, var in self._objective.terms:
@@ -244,7 +258,7 @@ class Search:
         self._bound = None
         if cfg.time_budget is not None:
             self._deadline = time.monotonic() + cfg.time_budget
-        if any(c.is_empty for c in self.program.constraints):
+        if any(eval_clause(c, {}) is not Truth.TRUE for c in self._at_root):
             self.status = SearchStatus.EXHAUSTED
             return
         try:
@@ -280,10 +294,11 @@ class Search:
                 levels.append(iter(self._values_for(guess[len(levels)])))
             # Move to the next unpruned value of the deepest open level.
             while levels:
-                var = guess[len(levels) - 1]
+                depth = len(levels) - 1
+                var = guess[depth]
                 for value in levels[-1]:
                     assignment[var] = value
-                    if not self._pruned(assignment, var):
+                    if not self._pruned(assignment, depth):
                         break
                 else:
                     del assignment[var]
@@ -293,11 +308,9 @@ class Search:
             else:
                 return
 
-    def _pruned(self, assignment: dict, var: int) -> bool:
-        if self.config.propagation is not PropagationLevel.CLAUSE:
-            return False
-        for clause in self._watch.get(var, ()):
-            if self._definitely_false(clause, assignment):
+    def _pruned(self, assignment: dict, depth: int) -> bool:
+        for clause, pruning in self._at_guess[depth]:
+            if eval_clause(clause, assignment) in pruning:
                 return True
         if self._bound is not None and self._obj_floor is not None:
             floor = self._objective.constant + linear_sum(
@@ -305,22 +318,6 @@ class Search:
             if floor > self._bound:
                 return True
         return False
-
-    def _definitely_false(self, clause, assignment) -> bool:
-        """All members known false under the partial guess assignment."""
-        for lit in clause.lits:
-            if lit.var not in assignment:
-                return False
-            if assignment[lit.var] == lit.positive:
-                return False
-        for atom in clause.atoms:
-            for _, v in atom.terms:
-                if v not in assignment:
-                    return False
-            # An undefined (nan) sum is not definitely false either.
-            if not linear_sum(atom.terms, assignment) < atom.bound:
-                return False
-        return True
 
     def _leaf(self, assignment: dict):
         result = self._evaluator.minimal_model(assignment,
@@ -335,8 +332,9 @@ class Search:
         for var in self._guess:
             if self.program.variables[var].kind is VarKind.STANDARD:
                 candidate[var] = assignment[var]
-        if failing_constraint(self.program, candidate) is not None:
-            return None
+        for clause in self._at_leaf:
+            if eval_clause(clause, candidate) is not Truth.TRUE:
+                return None
         if self._objective is not None:
             value = eval_linear_expr(self._objective, candidate)
             if not isinstance(value, int):

@@ -103,6 +103,11 @@ def test_tiny_time_budget_reports_unknown(capsys):
     assert capsys.readouterr().out == "=====UNKNOWN=====\n"
 
 
+def test_nan_time_budget_is_bad_input(capsys):
+    assert run(["solve", EX1, "--time-budget", "nan"]) == 3
+    assert "time budget must be positive" in capsys.readouterr().err
+
+
 def test_check_stable_assignment(capsys):
     assert run(["check", EX1, "--assign", str(MODELS / "ex1_stable.bfa")]) == 0
     assert capsys.readouterr().out == "STABLE\n"

@@ -9,6 +9,7 @@ from bfasp import (
     Clause,
     LinearAtom,
     LinearExpr,
+    Literal,
     Program,
     PropagationLevel,
     Rule,
@@ -35,6 +36,10 @@ from conftest import MODELS, build_example_one, valuation_of
 
 def founded_int(name, lo, hi):
     return Variable(name, kind=VarKind.FOUNDED, sort=Sort.INT, lo=lo, hi=hi)
+
+
+def founded_bool(name):
+    return Variable(name, kind=VarKind.FOUNDED, sort=Sort.BOOL)
 
 
 def standard_int(name, lo, hi):
@@ -179,6 +184,31 @@ def test_propagation_levels_agree(rng):
         program = oracles.random_mixed_program(rng)
         assert (list(enumerate_stable(program, leaf))
                 == list(enumerate_stable(program, clause)))
+    # with an objective: the improving sequences, so the bound prune too
+    for _ in range(60):
+        program = oracles.random_mixed_program(rng, with_objective=True)
+        assert (list(enumerate_stable(program, leaf))
+                == list(enumerate_stable(program, clause)))
+        assert optimize(program, leaf) == optimize(program, clause)
+
+
+def test_undefined_rule_clause_holds_and_undefined_constraint_fails():
+    # a and b are guessed (c and e read them in substituted positions), and
+    # a - b is undefined at a = b = -inf, where the only stable model sits.
+    a_ge_b = Clause(atoms=(LinearAtom(((1, 0), (-1, 1)), 0),))
+    rules = (Rule(a_ge_b, 0),
+             Rule(Clause((Literal(2),), (LinearAtom(((1, 1),), 1),)), 2),
+             Rule(Clause((Literal(3),), (LinearAtom(((1, 0),), 1),)), 3))
+    variables = (founded_int("a", 0, 5), founded_int("b", 0, 5),
+                 founded_bool("c"), founded_bool("e"))
+    ruled = Program(variables, (), rules)
+    constrained = Program(variables, (a_ge_b,), rules)
+    model = {0: NEG_INF, 1: NEG_INF, 2: True, 3: True}
+    assert check_stable(ruled, model).stable
+    for level in PropagationLevel:
+        config = SearchConfig(propagation=level)
+        assert list(enumerate_stable(ruled, config)) == [model]
+        assert list(enumerate_stable(constrained, config)) == []
 
 
 def test_normal_rules_match_the_guess_and_close_oracle(rng):
@@ -211,8 +241,9 @@ def test_time_budget_stops_early():
 def test_config_rejects_nonpositive_limits():
     with pytest.raises(ValueError, match="solution limit must be positive"):
         SearchConfig(solution_limit=0)
-    with pytest.raises(ValueError, match="time budget must be positive"):
-        SearchConfig(time_budget=0)
+    for budget in (0, float("nan")):
+        with pytest.raises(ValueError, match="time budget must be positive"):
+            SearchConfig(time_budget=budget)
 
 
 def test_wide_guess_domains_draw_a_warning():
