@@ -56,6 +56,7 @@ from .solver import (
     PropagationLevel,
     Search,
     SearchConfig,
+    SearchStats,
     SearchStatus,
     StabilityReason,
     StabilityVerdict,

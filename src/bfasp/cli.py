@@ -80,6 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="give up after this much search time")
     solve.add_argument("--prop", choices=["leaf", "clause"], default="clause",
                        help="pruning level during search (default: clause)")
+    solve.add_argument("--stats", action="store_true",
+                       help="print search counters as '# key = value' lines "
+                            "after the models")
 
     check = commands.add_parser(
         "check", parents=[shared],
@@ -157,15 +160,21 @@ def _cmd_solve(args) -> int:
         _print_model(program, model)
         print(_MODEL_SEP)
         found += 1
-    if found == 0:
-        if search.status is SearchStatus.TIME_LIMIT:
-            print(_UNKNOWN)
-            return 4
+    if found:
+        if (search.status is SearchStatus.EXHAUSTED
+                and (optimizing or args.all)):
+            print(_PROVEN_SEP)
+        code = 0
+    elif search.status is SearchStatus.TIME_LIMIT:
+        print(_UNKNOWN)
+        code = 4
+    else:
         print(_UNSAT)
-        return 2
-    if search.status is SearchStatus.EXHAUSTED and (optimizing or args.all):
-        print(_PROVEN_SEP)
-    return 0
+        code = 2
+    if args.stats:
+        for key, value in vars(search.stats).items():
+            print(f"# {key} = {value}")
+    return code
 
 
 def _cmd_check(args) -> int:

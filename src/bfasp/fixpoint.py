@@ -169,6 +169,7 @@ def minimal_model(pcp: PositiveCP, *, on_update=None,
 class _LeafAtom(NamedTuple):
     kept: tuple  # (coeff, var) of kept occurrences other than the head
     substituted: tuple  # (coeff, var) read from the valuation
+    least: tuple  # each substituted term's least coeff * value
     bound: int
     head_coeff: int | None  # the head's coefficient, when the head is here
 
@@ -197,6 +198,11 @@ class LeafEvaluator:
 
     Kept occurrences other than the head are founded and decreasing, so
     their literals are negative and their coefficients negative.
+
+    ``upper_bounds(partial)`` runs the same fold and fixpoint on a partial
+    guess assignment, with every unassigned substituted occurrence at its
+    least satisfying value.  The reduct is antitone in those values, so the
+    result bounds the minimal model of every completion from above.
     """
 
     def __init__(self, program: Program):
@@ -233,9 +239,45 @@ class LeafEvaluator:
         ``valuation`` must cover every substituted occurrence (the guess set
         suffices).  The model covers every founded variable.
         """
+        bounds, unsat_index = self._fixpoint(self._fold(valuation), on_update,
+                                             clamp=False)
+        if unsat_index is not None:
+            return FixpointResult(None, unsat_index)
+        return FixpointResult({var: bounds[var] for var in self._founded})
+
+    def upper_bounds(self, partial) -> dict:
+        """An upper bound on every founded variable, for every completion.
+
+        ``partial`` assigns some of the guess variables.  An unassigned
+        substituted literal counts as false, so its rule stays, and an
+        unassigned substituted term contributes its least ``coeff * value``.
+        Every requirement is then at least what any completion's reduct
+        asks, so the fixpoint bounds that reduct's minimal model, whenever
+        one exists, from above.  A requirement past a head's ``hi`` is
+        clamped to ``hi``, since it says nothing about whether a
+        completion's reduct has a model.
+        """
+        bounds, _ = self._fixpoint(self._fold(partial), None, clamp=True)
+        return {var: bounds[var] for var in self._founded}
+
+    def _fold(self, valuation):
+        """Each rule's folded atom bounds, None for a rule the reduct drops.
+
+        An unassigned substituted occurrence takes its least satisfying
+        value: a literal counts as false, a term adds its least
+        ``coeff * value``.
+        """
+        return [None if rule is None else _fold_rule(rule, valuation)
+                for rule in self._rules]
+
+    def _fixpoint(self, folds, on_update, clamp):
+        """Raise bounds from the bottom under the folded rules.
+
+        Returns the bounds, indexed by variable, and None, or None and the
+        index of a rule whose requirement passed its head's ``hi``; with
+        ``clamp`` such a requirement raises the head to ``hi`` instead.
+        """
         rules = self._rules
-        folds = [None if rule is None else _fold_rule(rule, valuation)
-                 for rule in rules]
         watchers = self._watchers
         bounds = self._template.copy()
         budget = self._budget
@@ -260,7 +302,9 @@ class LeafEvaluator:
             else:
                 new = required if required > lo else lo
                 if new > hi:  # POS_INF too: no head value satisfies it
-                    return FixpointResult(None, index)
+                    if not clamp:
+                        return None, index
+                    new = hi
                 if new <= current:
                     continue
             if on_update is not None:
@@ -275,7 +319,7 @@ class LeafEvaluator:
                 if slot is None or folds[watching][slot] is not None:
                     queued[watching] = True
                     queue.append(watching)
-        return FixpointResult({var: bounds[var] for var in self._founded})
+        return bounds, None
 
 
 def _compile_rule(plan, variables) -> _LeafRule | None:
@@ -285,7 +329,8 @@ def _compile_rule(plan, variables) -> _LeafRule | None:
         return None  # complementary kept literals
     atoms = tuple(
         _LeafAtom(tuple((c, v) for c, v in ap.kept if v != head),
-                  ap.substituted, ap.bound,
+                  ap.substituted, _least_products(ap.substituted, variables),
+                  ap.bound,
                   next((c for c, v in ap.kept if v == head), None))
         for ap in plan.atoms)
     fixed_fold = None
@@ -302,10 +347,18 @@ def _compile_rule(plan, variables) -> _LeafRule | None:
         atoms, fixed_fold)
 
 
+def _least_products(terms, variables) -> tuple:
+    """Each term's least ``coeff * value`` over its variable's domain."""
+    if not terms:  # most atoms: skipping the generator keeps setup cheap
+        return ()
+    return tuple(c * (variables[v].least_value() if c > 0 else variables[v].hi)
+                 for c, v in terms)
+
+
 def _fold_rule(rule: _LeafRule, valuation):
     """Folded atom bounds of one rule, or None when the reduct drops it."""
     for var, positive in rule.substituted_lits:
-        if valuation[var] == positive:
+        if valuation.get(var) == positive:  # unassigned counts as false
             return None
     if rule.fixed_fold is not None:
         return rule.fixed_fold
@@ -318,13 +371,17 @@ def _fold_atoms(atoms, valuation):
     As in ReductBuilder.build, a satisfied member drops the rule and a
     falsified member is deleted (None in its slot).  A rule the reduct drops
     as a tautology stays: one of its members holds at every bound, so it
-    never raises its head.
+    never raises its head.  A ``nan`` bound, from infinities of both signs,
+    holds for no sum, so such a member counts as falsified.
     """
     fold = []
-    for kept, substituted, bound, head_coeff in atoms:
+    for kept, substituted, least, bound, head_coeff in atoms:
+        total = 0  # an unassigned term adds its least value
+        for (coeff, var), low in zip(substituted, least):
+            total += coeff * valuation[var] if var in valuation else low
         # Substituted occurrences are standard (finite) or increasing, so a
         # bottom value among them makes the folded bound POS_INF.
-        folded = bound - linear_sum(substituted, valuation)
+        folded = bound - total
         if not kept and head_coeff is None:
             if folded <= 0:
                 return None

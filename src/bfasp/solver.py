@@ -17,6 +17,7 @@ from .errors import SolveError
 from .fixpoint import LeafEvaluator, minimal_model
 from .program import (
     NEG_INF,
+    Clause,
     Program,
     Sort,
     Truth,
@@ -135,6 +136,27 @@ class SearchConfig:
 
 
 @dataclass
+class SearchStats:
+    """Work done by one ``Search.models()`` run, counted as it goes.
+
+    ``nodes`` counts the search nodes entered, the root and the leaves
+    included, and ``leaves`` the leaf fixpoints run.  A guess value refused
+    before its subtree is searched counts once, under the check that
+    refused it: a clause over guess variables (``pruned_clause``), the
+    objective bound (``pruned_objective``), or the upper bounds on founded
+    variables (``pruned_bounds``).  ``bound_runs`` counts the upper-bound
+    fixpoints run for that last check.
+    """
+
+    nodes: int = 0
+    leaves: int = 0
+    pruned_clause: int = 0
+    pruned_objective: int = 0
+    pruned_bounds: int = 0
+    bound_runs: int = 0
+
+
+@dataclass
 class OptimizeOutcome:
     """Best model found, its objective value, and whether optimality is proven."""
 
@@ -153,17 +175,29 @@ class Search:
     ``models()`` yields stable valuations in deterministic order; in
     objective mode each yielded model strictly improves on the previous one.
     ``status`` reports, after the generator finishes, whether the space was
-    exhausted or a limit cut the run short.
+    exhausted or a limit cut the run short, and ``stats`` counts the work
+    done so far (see ``SearchStats``).
 
     Guess variables are branched on in index order.  A clause over guess
     variables only is checked once, at the guess that decides it (the last
     of them); any other constraint at the leaf, a variable-free one before
-    the search.  ``LEAF_CHECK`` moves every constraint to the leaf and turns
-    the objective-bound prune off.  Each leaf evaluates the program's reduct
-    under the guesses without building it (see ``LeafEvaluator``), so
-    ``on_update(var, old, new, index)`` receives the index of the source
-    rule in ``program.rules`` that raised ``var``.  ``check_stable`` builds
-    the reduct, and there the index numbers the reduct's clauses instead.
+    the search.  A leaf constraint over founded variables the fixpoint
+    settles is also checked at its last guess, unless that is the last guess
+    of all, against upper bounds on those variables
+    (``LeafEvaluator.upper_bounds``): it prunes when every member is FALSE
+    with each such variable at its upper bound.  One that reads such a
+    variable negatively is left to the leaf, since that member holds at the
+    bottom.  A guessed founded variable is checked against its upper bound
+    at its own guess, again not the last: no completion can be stable when
+    its value exceeds the bound.  Only subtrees without a stable model are
+    pruned, so every level yields the same models in the same order.
+    ``LEAF_CHECK`` moves every constraint to the leaf and turns the
+    objective-bound and upper-bound prunes off.  Each leaf evaluates the
+    program's reduct under the guesses without building it (see
+    ``LeafEvaluator``), so ``on_update(var, old, new, index)`` receives the
+    index of the source rule in ``program.rules`` that raised ``var``; the
+    upper-bound runs do not call it.  ``check_stable`` builds the reduct,
+    and there the index numbers the reduct's clauses instead.
     """
 
     def __init__(self, program: Program, config: SearchConfig | None = None,
@@ -171,12 +205,14 @@ class Search:
         self.program = program
         self.config = config or SearchConfig()
         self.status: SearchStatus | None = None
+        self.stats = SearchStats()
         self._on_update = on_update
         self._evaluator = LeafEvaluator(program)
         self._guess = self._order_guesses()
         self._guess_founded = [v for v in self._guess
                                if program.variables[v].is_founded]
-        self._at_root, self._at_guess, self._at_leaf = self._schedule_checks()
+        (self._at_root, self._at_guess, self._at_leaf,
+         self._bounded) = self._schedule_checks()
         self._objective = program.objective
         self._bound: int | None = None
         self._obj_floor = self._objective_floor_values()
@@ -211,7 +247,11 @@ class Search:
 
     def _schedule_checks(self):
         """Constraints checked before the search, ``(clause, pruning
-        verdicts)`` per deciding guess position, and leaf constraints."""
+        verdicts)`` per deciding guess position, leaf constraints, and the
+        upper-bound checks per guess position: ``(clause, its members over
+        guess variables)`` pairs and ``(guessed founded variable, its least
+        value)`` pairs."""
+        variables = self.program.variables
         position = {var: i for i, var in enumerate(self._guess)}
         by_guess = self.config.propagation is PropagationLevel.CLAUSE
         not_true = (Truth.FALSE, Truth.UNDEFINED)
@@ -222,7 +262,10 @@ class Search:
             # leaf fixpoint.
             checks += [(r.clause, (Truth.FALSE,)) for r in self.program.rules
                        if r.head in position]
+        # At the last guess the leaf decides, so no bound run goes there.
+        last = len(self._guess) - 1
         at_root, at_guess, at_leaf = [], [[] for _ in self._guess], []
+        bounded = [([], []) for _ in self._guess]
         for clause, pruning in checks:
             slots = {position.get(var) for var in clause.variables()}
             if not slots:
@@ -231,7 +274,17 @@ class Search:
                 at_guess[max(slots)].append((clause, pruning))
             elif pruning is not_true:  # a constraint
                 at_leaf.append(clause)
-        return at_root, at_guess, at_leaf
+                slots.discard(None)
+                if (by_guess and slots and max(slots) < last
+                        and _bounds_can_falsify(clause, position)):
+                    bounded[max(slots)][0].append(
+                        (clause, _guess_members(clause, position)))
+        if by_guess:
+            for var in self._guess_founded:
+                if position[var] < last:
+                    bounded[position[var]][1].append(
+                        (var, variables[var].least_value()))
+        return at_root, at_guess, at_leaf, bounded
 
     def _objective_floor_values(self):
         """Values minimising each objective term; None disables the prune."""
@@ -254,6 +307,7 @@ class Search:
     def models(self):
         cfg = self.config
         self.status = None
+        self.stats = SearchStats()
         self._emitted = 0
         self._bound = None
         if cfg.time_budget is not None:
@@ -274,6 +328,7 @@ class Search:
         interpreter's recursion limit.
         """
         guess = self._guess
+        stats = self.stats
         assignment: dict = {}
         levels = []
         while True:
@@ -281,7 +336,9 @@ class Search:
             if self._deadline is not None and time.monotonic() > self._deadline:
                 self.status = SearchStatus.TIME_LIMIT
                 raise _StopSearch
+            stats.nodes += 1
             if len(levels) == len(guess):
+                stats.leaves += 1
                 model = self._leaf(assignment)
                 if model is not None:
                     yield model
@@ -309,15 +366,41 @@ class Search:
                 return
 
     def _pruned(self, assignment: dict, depth: int) -> bool:
+        stats = self.stats
         for clause, pruning in self._at_guess[depth]:
             if eval_clause(clause, assignment) in pruning:
+                stats.pruned_clause += 1
                 return True
         if self._bound is not None and self._obj_floor is not None:
             floor = self._objective.constant + linear_sum(
                 self._objective.terms, {**self._obj_floor, **assignment})
             if floor > self._bound:
+                stats.pruned_objective += 1
                 return True
+        clauses, guessed = self._bounded[depth]
+        if (clauses or guessed) and self._refuted_by_bounds(
+                assignment, clauses, guessed):
+            stats.pruned_bounds += 1
+            return True
         return False
+
+    def _refuted_by_bounds(self, assignment, clauses, guessed) -> bool:
+        """True when no completion of ``assignment`` is stable, by the
+        upper bounds on the founded variables.  The bounds are computed only
+        when a check could fail: a clause not TRUE on its guess members, or
+        a guessed founded variable above its least value."""
+        open_clauses = [clause for clause, members in clauses
+                        if eval_clause(members, assignment) is not Truth.TRUE]
+        raised = [var for var, least in guessed if assignment[var] != least]
+        if not open_clauses and not raised:
+            return False
+        self.stats.bound_runs += 1
+        upper = self._evaluator.upper_bounds(assignment)
+        if any(assignment[var] > upper[var] for var in raised):
+            return True
+        upper.update(assignment)
+        return any(eval_clause(clause, upper) is Truth.FALSE
+                   for clause in open_clauses)
 
     def _leaf(self, assignment: dict):
         result = self._evaluator.minimal_model(assignment,
@@ -346,6 +429,27 @@ class Search:
             self._bound = value - 1
             self.objective_value = value
         return candidate
+
+
+def _bounds_can_falsify(clause, position) -> bool:
+    """Whether upper bounds alone can make ``clause`` FALSE.
+
+    Its variables outside ``position`` must all occur positively: a
+    negative literal or coefficient holds, or is undefined, with its
+    variable at the bottom, which no upper bound rules out.
+    """
+    return (all(lit.positive for lit in clause.lits
+                if lit.var not in position)
+            and all(coeff > 0 for atom in clause.atoms
+                    for coeff, var in atom.terms if var not in position))
+
+
+def _guess_members(clause, position) -> Clause:
+    """The members of ``clause`` over variables in ``position`` only."""
+    return Clause(
+        tuple(lit for lit in clause.lits if lit.var in position),
+        tuple(atom for atom in clause.atoms
+              if all(var in position for _, var in atom.terms)))
 
 
 def enumerate_stable(program: Program, config: SearchConfig | None = None):

@@ -3,6 +3,7 @@
 import pytest
 
 import bfasp.fixpoint
+from bfasp import ground, parse_assignment, parse_model
 from bfasp.cli import run
 from bfasp.errors import WatchdogError
 
@@ -153,6 +154,25 @@ def test_solve_traces_source_rules_and_check_reduct_clauses(tmp_path,
     assert run(["check", str(program), "--assign", str(model),
                 "--trace-fixpoint"]) == 0
     assert capsys.readouterr().err == "r false -> true by clause 0\n"
+
+
+def test_solve_stats_follow_the_models_as_comments(tmp_path, capsys):
+    assert run(["solve", EX1, "--stats"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(FIRST_MODEL)
+    stats = out[len(FIRST_MODEL):].splitlines()
+    assert [line.split(" = ")[0] for line in stats] == [
+        "# nodes", "# leaves", "# pruned_clause", "# pruned_objective",
+        "# pruned_bounds", "# bound_runs"]
+    assert "# leaves = 1" in stats
+    # the whole output, counters included, is still an assignment file
+    model = tmp_path / "model.bfa"
+    model.write_text(out.replace("----------\n", ""))
+    program = ground(parse_model((MODELS / "ex1.bfz").read_text()))
+    assert parse_assignment(model.read_text(), program) == \
+        parse_assignment(FIRST_MODEL, program)
+    assert run(["check", EX1, "--assign", str(model)]) == 0
+    assert capsys.readouterr().out == "STABLE\n"
 
 
 def test_ground_prints_the_normalized_text(capsys):

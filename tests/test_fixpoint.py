@@ -331,6 +331,40 @@ def test_leaf_evaluator_matches_the_explicit_reduct(rng):
     assert leaves > 6000 and unsat > 500
 
 
+def test_upper_bounds_dominate_every_completed_leaf(rng):
+    """upper_bounds on each partial guess assignment, over every prefix of
+    the guess order, bounds the leaf model of each of its completions."""
+    programs = [random_mixed_program(rng) for _ in range(500)]
+    for _ in range(200):
+        program = with_substituted_terms(rng, random_positive_cp(rng))
+        if validate_program(program).ok:
+            programs.append(program)
+    compared = below_top = 0
+    for program in programs:
+        evaluator = LeafEvaluator(program)
+        guess = sorted(guess_set(program))
+        founded = [v for v, info in enumerate(program.variables)
+                   if info.is_founded]
+        upper = {}
+        for assignment in guess_assignments(program):
+            leaf = evaluator.minimal_model(assignment)
+            if not leaf.ok:
+                continue
+            for k in range(len(guess) + 1):
+                prefix = tuple(assignment[v] for v in guess[:k])
+                if prefix not in upper:
+                    upper[prefix] = evaluator.upper_bounds(
+                        dict(zip(guess, prefix)))
+                for var in founded:
+                    assert upper[prefix][var] >= leaf.model[var]
+                    compared += 1
+                    top = program.variables[var].hi
+                    below_top += upper[prefix][var] < (True if top is None
+                                                       else top)
+    # the bounds are often informative, not just every domain's top
+    assert compared > 10000 and below_top > 5000
+
+
 def test_model_values_are_bools_ints_or_the_bottom_constant(rng):
     """No computed float reaches a model: a bottom value is NEG_INF itself,
     so ``model[v] is NEG_INF`` holds, and nothing is nan or POS_INF."""

@@ -27,6 +27,7 @@ from bfasp import (
     eval_linear_expr,
     ground,
     optimize,
+    parse_data,
     parse_model,
 )
 
@@ -209,6 +210,92 @@ def test_undefined_rule_clause_holds_and_undefined_constraint_fails():
         config = SearchConfig(propagation=level)
         assert list(enumerate_stable(ruled, config)) == [model]
         assert list(enumerate_stable(constrained, config)) == []
+
+
+def test_overflowing_upper_bound_run_clamps_instead_of_pruning():
+    # Guesses t, s.  At t = false the constraint needs a >= 1, and the
+    # upper-bound run at that guess leaves s at its most permissive 5, so
+    # a's rule asks a >= 5, past its hi of 2.  That says nothing about the
+    # completions s = 1, 2, which are stable: the run clamps a to 2.
+    t, s, a = range(3)
+    program = Program(
+        variables=(Variable("t", VarKind.STANDARD, Sort.BOOL),
+                   standard_int("s", 0, 5), founded_int("a", 0, 2)),
+        constraints=(Clause((Literal(t),), (LinearAtom(((1, a),), 1),)),),
+        rules=(Rule(Clause(atoms=(LinearAtom(((1, a), (-1, s)), 0),)), a),))
+    expected = [{t: False, s: 1, a: 1}, {t: False, s: 2, a: 2},
+                {t: True, s: 0, a: 0}, {t: True, s: 1, a: 1},
+                {t: True, s: 2, a: 2}]
+    for level in PropagationLevel:
+        search = Search(program, SearchConfig(propagation=level))
+        assert list(search.models()) == expected
+    assert search.stats.bound_runs == 1 and search.stats.pruned_bounds == 0
+
+
+def test_negative_founded_occurrences_are_never_refuted_by_upper_bounds():
+    # Guesses t, u.  q (or a) is raised only when u is true, so an
+    # upper-bound run at t = false, u unassigned, would raise it; yet at
+    # u = false it stays at the bottom, where ~q (or -a >= 0) holds.  Such
+    # a clause gets no bound check.
+    t, u, x = range(3)
+    guesses = (Variable("t", VarKind.STANDARD, Sort.BOOL),
+               Variable("u", VarKind.STANDARD, Sort.BOOL))
+    negative_literal = Program(
+        variables=guesses + (founded_bool("q"),),
+        constraints=(Clause((Literal(t), Literal(x, False))),),
+        rules=(Rule(Clause((Literal(x), Literal(u, False))), x),))
+    negative_coefficient = Program(
+        variables=guesses + (founded_int("a", 0, 2),),
+        constraints=(Clause((Literal(t),), (LinearAtom(((-1, x),), 0),)),),
+        rules=(Rule(Clause((Literal(u, False),),
+                           (LinearAtom(((1, x),), 2),)), x),))
+    for program, raised in ((negative_literal, True),
+                            (negative_coefficient, 2)):
+        bottom = program.variables[x].least_value()
+        expected = [{t: False, u: False, x: bottom},
+                    {t: True, u: False, x: bottom},
+                    {t: True, u: True, x: raised}]
+        for level in PropagationLevel:
+            search = Search(program, SearchConfig(propagation=level))
+            assert list(search.models()) == expected
+            assert search.stats.bound_runs == 0
+
+
+def test_upper_bounds_prune_cycle_mcds_without_changing_the_models():
+    n = 6
+    edges = []
+    for i in range(n):
+        a, b, w = i + 1, (i + 1) % n + 1, 10 + 7 * i
+        edges += [(a, b, w), (b, a, w)]
+    core = parse_model((MODELS / "mcds_core.bfz").read_text())
+    for cap in (20, 60, 100):
+        data = parse_data(f"N = {n}; E = {len(edges)}; K = {cap};\n"
+                          f"from = {[u for u, _, _ in edges]};\n"
+                          f"to = {[v for _, v, _ in edges]};\n"
+                          f"weight = {[w for _, _, w in edges]};\n")
+        program = ground(core, data, founded_default=(-200, 0))
+        runs = {}
+        for level in PropagationLevel:
+            search = Search(program, SearchConfig(propagation=level))
+            runs[level] = list(search.models()), search.stats
+        leaf_models, leaf_stats = runs[PropagationLevel.LEAF_CHECK]
+        models, stats = runs[PropagationLevel.CLAUSE]
+        assert models == leaf_models
+        oracle = oracles.mcds_optima(n, edges, cap)
+        if oracle is None:
+            assert models == []
+        else:
+            assert eval_linear_expr(program.objective, models[-1]) == oracle[0]
+        # generate and test reaches every one of the 2**6 leaves
+        assert leaf_stats.leaves == 64 and leaf_stats.nodes == 127
+        assert leaf_stats.bound_runs == leaf_stats.pruned_bounds == 0
+        assert stats.pruned_bounds > 0 and stats.leaves < 16
+    # the counters start again with each run
+    search = Search(program)
+    list(search.models())
+    first = search.stats
+    list(search.models())
+    assert search.stats == first and search.stats is not first
 
 
 def test_normal_rules_match_the_guess_and_close_oracle(rng):
