@@ -18,7 +18,7 @@ from .analysis import (
     validate_rule,
 )
 from .errors import BfaspError, FormatError, GroundingError, ParseError, SolveError
-from .fixpoint import FixpointResult, clause_requirement, minimal_model, satisfied_at
+from .fixpoint import clause_requirement, minimal_model, satisfied_at
 from .ground_format import (
     format_assignment,
     format_clause,
@@ -39,7 +39,6 @@ from .program import (
     Rule,
     Sort,
     Truth,
-    ValidationReport,
     VarKind,
     Variable,
     eval_clause,

@@ -164,9 +164,6 @@ def validate_positive_cp(pcp: PositiveCP) -> list[str]:
     return issues
 
 
-_TRUE_ATOM = LinearAtom((), 0)  # constant truth marker, sum 0 >= 0
-
-
 @dataclass(frozen=True)
 class _AtomPlan:
     kept: tuple[tuple[int, int], ...]
@@ -228,26 +225,22 @@ class ReductBuilder:
         self._plans = [substitution_plan(rule, program.variables)
                        for rule in program.rules]
 
-    def build(self, valuation, *, drop_tautologies: bool = True) -> PositiveCP:
+    def build(self, valuation) -> PositiveCP:
         """Fold ``valuation`` into every rule and collect the surviving clauses.
 
         ``valuation`` must cover all substituted occurrences (the guess set
-        suffices; totality is not required).  With ``drop_tautologies``
-        disabled, clauses made true by a substituted member are kept with a
-        constant-truth atom in its place, which leaves minimal models
-        unchanged.
+        suffices; totality is not required).
         """
+        try:
+            return self._fold(valuation)
+        except KeyError as missing:
+            name = self.program.variables[missing.args[0]].name
+            raise ValueError(f"reduct needs a value for '{name}'") from None
+
+    def _fold(self, valuation):
         variables = self.program.variables
         out_rules = []
         origins = []
-        try:
-            return self._fold(valuation, drop_tautologies, out_rules, origins)
-        except KeyError as missing:
-            name = variables[missing.args[0]].name
-            raise ValueError(f"reduct needs a value for '{name}'") from None
-
-    def _fold(self, valuation, drop_tautologies, out_rules, origins):
-        variables = self.program.variables
         for index, plan in enumerate(self._plans):
             satisfied = False
             for lit in plan.substituted_lits:
@@ -270,26 +263,16 @@ class ReductBuilder:
                         continue  # unsatisfiable member, deleted
                     atoms.append(LinearAtom(ap.kept, bound))
             if satisfied:
-                if drop_tautologies:
-                    continue
-                head_lit = tuple(l for l in plan.kept_lits
-                                 if l.var == plan.head)
-                head_atoms = tuple(LinearAtom(ap.kept, ap.bound)
-                                   for ap in plan.atoms if ap.has_head)
-                clause = Clause(head_lit, head_atoms + (_TRUE_ATOM,))
-                out_rules.append(Rule(clause, plan.head))
-                origins.append(index)
                 continue
             clause = Clause(plan.kept_lits, tuple(atoms))
-            if drop_tautologies and is_tautology(clause, variables):
+            if is_tautology(clause, variables):
                 continue
             out_rules.append(Rule(clause, plan.head))
             origins.append(index)
         return PositiveCP(variables, tuple(out_rules), tuple(origins))
 
 
-def build_reduct(program: Program, valuation, *,
-                 drop_tautologies: bool = True) -> PositiveCP:
+def build_reduct(program: Program, valuation) -> PositiveCP:
     """Reduct of ``program`` under ``valuation``.
 
     Substitutes the value of every non-head occurrence that is standard or
@@ -297,5 +280,4 @@ def build_reduct(program: Program, valuation, *,
     clause a tautology, a falsified one is deleted), and drops tautologies.
     Depends only on the valuation's restriction to substituted variables.
     """
-    return ReductBuilder(program).build(valuation,
-                                        drop_tautologies=drop_tautologies)
+    return ReductBuilder(program).build(valuation)

@@ -10,8 +10,8 @@ import sys
 from pathlib import Path
 
 from .errors import BfaspError, GroundingError, WatchdogError
-from .ground_format import format_program, parse_assignment, \
-    parse_ground_program
+from .ground_format import format_assignment, format_program, \
+    parse_assignment, parse_ground_program
 from .grounder import ground
 from .analysis import build_reduct
 from .parser import parse_data, parse_model
@@ -126,11 +126,6 @@ def _tracer(program: Program, numbered: str):
     return on_update
 
 
-def _print_model(program: Program, model: dict):
-    for var, info in enumerate(program.variables):
-        print(f"{info.name} = {format_value(model[var])};")
-
-
 def _cmd_solve(args) -> int:
     program = _load_program(args)
     optimizing = program.objective is not None
@@ -157,7 +152,7 @@ def _cmd_solve(args) -> int:
     for model in search.models():
         if optimizing:
             print(f"# objective = {search.objective_value}")
-        _print_model(program, model)
+        sys.stdout.write(format_assignment(program, model))
         print(_MODEL_SEP)
         found += 1
     if found:

@@ -16,7 +16,6 @@ from .analysis import (
     PositiveCP,
     is_tautology,
     substitution_plan,
-    validate_positive_cp,
 )
 from .errors import WatchdogError
 from .program import (
@@ -98,21 +97,13 @@ class FixpointResult:
         return self.model is not None
 
 
-def minimal_model(pcp: PositiveCP, *, on_update=None,
-                  validate: bool = False) -> FixpointResult:
+def minimal_model(pcp: PositiveCP, *, on_update=None) -> FixpointResult:
     """Propagate clause requirements to the least fixpoint.
 
     ``on_update(var, old, new, clause_index)`` observes every bound raise.
-    With ``validate`` the positive-CP shape is checked first and a ValueError
-    raised on violations.  The returned model covers every founded variable
-    of the table plus any standard variables the clauses mention.
+    The returned model covers every founded variable of the table plus any
+    standard variables the clauses mention.
     """
-    if validate:
-        issues = validate_positive_cp(pcp)
-        if issues:
-            raise ValueError("not a positive constraint program: "
-                             + "; ".join(issues))
-
     variables = pcp.variables
     bounds = {i: v.least_value() for i, v in enumerate(variables)
               if v.is_founded}

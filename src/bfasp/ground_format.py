@@ -10,11 +10,15 @@ One item per line, ``#`` comments, and a deliberately small grammar:
 
 Clause members are separated by ``|``; an empty clause is written ``false``.
 Assignment files hold ``name = value;`` lines with true/false/int/-inf values.
+
+Both readers use the model parser's ``scan`` and ``Cursor``; the four text
+formats differ only in their token regex and their grammar.
 """
 
 import re
 
 from .errors import FormatError
+from .parser import Cursor
 from .program import (
     NEG_INF,
     POS_INF,
@@ -89,101 +93,45 @@ def format_program(program: Program) -> str:
 
 
 def format_assignment(program: Program, valuation) -> str:
-    lines = [f"{info.name} = {format_value(valuation[var])};"
-             for var, info in enumerate(program.variables)]
-    return "\n".join(lines) + "\n"
+    """``name = value;`` lines, one per variable; empty without variables."""
+    return "".join(f"{info.name} = {format_value(valuation[var])};\n"
+                   for var, info in enumerate(program.variables))
 
 
-# -- tokenizing ------------------------------------------------------------
+# -- tokens ----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>\#[^\n]*)
+    r"""(?P<skip>\s+|\#[^\n]*)
       | (?P<name>[A-Za-z_]\w*(?:\[\s*-?\d+(?:\s*,\s*-?\d+)*\s*\])?)
       | (?P<int>\d+)
       | (?P<op>>=|\.\.|[|~;*+=-])
+      | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 # model separator / proven marker lines emitted by the solve command
 _SEPARATOR_RE = re.compile(r"\s*(-{2,}|={2,})\s*$")
 
 
-def _tokenize(text: str):
-    """Yield (kind, value, line) triples; raises on stray characters."""
-    line = 1
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise FormatError(f"unexpected character {text[pos]!r}", line)
-        kind = match.lastgroup
-        value = match.group()
-        if kind == "ws":
-            line += value.count("\n")
-        elif kind != "comment":
-            yield kind, value, line
-        pos = match.end()
-    yield "end", "", line
+def _line_only(line: int, col: int) -> int:
+    return line
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self._items = list(_tokenize(text))
-        self._at = 0
-
-    @property
-    def current(self):
-        return self._items[self._at]
-
-    @property
-    def line(self) -> int:
-        return self._items[self._at][2]
-
-    def peek(self, value: str) -> bool:
-        return self._items[self._at][1] == value and \
-            self._items[self._at][0] != "end"
-
-    def take(self, value: str) -> bool:
-        if self.peek(value):
-            self._at += 1
-            return True
-        return False
-
-    def expect(self, value: str):
-        kind, got, line = self._items[self._at]
-        if kind == "end" or got != value:
-            shown = "end of input" if kind == "end" else repr(got)
-            raise FormatError(f"expected {value!r}, found {shown}", line)
-        self._at += 1
-
-    def name(self, what: str = "name") -> str:
-        kind, got, line = self._items[self._at]
-        if kind != "name":
-            shown = "end of input" if kind == "end" else repr(got)
-            raise FormatError(f"expected {what}, found {shown}", line)
-        self._at += 1
-        return got
-
-    def integer(self) -> int:
-        negative = self.take("-")
-        kind, got, line = self._items[self._at]
-        if kind != "int":
-            raise FormatError(f"expected integer, found {got!r}", line)
-        self._at += 1
-        return -int(got) if negative else int(got)
-
-    def at_end(self) -> bool:
-        return self._items[self._at][0] == "end"
+def _take_neg_inf(t: Cursor) -> bool:
+    """Read ``-inf`` if it comes next."""
+    if t.peek("-") and t.peek("inf", 1):
+        t.take("-")
+        return t.take("inf")
+    return False
 
 
 # -- reading ground programs ------------------------------------------------
 
 
-class _GroundReader:
+class _GroundReader(Cursor):
     def __init__(self, text: str):
-        self.tokens = _Tokens(text)
+        super().__init__(_TOKEN_RE, text, FormatError, _line_only)
         self.variables: list[Variable] = []
         self.index: dict[str, int] = {}
         self.constraints: list[Clause] = []
@@ -191,62 +139,51 @@ class _GroundReader:
         self.objective: LinearExpr | None = None
 
     def run(self) -> Program:
-        t = self.tokens
-        while not t.at_end():
-            if t.take("var"):
+        while not self.at_end():
+            if self.take("var"):
                 self._var_decl()
-            elif t.take("constraint"):
+            elif self.take("constraint"):
                 self.constraints.append(self._clause())
-                t.expect(";")
-            elif t.take("rule"):
+                self.expect(";")
+            elif self.take("rule"):
                 self._rule()
-            elif t.take("minimize"):
+            elif self.take("minimize"):
                 self._minimize()
             else:
-                raise FormatError(
-                    f"expected an item, found {t.current[1]!r}", t.line)
+                self.fail("an item")
         return Program(tuple(self.variables), tuple(self.constraints),
                        tuple(self.rules), self.objective)
 
     def _var_decl(self):
-        t = self.tokens
-        line = t.line
-        if t.take("bool"):
+        line = self.where
+        if self.take("bool"):
             sort, lo, hi = Sort.BOOL, None, None
-        elif t.take("int"):
+        elif self.take("int"):
             sort = Sort.INT
             lo = self._bound()
-            t.expect("..")
+            self.expect("..")
             hi = self._bound()
         else:
-            raise FormatError(
-                f"expected 'bool' or 'int', found {t.current[1]!r}", line)
-        if t.take("standard"):
+            self.fail("'bool' or 'int'")
+        if self.take("standard"):
             kind = VarKind.STANDARD
-        elif t.take("founded"):
+        elif self.take("founded"):
             kind = VarKind.FOUNDED
         else:
-            raise FormatError(
-                f"expected 'standard' or 'founded', found {t.current[1]!r}",
-                t.line)
-        name = t.name("variable name")
-        t.expect(";")
+            self.fail("'standard' or 'founded'")
+        name = self.name("variable name")
+        self.expect(";")
         if name in self.index:
             raise FormatError(f"duplicate variable '{name}'", line)
         self.index[name] = len(self.variables)
         self.variables.append(Variable(name, kind, sort, lo, hi))
 
     def _bound(self):
-        t = self.tokens
-        if t.take("inf"):
+        if self.take("inf"):
             return POS_INF
-        if t.peek("-"):
-            save = t._at
-            t.take("-")
-            if t.take("inf"):
-                return NEG_INF
-            t._at = save
-        return t.integer()
+        if _take_neg_inf(self):
+            return NEG_INF
+        return self.integer()
 
     def _lookup(self, name: str, line: int) -> int:
         try:
@@ -255,35 +192,33 @@ class _GroundReader:
             raise FormatError(f"unknown variable '{name}'", line) from None
 
     def _clause(self) -> Clause:
-        t = self.tokens
-        if t.take("false"):
+        if self.take("false"):
             return Clause((), ())
         lits: list[Literal] = []
         atoms: list[LinearAtom] = []
         while True:
             self._member(lits, atoms)
-            if not t.take("|"):
+            if not self.take("|"):
                 break
         return Clause(tuple(lits), tuple(atoms))
 
     def _member(self, lits: list, atoms: list):
         """One clause member: ``~name``, ``name``, or a linear atom."""
-        t = self.tokens
-        line = t.line
-        if t.take("~"):
-            var = self._lookup(t.name(), line)
+        line = self.where
+        if self.take("~"):
+            var = self._lookup(self.name(), line)
             self._want_sort(var, Sort.BOOL, line)
             lits.append(Literal(var, False))
             return
-        kind, value, _ = t.current
+        kind, value, _ = self.current
         if kind == "name" and not self._starts_atom():
-            t.name()
+            self.name()
             var = self._lookup(value, line)
             self._want_sort(var, Sort.BOOL, line)
             lits.append(Literal(var, True))
             return
         terms, constant = self._linear(line)
-        t.expect(">=")
+        self.expect(">=")
         bound = self._bound()
         if isinstance(constant, int) and isinstance(bound, int):
             bound -= constant
@@ -291,8 +226,7 @@ class _GroundReader:
 
     def _starts_atom(self) -> bool:
         """Lookahead: a bare name is an atom when an operator follows."""
-        nxt = self.tokens._items[self.tokens._at + 1][1]
-        return nxt in (">=", "+", "-", "*")
+        return any(self.peek(op, 1) for op in (">=", "+", "-", "*"))
 
     def _linear(self, line: int, *, allow_bool: bool = False):
         """Sum of ``k*name``, ``name``, and integer terms.
@@ -300,19 +234,18 @@ class _GroundReader:
         Objectives may carry Boolean variables (counted 0/1); clause atoms
         may not.
         """
-        t = self.tokens
         terms: list[tuple[int, int]] = []
         constant = 0
         sign = 1
         while True:
-            if t.take("-"):
+            if self.take("-"):
                 sign = -sign
-            item_line = t.line
-            kind, value, _ = t.current
+            item_line = self.where
+            kind = self.current[0]
             if kind == "int":
-                coeff = sign * t.integer()
-                if t.take("*"):
-                    name = t.name()
+                coeff = sign * self.integer()
+                if self.take("*"):
+                    name = self.name()
                     var = self._lookup(name, item_line)
                     if not allow_bool:
                         self._want_sort(var, Sort.INT, item_line)
@@ -320,17 +253,16 @@ class _GroundReader:
                 else:
                     constant += coeff
             elif kind == "name":
-                var = self._lookup(t.name(), item_line)
+                var = self._lookup(self.name(), item_line)
                 if not allow_bool:
                     self._want_sort(var, Sort.INT, item_line)
                 terms.append((sign, var))
             else:
-                raise FormatError(
-                    f"expected a term, found {value!r}", item_line)
+                self.fail("a term")
             sign = 1
-            if t.take("+"):
+            if self.take("+"):
                 continue
-            if t.peek("-"):
+            if self.peek("-"):
                 continue
             return terms, constant
 
@@ -343,20 +275,18 @@ class _GroundReader:
                 line)
 
     def _rule(self):
-        t = self.tokens
         clause = self._clause()
-        t.expect("head")
-        head = self._lookup(t.name("head variable"), t.line)
-        t.expect(";")
+        self.expect("head")
+        head = self._lookup(self.name("head variable"), self.where)
+        self.expect(";")
         self.rules.append(Rule(clause, head))
 
     def _minimize(self):
-        t = self.tokens
-        line = t.line
+        line = self.where
         if self.objective is not None:
             raise FormatError("more than one minimize item", line)
         terms, constant = self._linear(line, allow_bool=True)
-        t.expect(";")
+        self.expect(";")
         self.objective = LinearExpr(tuple(terms), constant)
 
 
@@ -373,17 +303,13 @@ def parse_ground_program(text: str) -> Program:
 # -- assignments -------------------------------------------------------------
 
 
-def _parse_value(tokens: _Tokens, info: Variable, line: int):
+def _parse_value(tokens: Cursor, info: Variable, line: int):
     if tokens.take("true"):
         value = True
     elif tokens.take("false"):
         value = False
-    elif tokens.take("-"):
-        if tokens.take("inf"):
-            value = NEG_INF
-        else:
-            tokens._at -= 1
-            value = tokens.integer()
+    elif _take_neg_inf(tokens):
+        value = NEG_INF
     else:
         value = tokens.integer()
     if not info.admits(value):
@@ -403,11 +329,11 @@ def parse_assignment(text: str, program: Program) -> dict:
     """
     kept = [line if not _SEPARATOR_RE.match(line) else ""
             for line in text.splitlines()]
-    tokens = _Tokens("\n".join(kept))
+    tokens = Cursor(_TOKEN_RE, "\n".join(kept), FormatError, _line_only)
     valuation: dict[int, object] = {}
     index = program.index_by_name
     while not tokens.at_end():
-        line = tokens.line
+        line = tokens.where
         name = tokens.name("variable name")
         if name not in index:
             raise FormatError(f"unknown variable '{name}'", line)

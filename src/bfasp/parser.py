@@ -1,9 +1,17 @@
-"""Lexer, parser, and name resolution for model and data files.
+"""Scanner, token cursor, parser, and name resolution for model and data files.
 
 Connective precedence, weakest first: ``::`` head annotations (rules only),
 ``->``/``<-`` (no chaining), ``\\/``, ``/\\``, ``not``, comparisons (no
 chaining), ``+``/``-``, ``*``.  Comments run from ``%`` to end of line.
+
+``scan`` and ``Cursor`` also read the ground-program and assignment formats
+(``ground_format``): the four text formats share one scanner and one cursor
+and differ only in their token regex and their grammar.
 """
+
+import re
+from functools import partial
+from typing import NoReturn
 
 from .errors import ParseError
 from .model_ast import (
@@ -30,157 +38,179 @@ from .model_ast import (
 )
 from .program import Sort
 
-_KEYWORDS = frozenset("""
+# -- scanning ----------------------------------------------------------------
+
+
+def scan(pattern: re.Pattern, text: str, where) -> list:
+    """Split ``text`` into ``(kind, value, location)`` tokens.
+
+    Each alternative of ``pattern`` is a named group, and the group's name is
+    the token's kind.  ``skip`` matches (whitespace and comments) are
+    dropped, and lines are counted from the newlines they hold.  A catch-all
+    ``bad`` group of one character ends the list; otherwise an ``end`` token
+    does.  Locations are ``where(line, column)``, both counted from 1.
+    """
+    tokens = []
+    line, line_start = 1, 0
+    for match in pattern.finditer(text):
+        kind = match.lastgroup
+        value = match.group()
+        if kind == "skip":
+            newlines = value.count("\n")
+            if newlines:
+                line += newlines
+                line_start = match.start() + value.rindex("\n") + 1
+            continue
+        col = match.start() - line_start + 1
+        tokens.append((kind, value, where(line, col)))
+        if kind == "bad":
+            return tokens
+    tokens.append(("end", "", where(line, len(text) - line_start + 1)))
+    return tokens
+
+
+class Cursor:
+    """Reads the tokens of one text; errors are ``error(message, location)``.
+
+    Tokens are matched by value, so a grammar peeks keywords and operators
+    alike; ``name`` and ``integer`` read the ``name`` and ``int`` kinds.
+    """
+
+    def __init__(self, pattern: re.Pattern, text: str, error, where):
+        self._tokens = scan(pattern, text, where)
+        self._at = 0
+        self._error = error
+        kind, value, location = self._tokens[-1]
+        if kind == "bad":
+            raise error(f"unexpected character {value!r}", location)
+
+    @property
+    def current(self) -> tuple:
+        """The next token as ``(kind, value, location)``."""
+        return self._tokens[self._at]
+
+    @property
+    def where(self):
+        """Location of the next token."""
+        return self._tokens[self._at][2]
+
+    def at_end(self) -> bool:
+        return self._tokens[self._at][0] == "end"
+
+    def peek(self, value: str, ahead: int = 0) -> bool:
+        """Whether the token ``ahead`` places on is ``value``.
+
+        Only a token before the end token may be looked past.
+        """
+        return self._tokens[self._at + ahead][1] == value
+
+    def take(self, value: str) -> bool:
+        if self._tokens[self._at][1] == value:
+            self._at += 1
+            return True
+        return False
+
+    def expect(self, value: str):
+        if not self.take(value):
+            self.fail(repr(value))
+
+    def name(self, what: str = "name") -> str:
+        kind, value, _ = self._tokens[self._at]
+        if kind != "name":
+            self.fail(what)
+        self._at += 1
+        return value
+
+    def integer(self) -> int:
+        """An ``int`` token, after an optional ``-``."""
+        negative = self.take("-")
+        kind, value, _ = self._tokens[self._at]
+        if kind != "int":
+            self.fail("integer")
+        self._at += 1
+        return -int(value) if negative else int(value)
+
+    def fail(self, expected: str) -> NoReturn:
+        """Raise ``expected ..., found <the next token>``."""
+        kind, value, location = self._tokens[self._at]
+        found = "end of input" if kind == "end" else repr(value)
+        raise self._error(f"expected {expected}, found {found}", location)
+
+
+# -- parsing -----------------------------------------------------------------
+
+_KEYWORDS = """
     array bool bool2int constraint exists false forall founded head in int
     minimize not of rule satisfy solve sum true var where
-""".split())
+""".split()
 
-# longest first so ".." wins over "." and "::" over ":"
-_OPS = ("::", "..", "->", "<-", "/\\", "\\/", ">=", "<=", "==", "!=",
-        ";", ":", ",", "(", ")", "[", "]", "=", "<", ">", "+", "-", "*")
+_MODEL_TOKENS = re.compile(
+    r"""(?P<skip>[ \t\r\n]+|%[^\n]*)
+      | (?P<kw>(?:""" + "|".join(_KEYWORDS) + r""")\b)
+      | (?P<name>[A-Za-z_]\w*)
+      | (?P<int>\d+)
+      | (?P<op>::|\.\.|->|<-|/\\|\\/|[<>=!]=|[;:,()\[\]=<>+*-])
+      | (?P<bad>.)
+    """,
+    re.VERBOSE | re.ASCII,
+)
 
 _CMP_OPS = (">=", "<=", "==", "!=", "=", "<", ">")
 
 
-def _lex(text: str, file: str):
-    tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line, col = line + 1, 1
-            i += 1
-            continue
-        if c in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = Span(file, line, col)
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], span))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            tokens.append(("kw" if word in _KEYWORDS else "id", word, span))
-            col += j - i
-            i = j
-            continue
-        for op in _OPS:
-            if text.startswith(op, i):
-                tokens.append(("op", op, span))
-                col += len(op)
-                i += len(op)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", span)
-    tokens.append(("end", "", Span(file, line, col)))
-    return tokens
-
-
-class _Parser:
+class _Parser(Cursor):
     def __init__(self, text: str, file: str):
-        self.tokens = _lex(text, file)
-        self.at = 0
+        super().__init__(_MODEL_TOKENS, text, ParseError, partial(Span, file))
         self.in_rule = False
-
-    # -- token plumbing ---------------------------------------------------
-
-    @property
-    def span(self) -> Span:
-        return self.tokens[self.at][2]
-
-    def _peek(self, value: str) -> bool:
-        kind, got, _ = self.tokens[self.at]
-        return kind in ("kw", "op") and got == value
-
-    def _take(self, value: str) -> bool:
-        if self._peek(value):
-            self.at += 1
-            return True
-        return False
-
-    def _expect(self, value: str):
-        kind, got, span = self.tokens[self.at]
-        if kind == "end":
-            raise ParseError(f"expected {value!r} before end of input", span)
-        if not self._take(value):
-            raise ParseError(f"expected {value!r}, found {got!r}", span)
-
-    def _ident(self, what: str = "a name") -> tuple:
-        kind, got, span = self.tokens[self.at]
-        if kind != "id":
-            shown = "end of input" if kind == "end" else repr(got)
-            raise ParseError(f"expected {what}, found {shown}", span)
-        self.at += 1
-        return got, span
-
-    def _at_end(self) -> bool:
-        return self.tokens[self.at][0] == "end"
 
     # -- items --------------------------------------------------------------
 
     def model_items(self) -> list:
         items = []
-        while not self._at_end():
+        while not self.at_end():
             items.append(self._item())
         return items
 
     def _item(self):
-        span = self.span
-        if self._take("int"):
+        span = self.where
+        if self.take("int"):
             return self._param_decl(span, dims=())
-        if self._peek("array"):
+        if self.peek("array"):
             return self._array_decl()
-        if self._take("var"):
+        if self.take("var"):
             return self._var_decl(span, dims=())
-        if self._take("constraint"):
+        if self.take("constraint"):
             expr = self._expr()
-            self._expect(";")
+            self.expect(";")
             return ConstraintItem(expr, span)
-        if self._take("rule"):
+        if self.take("rule"):
             self.in_rule = True
             try:
                 expr = self._expr()
             finally:
                 self.in_rule = False
-            self._expect(";")
+            self.expect(";")
             return RuleItem(expr, span)
-        if self._take("solve"):
-            if self._take("satisfy"):
+        if self.take("solve"):
+            if self.take("satisfy"):
                 objective = None
             else:
-                self._expect("minimize")
+                self.expect("minimize")
                 objective = self._expr()
-            self._expect(";")
+            self.expect(";")
             return SolveItem(objective, span)
-        kind, got, _ = self.tokens[self.at]
-        shown = "end of input" if kind == "end" else repr(got)
-        raise ParseError(f"expected a declaration, constraint, rule, or "
-                         f"solve item, found {shown}", span)
+        self.fail("a declaration, constraint, rule, or solve item")
 
     def _array_decl(self):
-        span = self.span
-        self._expect("array")
-        self._expect("[")
+        span = self.where
+        self.expect("array")
+        self.expect("[")
         dims = [self._range()]
-        while self._take(","):
+        while self.take(","):
             dims.append(self._range())
-        self._expect("]")
-        self._expect("of")
-        if self._take("var"):
+        self.expect("]")
+        self.expect("of")
+        if self.take("var"):
             return self._var_decl(span, tuple(dims))
         return self._param_decl(span, tuple(dims))
 
@@ -188,52 +218,52 @@ class _Parser:
         # the leading "int" of a scalar was consumed by the caller
         elem_range = None
         if dims:
-            if not self._take("int"):
+            if not self.take("int"):
                 elem_range = self._range()
-        self._expect(":")
-        name, _ = self._ident("a parameter name")
+        self.expect(":")
+        name = self.name("a parameter name")
         value = None
-        if self._take("="):
+        if self.take("="):
             if dims:
                 value = self._array_lit()
             else:
                 value = self._additive()
-        self._expect(";")
+        self.expect(";")
         return ParamDecl(name, dims, elem_range, value, span)
 
     def _var_decl(self, span: Span, dims: tuple):
         bounds = None
-        if self._take("bool"):
+        if self.take("bool"):
             sort = Sort.BOOL
-        elif self._take("int"):
+        elif self.take("int"):
             sort = Sort.INT
         else:
             sort = Sort.INT
             bounds = self._range()
-        self._expect(":")
-        name, _ = self._ident("a variable name")
+        self.expect(":")
+        name = self.name("a variable name")
         founded = False
-        if self._take("::"):
-            self._expect("founded")
+        if self.take("::"):
+            self.expect("founded")
             founded = True
-        self._expect(";")
+        self.expect(";")
         return VarDecl(name, dims, sort, bounds, founded, span)
 
     def _range(self) -> tuple:
         lo = self._additive()
-        self._expect("..")
+        self.expect("..")
         hi = self._additive()
         return (lo, hi)
 
     def _array_lit(self) -> ArrayLit:
-        span = self.span
-        self._expect("[")
+        span = self.where
+        self.expect("[")
         elements = []
-        if not self._peek("]"):
+        if not self.peek("]"):
             elements.append(self._additive())
-            while self._take(","):
+            while self.take(","):
                 elements.append(self._additive())
-        self._expect("]")
+        self.expect("]")
         return ArrayLit(tuple(elements), span)
 
     # -- expressions ----------------------------------------------------------
@@ -243,60 +273,61 @@ class _Parser:
 
     def _implication(self):
         left = self._disjunction()
-        span = self.span
-        if self._take("->"):
+        span = self.where
+        if self.take("->"):
             op = "->"
-        elif self._take("<-"):
+        elif self.take("<-"):
             op = "<-"
         else:
             return left
         right = self._disjunction()
-        if self._peek("->") or self._peek("<-"):
+        if self.peek("->") or self.peek("<-"):
             raise ParseError("implications do not chain; add parentheses",
-                             self.span)
+                             self.where)
         return BinOp(op, left, right, span)
 
     def _disjunction(self):
         left = self._conjunction()
         while True:
-            span = self.span
-            if not self._take("\\/"):
+            span = self.where
+            if not self.take("\\/"):
                 return left
             left = BinOp("\\/", left, self._conjunction(), span)
 
     def _conjunction(self):
         left = self._negation()
         while True:
-            span = self.span
-            if not self._take("/\\"):
+            span = self.where
+            if not self.take("/\\"):
                 return left
             left = BinOp("/\\", left, self._negation(), span)
 
     def _negation(self):
-        span = self.span
-        if self._take("not"):
+        span = self.where
+        if self.take("not"):
             return Not(self._negation(), span)
         return self._comparison()
 
     def _comparison(self):
         left = self._additive()
-        span = self.span
+        span = self.where
         for op in _CMP_OPS:
-            if self._take(op):
+            if self.take(op):
                 right = self._additive()
-                if any(self._peek(o) for o in _CMP_OPS):
+                if any(self.peek(o) for o in _CMP_OPS):
                     raise ParseError(
-                        "comparisons do not chain; add parentheses", self.span)
+                        "comparisons do not chain; add parentheses",
+                        self.where)
                 return Comparison("=" if op == "==" else op, left, right, span)
         return left
 
     def _additive(self):
         left = self._multiplicative()
         while True:
-            span = self.span
-            if self._take("+"):
+            span = self.where
+            if self.take("+"):
                 left = BinOp("+", left, self._multiplicative(), span)
-            elif self._take("-"):
+            elif self.take("-"):
                 left = BinOp("-", left, self._multiplicative(), span)
             else:
                 return left
@@ -304,88 +335,88 @@ class _Parser:
     def _multiplicative(self):
         left = self._unary()
         while True:
-            span = self.span
-            if not self._take("*"):
+            span = self.where
+            if not self.take("*"):
                 return left
             left = BinOp("*", left, self._unary(), span)
 
     def _unary(self):
-        span = self.span
-        if self._take("-"):
+        span = self.where
+        if self.take("-"):
             return Neg(self._unary(), span)
         return self._primary()
 
     def _primary(self):
-        kind, value, span = self.tokens[self.at]
+        kind, value, span = self.current
         if kind == "int":
-            self.at += 1
-            return IntLit(int(value), span)
-        if kind == "id":
-            self.at += 1
-            if self._take("["):
+            return IntLit(self.integer(), span)
+        if kind == "name":
+            self.name()
+            if self.take("["):
                 indices = [self._additive()]
-                while self._take(","):
+                while self.take(","):
                     indices.append(self._additive())
-                self._expect("]")
+                self.expect("]")
                 return ArrayAccess(value, tuple(indices), span)
             return Ident(value, span)
         if value in ("forall", "exists", "sum"):
-            self.at += 1
+            self.take(value)
             return self._aggregate(value, span)
-        if self._take("bool2int"):
-            self._expect("(")
+        if self.take("bool2int"):
+            self.expect("(")
             operand = self._expr()
-            self._expect(")")
+            self.expect(")")
             return Bool2Int(operand, span)
-        if self._take("("):
+        if self.take("("):
             inner = self._expr()
-            if self._peek("::"):
+            if self.peek("::"):
                 if not self.in_rule:
                     raise ParseError(
-                        "head annotations are only allowed in rules", self.span)
-                self._take("::")
-                ann_span = self.span
-                self._expect("head")
-                self._expect("(")
+                        "head annotations are only allowed in rules",
+                        self.where)
+                self.take("::")
+                ann_span = self.where
+                self.expect("head")
+                self.expect("(")
                 target = self._head_target()
-                self._expect(")")
+                self.expect(")")
                 inner = HeadAnn(inner, target, ann_span)
-            self._expect(")")
+            self.expect(")")
             return inner
-        shown = "end of input" if kind == "end" else repr(value)
-        raise ParseError(f"expected an expression, found {shown}", span)
+        self.fail("an expression")
 
     def _head_target(self):
-        name, span = self._ident("a head variable")
-        if self._take("["):
+        span = self.where
+        name = self.name("a head variable")
+        if self.take("["):
             indices = [self._additive()]
-            while self._take(","):
+            while self.take(","):
                 indices.append(self._additive())
-            self._expect("]")
+            self.expect("]")
             return ArrayAccess(name, tuple(indices), span)
         return Ident(name, span)
 
     def _aggregate(self, kind: str, span: Span) -> Agg:
-        self._expect("(")
+        self.expect("(")
         gens = [self._generator()]
-        while self._take(","):
+        while self.take(","):
             gens.append(self._generator())
         where = None
-        if self._take("where"):
+        if self.take("where"):
             where = self._expr()
-        self._expect(")")
+        self.expect(")")
         # the body is a parenthesized group; parsing it as a primary lets
         # rule-level head annotations attach inside the parentheses
         body = self._primary()
         return Agg(kind, tuple(gens), where, body, span)
 
     def _generator(self) -> Gen:
-        span = self.span
-        names = [self._ident("a generator name")[0]]
-        while not self._peek("in"):
-            self._expect(",")
-            names.append(self._ident("a generator name")[0])
-        self._expect("in")
+        span = self.where
+        names = [self.name("a generator name")]
+        while not self.peek("in"):
+            self.expect(",")
+            names.append(self.name("a generator name"))
+        self.expect("in")
         lo, hi = self._range()
         return Gen(tuple(names), lo, hi, span)
 
@@ -654,14 +685,14 @@ def parse_data(text: str, file: str = "<data>") -> tuple:
 def _parse_data(text: str, file: str) -> tuple:
     parser = _Parser(text, file)
     assigns = []
-    while not parser._at_end():
-        span = parser.span
-        name, _ = parser._ident("a parameter name")
-        parser._expect("=")
-        if parser._peek("["):
+    while not parser.at_end():
+        span = parser.where
+        name = parser.name("a parameter name")
+        parser.expect("=")
+        if parser.peek("["):
             value = parser._array_lit()
         else:
             value = parser._additive()
-        parser._expect(";")
+        parser.expect(";")
         assigns.append(DataAssign(name, value, span))
     return tuple(assigns)

@@ -99,8 +99,7 @@ class LinearAtom:
 
     Coefficients are nonzero and no variable repeats.  ``bound`` is an int in
     source programs; reduct folding may produce an infinite bound.  An atom
-    with no terms is a constant (its truth is ``0 >= bound``) and only occurs
-    inside reducts built with tautology retention.
+    with no terms is a constant: its truth is ``0 >= bound``.
     """
 
     terms: tuple[tuple[int, int], ...]  # (coeff, var)

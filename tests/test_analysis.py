@@ -199,19 +199,6 @@ def test_reduct_drops_clauses_satisfied_by_substitution():
     assert reduct.origins == (0, 1, 2, 3)
 
 
-def test_tautology_retention_keeps_minimal_models_unchanged():
-    program = build_example_one()
-    v = valuation_of(program, s=0, a=0, b=0, x=False, y=True)
-    dropped = build_reduct(program, v)
-    kept = build_reduct(program, v, drop_tautologies=False)
-    assert len(kept.rules) == 5
-    assert kept.origins == (0, 1, 2, 3, 4)
-    assert validate_positive_cp(kept) == []
-    a = minimal_model(dropped)
-    b = minimal_model(kept)
-    assert a.ok and b.ok and a.model == b.model
-
-
 def test_reduct_depends_only_on_substituted_variables():
     program = build_example_one()
     full = valuation_of(program, **THETA)
@@ -271,9 +258,7 @@ def test_every_reduct_is_a_positive_program(rng):
         builder = ReductBuilder(program)
         picks = [v for i, v in enumerate(all_valuations(program)) if i % 3 == 0]
         for v in picks[:6]:
-            for drop in (True, False):
-                reduct = builder.build(v, drop_tautologies=drop)
-                assert validate_positive_cp(reduct) == []
+            assert validate_positive_cp(builder.build(v)) == []
 
 
 def test_random_positive_cps_validate(rng):

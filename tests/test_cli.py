@@ -3,7 +3,13 @@
 import pytest
 
 import bfasp.fixpoint
-from bfasp import ground, parse_assignment, parse_model
+from bfasp import (
+    format_assignment,
+    ground,
+    parse_assignment,
+    parse_ground_program,
+    parse_model,
+)
 from bfasp.cli import run
 from bfasp.errors import WatchdogError
 
@@ -255,6 +261,14 @@ def test_parse_errors_carry_positions(tmp_path, capsys):
     assert run(["solve", str(bad)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:1:")
+
+
+def test_empty_ground_program_prints_only_the_separator(tmp_path, capsys):
+    empty = tmp_path / "empty.bfg"
+    empty.write_text("")
+    assert run(["solve", str(empty)]) == 0
+    assert capsys.readouterr().out == "----------\n"
+    assert format_assignment(parse_ground_program(""), {}) == ""
 
 
 def test_incomplete_assignments_exit_three(tmp_path, capsys):

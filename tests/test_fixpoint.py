@@ -2,8 +2,6 @@
 
 import itertools
 
-import pytest
-
 from bfasp import (
     NEG_INF,
     POS_INF,
@@ -26,6 +24,7 @@ from bfasp import (
     guess_set,
     minimal_model,
     satisfied_at,
+    validate_positive_cp,
     validate_program,
 )
 from bfasp.fixpoint import LeafEvaluator
@@ -160,10 +159,11 @@ def test_validate_flag_rejects_non_positive_input():
     increasing_body = PositiveCP(
         variables,
         (Rule(Clause(atoms=(LinearAtom(((1, 0), (1, 1)), 0),)), 0),))
-    with pytest.raises(ValueError, match="not a positive constraint program"):
-        minimal_model(increasing_body, validate=True)
-    # without the flag the run still terminates; the increasing body term
-    # parks at the bottom and makes the requirement unmeetable
+    assert validate_positive_cp(increasing_body) == [
+        "clause 0: not decreasing in 'u'"]
+    # the fixpoint does not check the shape; the run still terminates, the
+    # increasing body term parks at the bottom and makes the requirement
+    # unmeetable
     assert not minimal_model(increasing_body).ok
 
 

@@ -132,6 +132,10 @@ def test_duplicate_minimize_rejected():
      "'n' is int, not usable as a literal", 2),
     ("frobnicate;\n", "expected an item", 1),
     ("var int 0..5 founded n;\nrule 1*n >= 0;\n", "expected 'head'", 2),
+    ("var int 0..5 founded n;\nconstraint 1*n >= \u0663;\n",
+     "unexpected character '\u0663'", 2),
+    ("var bool standard p;\nconstraint p", "expected ';', found end of input",
+     2),
 ])
 def test_reader_errors_carry_line_numbers(text, message, line):
     with pytest.raises(FormatError) as err:
@@ -175,6 +179,8 @@ def test_assignment_accepts_bottom_for_founded_only():
     ("a = inf;", "expected integer, found 'inf'"),
     ("a = nan;", "expected integer, found 'nan'"),
     ("s = 2.0;", "unexpected character '.'"),
+    ("s = \u0663;", "line 1: unexpected character '\u0663'"),
+    ("s = 0", "line 1: expected ';', found end of input"),
 ])
 def test_assignment_errors(text, message):
     with pytest.raises(FormatError, match=message):

@@ -133,6 +133,22 @@ def test_parse_errors_carry_file_line_and_column():
     assert err.value.span.line == 2
 
 
+@pytest.mark.parametrize("parse,text,where,message", [
+    # numerals are ASCII digits only
+    (parse_model, "int: N = 1\u0663;\n", "bad.bfz:1:11",
+     "unexpected character '\u0663'"),
+    (parse_data, "N = \u00b2;\n", "bad.bfz:1:5",
+     "unexpected character '\u00b2'"),
+    (parse_model, "int: N = 1\n", "bad.bfz:2:1",
+     "expected ';', found end of input"),
+], ids=["non-ascii-digit", "superscript-digit", "end-of-input"])
+def test_token_errors_carry_file_line_and_column(parse, text, where,
+                                                 message):
+    with pytest.raises(ParseError) as err:
+        parse(text, "bad.bfz")
+    assert str(err.value) == f"{where}: {message}"
+
+
 def test_resolution_errors_point_at_the_use_site():
     with pytest.raises(ParseError) as err:
         parse_model("var bool: p;\nconstraint p /\\ ghost;\n", "bad.bfz")
