@@ -102,7 +102,7 @@ def format_assignment(program: Program, valuation) -> str:
 
 _TOKEN_RE = re.compile(
     r"""(?P<skip>\s+|\#[^\n]*)
-      | (?P<name>[A-Za-z_]\w*(?:\[\s*-?\d+(?:\s*,\s*-?\d+)*\s*\])?)
+      | (?P<name>[A-Za-z_]\w*(?:\[-?\d+(?:,-?\d+)*\])?)
       | (?P<int>\d+)
       | (?P<op>>=|\.\.|[|~;*+=-])
       | (?P<bad>.)

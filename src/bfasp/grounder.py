@@ -7,6 +7,8 @@ must flatten to a single clause containing its head; violations are reported
 with the generator bindings that produced them.
 """
 
+import operator
+
 from .analysis import Monotonicity, monotonicity, validate_rule
 from .errors import GroundingError
 from .model_ast import (
@@ -39,6 +41,22 @@ from .program import (
 # Hard cap on clauses produced while distributing one constraint or rule
 # into conjunctive normal form.
 _EXPANSION_LIMIT = 20000
+
+# The comparisons, by operator: each one's negation; its ``>=`` atoms as a
+# conjunction of clauses, each atom a ``(swap sides, gap)`` pair that reads
+# ``left - right >= gap`` (``right - left`` when swapped); and its truth on
+# fixed integers.
+_NEGATED = {">=": "<", "<=": ">", ">": "<=", "<": ">=", "=": "!=", "!=": "="}
+_ATOMS = {
+    ">=": (((False, 0),),),
+    "<=": (((True, 0),),),
+    ">": (((False, 1),),),
+    "<": (((True, 1),),),
+    "=": (((False, 0),), ((True, 0),)),
+    "!=": (((False, 1), (True, 1)),),
+}
+_HOLDS = {">=": operator.ge, "<=": operator.le, ">": operator.gt,
+          "<": operator.lt, "=": operator.eq, "!=": operator.ne}
 
 
 class _ParamArray:
@@ -288,7 +306,7 @@ class _Grounder:
         if isinstance(expr, Comparison):
             left = self._peval(expr.left, env, note)
             right = self._peval(expr.right, env, note)
-            return _compare_ints(expr.op, left, right)
+            return _HOLDS[expr.op](left, right)
         if isinstance(expr, Not):
             return not self._guard(expr.operand, env, note)
         if isinstance(expr, BinOp):
@@ -309,14 +327,14 @@ class _Grounder:
 
     # -- clause construction -------------------------------------------------
 
-    def _bindings(self, agg: Agg, env: dict, note: str):
+    def _bindings(self, agg: Agg, env: dict):
         """All environments generated by an aggregate's generators."""
         envs = [dict(env)]
         for gen in agg.gens:
-            lo = self._peval(gen.lo, env, note)
-            hi = self._peval(gen.hi, env, note)
             nxt = []
-            for base in envs:
+            for base in envs:  # a range may name an earlier generator
+                lo = self._peval(gen.lo, base, _note(base))
+                hi = self._peval(gen.hi, base, _note(base))
                 nxt.extend(self._spread(base, gen.names, lo, hi))
             envs = nxt
         if agg.where is not None:
@@ -381,7 +399,7 @@ class _Grounder:
                                      expr.span)
             conj = (expr.kind == "forall") != neg
             parts = _static(conj)  # identity: true for and, false for or
-            for sub in self._bindings(expr, env, note):
+            for sub in self._bindings(expr, env):
                 part = self._cnf(expr.body, sub, neg, span)
                 parts = self._join(parts, part, conjoin=conj, span=span)
             return parts
@@ -424,28 +442,13 @@ class _Grounder:
 
     def _compare(self, cmp: Comparison, env: dict, neg: bool,
                  note: str) -> list:
-        pairs = {
-            (">=", False): [[(cmp.left, cmp.right, 0)]],
-            (">=", True): [[(cmp.right, cmp.left, 1)]],
-            ("<=", False): [[(cmp.right, cmp.left, 0)]],
-            ("<=", True): [[(cmp.left, cmp.right, 1)]],
-            (">", False): [[(cmp.left, cmp.right, 1)]],
-            (">", True): [[(cmp.right, cmp.left, 0)]],
-            ("<", False): [[(cmp.right, cmp.left, 1)]],
-            ("<", True): [[(cmp.left, cmp.right, 0)]],
-            ("=", False): [[(cmp.left, cmp.right, 0)],
-                           [(cmp.right, cmp.left, 0)]],
-            ("=", True): [[(cmp.left, cmp.right, 1),
-                           (cmp.right, cmp.left, 1)]],
-            ("!=", False): [[(cmp.left, cmp.right, 1),
-                             (cmp.right, cmp.left, 1)]],
-            ("!=", True): [[(cmp.left, cmp.right, 0)],
-                           [(cmp.right, cmp.left, 0)]],
-        }[(cmp.op, neg)]
+        op = _NEGATED[cmp.op] if neg else cmp.op
         drafts = []
-        for members in pairs:
+        for members in _ATOMS[op]:
             draft = _Draft()
-            for big, small, gap in members:
+            for swap, gap in members:
+                big, small = (cmp.right, cmp.left) if swap else \
+                    (cmp.left, cmp.right)
                 terms, constant = self._linear(big, env, note)
                 neg_terms, neg_constant = self._linear(small, env, note)
                 for var, coeff in neg_terms.items():
@@ -496,7 +499,7 @@ class _Grounder:
         if isinstance(expr, Agg) and expr.kind == "sum":
             terms: dict[int, int] = {}
             constant = 0
-            for sub in self._bindings(expr, env, note):
+            for sub in self._bindings(expr, env):
                 sub_terms, sub_constant = self._linear(
                     expr.body, sub, _note(sub), allow_b2i=allow_b2i)
                 for var, coeff in sub_terms.items():
@@ -535,7 +538,7 @@ class _Grounder:
         while isinstance(node, Agg) and node.kind == "forall":
             nxt = []
             for env in envs:
-                nxt.extend(self._bindings(node, env, _note(env)))
+                nxt.extend(self._bindings(node, env))
             envs = nxt
             node = node.body
         rules = []
@@ -571,20 +574,6 @@ class _Grounder:
         folded = tuple((coeff, var) for var, coeff in terms.items()
                        if coeff != 0)
         return LinearExpr(folded, constant)
-
-
-def _compare_ints(op: str, left: int, right: int) -> bool:
-    if op == ">=":
-        return left >= right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == "<":
-        return left < right
-    if op == "=":
-        return left == right
-    return left != right
 
 
 def _index_space(ranges):

@@ -1,8 +1,8 @@
 """Scanner, token cursor, parser, and name resolution for model and data files.
 
-Connective precedence, weakest first: ``::`` head annotations (rules only),
-``->``/``<-`` (no chaining), ``\\/``, ``/\\``, ``not``, comparisons (no
-chaining), ``+``/``-``, ``*``.  Comments run from ``%`` to end of line.
+The operator table ``_LEVEL`` is the precedence spec, read by one
+precedence-climbing loop, ``_Parser._expr``.  ``::`` head annotations (rules
+only) close a parenthesized group.  Comments run from ``%`` to end of line.
 
 ``scan`` and ``Cursor`` also read the ground-program and assignment formats
 (``ground_format``): the four text formats share one scanner and one cursor
@@ -155,7 +155,24 @@ _MODEL_TOKENS = re.compile(
     re.VERBOSE | re.ASCII,
 )
 
-_CMP_OPS = (">=", "<=", "==", "!=", "=", "<", ">")
+# The precedence spec: each binary operator's level, weakest first.  Prefix
+# ``not`` binds at _NOT, between ``/\`` and the comparisons, unary ``-``
+# binds tightest, and a level in _NO_CHAIN takes one operator at most.
+_LEVEL = {
+    "->": 0, "<-": 0,
+    "\\/": 1,
+    "/\\": 2,
+    ">=": 4, "<=": 4, "==": 4, "!=": 4, "=": 4, "<": 4, ">": 4,
+    "+": 5, "-": 5,
+    "*": 6,
+}
+_NOT = 3
+_CMP = _LEVEL["="]
+_ARITH = _LEVEL["+"]
+_NO_CHAIN = {
+    _LEVEL["->"]: "implications do not chain; add parentheses",
+    _CMP: "comparisons do not chain; add parentheses",
+}
 
 
 class _Parser(Cursor):
@@ -227,7 +244,7 @@ class _Parser(Cursor):
             if dims:
                 value = self._array_lit()
             else:
-                value = self._additive()
+                value = self._expr(_ARITH)
         self.expect(";")
         return ParamDecl(name, dims, elem_range, value, span)
 
@@ -250,9 +267,9 @@ class _Parser(Cursor):
         return VarDecl(name, dims, sort, bounds, founded, span)
 
     def _range(self) -> tuple:
-        lo = self._additive()
+        lo = self._expr(_ARITH)
         self.expect("..")
-        hi = self._additive()
+        hi = self._expr(_ARITH)
         return (lo, hi)
 
     def _array_lit(self) -> ArrayLit:
@@ -260,85 +277,36 @@ class _Parser(Cursor):
         self.expect("[")
         elements = []
         if not self.peek("]"):
-            elements.append(self._additive())
+            elements.append(self._expr(_ARITH))
             while self.take(","):
-                elements.append(self._additive())
+                elements.append(self._expr(_ARITH))
         self.expect("]")
         return ArrayLit(tuple(elements), span)
 
     # -- expressions ----------------------------------------------------------
 
-    def _expr(self):
-        return self._implication()
-
-    def _implication(self):
-        left = self._disjunction()
+    def _expr(self, least: int = 0):
+        """An expression of operators at ``least`` or a tighter level."""
         span = self.where
-        if self.take("->"):
-            op = "->"
-        elif self.take("<-"):
-            op = "<-"
+        if least <= _NOT and self.take("not"):
+            left = Not(self._expr(_NOT), span)
         else:
-            return left
-        right = self._disjunction()
-        if self.peek("->") or self.peek("<-"):
-            raise ParseError("implications do not chain; add parentheses",
-                             self.where)
-        return BinOp(op, left, right, span)
-
-    def _disjunction(self):
-        left = self._conjunction()
+            left = self._unary()
         while True:
             span = self.where
-            if not self.take("\\/"):
+            op = self.current[1]
+            level = _LEVEL.get(op, -1)
+            if level < least:
                 return left
-            left = BinOp("\\/", left, self._conjunction(), span)
-
-    def _conjunction(self):
-        left = self._negation()
-        while True:
-            span = self.where
-            if not self.take("/\\"):
-                return left
-            left = BinOp("/\\", left, self._negation(), span)
-
-    def _negation(self):
-        span = self.where
-        if self.take("not"):
-            return Not(self._negation(), span)
-        return self._comparison()
-
-    def _comparison(self):
-        left = self._additive()
-        span = self.where
-        for op in _CMP_OPS:
-            if self.take(op):
-                right = self._additive()
-                if any(self.peek(o) for o in _CMP_OPS):
-                    raise ParseError(
-                        "comparisons do not chain; add parentheses",
-                        self.where)
-                return Comparison("=" if op == "==" else op, left, right, span)
-        return left
-
-    def _additive(self):
-        left = self._multiplicative()
-        while True:
-            span = self.where
-            if self.take("+"):
-                left = BinOp("+", left, self._multiplicative(), span)
-            elif self.take("-"):
-                left = BinOp("-", left, self._multiplicative(), span)
+            self.take(op)
+            right = self._expr(level + 1)
+            if level in _NO_CHAIN and _LEVEL.get(self.current[1]) == level:
+                raise ParseError(_NO_CHAIN[level], self.where)
+            if level == _CMP:
+                left = Comparison("=" if op == "==" else op, left, right,
+                                  span)
             else:
-                return left
-
-    def _multiplicative(self):
-        left = self._unary()
-        while True:
-            span = self.where
-            if not self.take("*"):
-                return left
-            left = BinOp("*", left, self._unary(), span)
+                left = BinOp(op, left, right, span)
 
     def _unary(self):
         span = self.where
@@ -351,14 +319,7 @@ class _Parser(Cursor):
         if kind == "int":
             return IntLit(self.integer(), span)
         if kind == "name":
-            self.name()
-            if self.take("["):
-                indices = [self._additive()]
-                while self.take(","):
-                    indices.append(self._additive())
-                self.expect("]")
-                return ArrayAccess(value, tuple(indices), span)
-            return Ident(value, span)
+            return self._reference()
         if value in ("forall", "exists", "sum"):
             self.take(value)
             return self._aggregate(value, span)
@@ -378,23 +339,24 @@ class _Parser(Cursor):
                 ann_span = self.where
                 self.expect("head")
                 self.expect("(")
-                target = self._head_target()
+                target = self._reference("a head variable")
                 self.expect(")")
                 inner = HeadAnn(inner, target, ann_span)
             self.expect(")")
             return inner
         self.fail("an expression")
 
-    def _head_target(self):
+    def _reference(self, what: str = "name"):
+        """A name, or an array name with its bracketed indices."""
         span = self.where
-        name = self.name("a head variable")
-        if self.take("["):
-            indices = [self._additive()]
-            while self.take(","):
-                indices.append(self._additive())
-            self.expect("]")
-            return ArrayAccess(name, tuple(indices), span)
-        return Ident(name, span)
+        name = self.name(what)
+        if not self.take("["):
+            return Ident(name, span)
+        indices = [self._expr(_ARITH)]
+        while self.take(","):
+            indices.append(self._expr(_ARITH))
+        self.expect("]")
+        return ArrayAccess(name, tuple(indices), span)
 
     def _aggregate(self, kind: str, span: Span) -> Agg:
         self.expect("(")
@@ -692,7 +654,7 @@ def _parse_data(text: str, file: str) -> tuple:
         if parser.peek("["):
             value = parser._array_lit()
         else:
-            value = parser._additive()
+            value = parser._expr(_ARITH)
         parser.expect(";")
         assigns.append(DataAssign(name, value, span))
     return tuple(assigns)

@@ -287,6 +287,15 @@ def test_deep_nesting_exits_three_without_a_traceback(tmp_path, capsys):
     assert err == "error: input nested too deeply to process\n"
 
 
+def test_two_hundred_nested_parentheses_ground(tmp_path, capsys):
+    deep = tmp_path / "deep.bfz"
+    deep.write_text("var bool: p;\nconstraint " + "(" * 200 + "p"
+                    + ")" * 200 + ";\n")
+    assert run(["ground", str(deep)]) == 0
+    assert capsys.readouterr().out == ("var bool standard p;\n"
+                                       "constraint p;\n")
+
+
 def test_fixpoint_watchdog_exits_four(monkeypatch, capsys):
     def runaway(*args, **kwargs):
         raise WatchdogError("fixpoint watchdog: bound raises exceeded the "

@@ -136,6 +136,11 @@ def test_duplicate_minimize_rejected():
      "unexpected character '\u0663'", 2),
     ("var bool standard p;\nconstraint p", "expected ';', found end of input",
      2),
+    # a bracketed name is written without spaces, on one line
+    ("var bool standard p;\nvar bool standard d[1, 2];\nconstraint d[1,2];\n",
+     "unexpected character '['", 2),
+    ("var bool standard d[1,\n2];\nconstraint q;\n",
+     "unexpected character '['", 1),
 ])
 def test_reader_errors_carry_line_numbers(text, message, line):
     with pytest.raises(FormatError) as err:
@@ -181,6 +186,7 @@ def test_assignment_accepts_bottom_for_founded_only():
     ("s = 2.0;", "unexpected character '.'"),
     ("s = \u0663;", "line 1: unexpected character '\u0663'"),
     ("s = 0", "line 1: expected ';', found end of input"),
+    ("s = 0;\nb[1, 2] = 0;", "line 2: unexpected character '\\['"),
 ])
 def test_assignment_errors(text, message):
     with pytest.raises(FormatError, match=message):

@@ -131,6 +131,10 @@ def test_index_errors_carry_the_binding_note():
                        match=r"index 4 is outside 1\.\.3 in 'w' \(i=4\)"):
         g("array[1..3] of int: w = [5, 6, 7];\nvar 0..9: n;\n"
           "constraint forall (i in 1..4) (n >= w[i]);\n")
+    with pytest.raises(GroundingError,
+                       match=r"index 4 is outside 1\.\.3 in 'w' \(i=4\)"):
+        g("array[1..3] of int: w = [5, 6, 7];\nvar bool: p;\n"
+          "constraint forall (i in 1..4, j in 1..w[i]) (p);\n")
 
 
 def test_more_than_two_dimensions_are_rejected():
@@ -210,6 +214,20 @@ def test_where_guards_filter_instances():
     program = g("var bool: p;\nvar 0..9: n;\n"
                 "constraint forall (i in 1..4 where i != 2) (n >= i);\n")
     assert len(program.constraints) == 3
+
+
+@pytest.mark.parametrize("flat,nested", [
+    ("constraint forall (i in 1..3, j in 1..i) (x[i, j]);",
+     "constraint forall (i in 1..3) (forall (j in 1..i) (x[i, j]));"),
+    ("constraint sum (i in 1..3, j in i..3) (c[i, j]) >= 2;",
+     "constraint sum (i in 1..3) (sum (j in i..3) (c[i, j])) >= 2;"),
+], ids=["forall", "sum"])
+def test_a_generator_range_may_name_an_earlier_generator(flat, nested):
+    decls = ("array[1..3, 1..3] of var bool: x;\n"
+             "array[1..3, 1..3] of var 0..1: c;\n")
+    program = g(decls + flat + "\n")
+    assert program == g(decls + nested + "\n")
+    assert program.constraints
 
 
 def test_implication_and_nesting_flatten_to_cnf():

@@ -74,12 +74,24 @@ def test_implication_is_weakest():
     expr = model_expr(r"p /\ q -> r \/ p")
     assert isinstance(expr, BinOp) and expr.op == "->"
     assert expr.left.op == "/\\" and expr.right.op == "\\/"
+    expr = model_expr(r"p <- q /\ r")
+    assert isinstance(expr, BinOp) and expr.op == "<-"
+    assert isinstance(expr.right, BinOp) and expr.right.op == "/\\"
 
 
 def test_not_scopes_over_a_whole_comparison():
     expr = model_expr("not n >= 5")
     assert isinstance(expr, Not)
     assert isinstance(expr.operand, Comparison) and expr.operand.op == ">="
+    expr = model_expr(r"not p /\ q")
+    assert isinstance(expr, BinOp) and expr.op == "/\\"
+    assert isinstance(expr.left, Not)
+
+
+@pytest.mark.parametrize("text", ["n + not p >= 0", "n >= not m"])
+def test_not_is_no_arithmetic_or_comparison_operand(text):
+    with pytest.raises(ParseError, match="expected an expression, found 'not'"):
+        model_expr(text)
 
 
 def test_multiplication_binds_tighter_than_addition():
@@ -87,6 +99,13 @@ def test_multiplication_binds_tighter_than_addition():
     left = expr.left
     assert isinstance(left, BinOp) and left.op == "+"
     assert isinstance(left.right, BinOp) and left.right.op == "*"
+
+
+def test_subtraction_associates_to_the_left():
+    expr = model_expr("n - m - 1 >= 0").left
+    assert isinstance(expr, BinOp) and expr.op == "-"
+    assert isinstance(expr.left, BinOp) and expr.left.op == "-"
+    assert isinstance(expr.right, IntLit) and expr.right.value == 1
 
 
 def test_unary_minus_attaches_to_the_factor():
@@ -116,6 +135,8 @@ def test_implications_do_not_chain():
         model_expr("p -> q -> r")
     with pytest.raises(ParseError, match="implications do not chain"):
         model_expr("p <- q -> r")
+    with pytest.raises(ParseError, match="implications do not chain"):
+        model_expr("p -> q <- r")
 
 
 def test_comparisons_do_not_chain():
@@ -286,3 +307,12 @@ def test_deep_nesting_is_a_parse_error(parse, text):
     with pytest.raises(ParseError,
                        match="^input nested too deeply to process$"):
         parse(text)
+
+
+@pytest.mark.parametrize("parse,text", [
+    (parse_model, "var bool: p;\nconstraint " + "(" * 200 + "p"
+     + ")" * 200 + ";\n"),
+    (parse_data, "n = " + "(" * 200 + "1" + ")" * 200 + ";\n"),
+], ids=["model", "data"])
+def test_two_hundred_nested_parentheses_parse(parse, text):
+    assert parse(text)

@@ -3,9 +3,12 @@
 Each example is a ``random_mixed_program`` drawn from a hypothesis-chosen
 seed.  The stable models it must find are the total valuations that
 ``check_stable`` accepts, scanned exhaustively, and every propagation level
-must yield them in the same order.  Skipped when hypothesis is missing.
+must yield them in the same order.  The ``.bfg`` and ``.bfa`` texts of the
+programs and their models must read back to what was written.  Skipped when
+hypothesis is missing.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -19,6 +22,10 @@ from bfasp import (
     check_stable,
     enumerate_stable,
     eval_linear_expr,
+    format_assignment,
+    format_program,
+    parse_assignment,
+    parse_ground_program,
 )
 
 import oracles
@@ -60,3 +67,33 @@ def test_optimization_improves_to_the_best_stable_value(seed):
     best = min((eval_linear_expr(program.objective, dict(v)) for v in stable),
                default=None)
     assert (values[-1] if values else None) == best
+
+
+def with_cell_names(program, rand):
+    """The program with each variable renamed to a cell: m[3], m[1,-2]."""
+    variables = tuple(
+        dataclasses.replace(info, name=rand.choice(
+            (f"m[{var}]", f"m[{var},{-rand.randint(0, 3)}]")))
+        for var, info in enumerate(program.variables))
+    return dataclasses.replace(program, variables=variables)
+
+
+@examples
+@given(seeds)
+def test_ground_programs_read_back_from_their_text(seed):
+    rand = random.Random(seed)
+    program = with_cell_names(
+        oracles.random_mixed_program(rand, with_objective=rand.random() < 0.5),
+        rand)
+    assert parse_ground_program(format_program(program)) == program
+
+
+@examples
+@given(seeds)
+def test_every_model_reads_back_from_its_text(seed):
+    rand = random.Random(seed)
+    program = with_cell_names(
+        oracles.random_mixed_program(rand, max_vars=5), rand)
+    for model in enumerate_stable(program, CLAUSE):
+        assert parse_assignment(format_assignment(program, model),
+                                program) == model
