@@ -7,6 +7,7 @@ must flatten to a single clause containing its head; violations are reported
 with the generator bindings that produced them.
 """
 
+import itertools
 import operator
 
 from .analysis import Monotonicity, monotonicity, validate_rule
@@ -57,6 +58,10 @@ _ATOMS = {
 }
 _HOLDS = {">=": operator.ge, "<=": operator.le, ">": operator.gt,
           "<": operator.lt, "=": operator.eq, "!=": operator.ne}
+
+# Operators whose left-deep chains are folded in a loop, not recursion.
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_CONNECTIVES = ("/\\", "\\/")
 
 
 class _ParamArray:
@@ -192,12 +197,17 @@ class _Grounder:
                 "parameters not fixed by the model or data: "
                 + ", ".join(missing))
 
-    def _bind_one(self, decl: ParamDecl, value):
+    def _dims(self, decl) -> list:
+        """The declared index ranges of ``decl``, evaluated."""
         ranges = [(self._peval(lo, {}), self._peval(hi, {}))
                   for lo, hi in decl.dims]
         if len(ranges) > 2:
             raise GroundingError("only 1- and 2-dimensional arrays are "
                                  "supported", decl.span)
+        return ranges
+
+    def _bind_one(self, decl: ParamDecl, value):
+        ranges = self._dims(decl)
         elem_range = None
         if decl.elem_range is not None:
             elem_range = (self._peval(decl.elem_range[0], {}),
@@ -237,11 +247,7 @@ class _Grounder:
 
     def _declare_vars(self):
         for decl in self.model.vars:
-            ranges = [(self._peval(lo, {}), self._peval(hi, {}))
-                      for lo, hi in decl.dims]
-            if len(ranges) > 2:
-                raise GroundingError("only 1- and 2-dimensional arrays are "
-                                     "supported", decl.span)
+            ranges = self._dims(decl)
             kind = VarKind.FOUNDED if decl.founded else VarKind.STANDARD
             if decl.sort is Sort.BOOL:
                 lo = hi = None
@@ -263,7 +269,8 @@ class _Grounder:
                                                lo, hi))
                 continue
             self.arrays[decl.name] = (ranges, len(self.variables))
-            for indices in _index_space(ranges):
+            for indices in itertools.product(
+                    *(range(first, last + 1) for first, last in ranges)):
                 self.variables.append(Variable(_cell_name(decl.name, indices),
                                                kind, decl.sort, lo, hi))
 
@@ -291,14 +298,13 @@ class _Grounder:
             return array.get(indices, expr.span, note)
         if isinstance(expr, Neg):
             return -self._peval(expr.operand, env, note)
-        if isinstance(expr, BinOp) and expr.op in ("+", "-", "*"):
-            left = self._peval(expr.left, env, note)
-            right = self._peval(expr.right, env, note)
-            if expr.op == "+":
-                return left + right
-            if expr.op == "-":
-                return left - right
-            return left * right
+        if isinstance(expr, BinOp) and expr.op in _ARITH:
+            first, links = _chain(expr, _ARITH)
+            value = self._peval(first, env, note)
+            for link in links:
+                value = _ARITH[link.op](value,
+                                        self._peval(link.right, env, note))
+            return value
         raise GroundingError(f"expected a parameter expression{note}",
                              _span_of(expr))
 
@@ -310,12 +316,15 @@ class _Grounder:
         if isinstance(expr, Not):
             return not self._guard(expr.operand, env, note)
         if isinstance(expr, BinOp):
-            if expr.op == "/\\":
-                return self._guard(expr.left, env, note) and \
-                    self._guard(expr.right, env, note)
-            if expr.op == "\\/":
-                return self._guard(expr.left, env, note) or \
-                    self._guard(expr.right, env, note)
+            if expr.op in _CONNECTIVES:
+                first, links = _chain(expr, _CONNECTIVES)
+                value = self._guard(first, env, note)
+                for link in links:
+                    if link.op == "/\\":
+                        value = value and self._guard(link.right, env, note)
+                    else:
+                        value = value or self._guard(link.right, env, note)
+                return value
             if expr.op == "->":
                 return (not self._guard(expr.left, env, note)) or \
                     self._guard(expr.right, env, note)
@@ -377,22 +386,24 @@ class _Grounder:
         note = _note(env)
         if isinstance(expr, Not):
             return self._cnf(expr.operand, env, not neg, span)
-        if isinstance(expr, BinOp) and expr.op in ("/\\", "\\/", "->", "<-"):
+        if isinstance(expr, BinOp) and expr.op in _CONNECTIVES:
+            first, links = _chain(expr, _CONNECTIVES)
+            parts = self._cnf(first, env, neg, span)
+            for link in links:
+                right = self._cnf(link.right, env, neg, span)
+                parts = self._join(parts, right,
+                                   conjoin=(link.op == "/\\") != neg,
+                                   span=span)
+            return parts
+        if isinstance(expr, BinOp) and expr.op in ("->", "<-"):
+            # an implication is a disjunction of ~left and right
             if expr.op == "<-":
                 left, right = expr.right, expr.left
             else:
                 left, right = expr.left, expr.right
-            if expr.op == "/\\":
-                conj = not neg
-            elif expr.op == "\\/":
-                conj = neg
-            else:  # an implication is a disjunction of ~left and right
-                return self._join(self._cnf(left, env, not neg, span),
-                                  self._cnf(right, env, neg, span),
-                                  conjoin=neg, span=span)
-            return self._join(self._cnf(left, env, neg, span),
+            return self._join(self._cnf(left, env, not neg, span),
                               self._cnf(right, env, neg, span),
-                              conjoin=conj, span=span)
+                              conjoin=neg, span=span)
         if isinstance(expr, Agg):
             if expr.kind == "sum":
                 raise GroundingError(f"sum is not a condition{note}",
@@ -420,8 +431,9 @@ class _Grounder:
         raise GroundingError(f"expected a condition{note}", _span_of(expr))
 
     def _join(self, left: list, right: list, *, conjoin: bool, span) -> list:
-        if conjoin:
-            return left + right
+        if conjoin:  # every conjunction list is fresh, so extend in place
+            left.extend(right)
+            return left
         out = []
         for a in left:
             if a.true:
@@ -506,27 +518,28 @@ class _Grounder:
                     terms[var] = terms.get(var, 0) + coeff
                 constant += sub_constant
             return terms, constant
-        if isinstance(expr, BinOp) and expr.op in ("+", "-", "*"):
-            left_terms, left_const = self._linear(expr.left, env, note,
-                                                  allow_b2i=allow_b2i)
-            right_terms, right_const = self._linear(expr.right, env, note,
-                                                    allow_b2i=allow_b2i)
-            if expr.op == "+":
+        if isinstance(expr, BinOp) and expr.op in _ARITH:
+            first, links = _chain(expr, _ARITH)
+            terms, constant = self._linear(first, env, note,
+                                           allow_b2i=allow_b2i)
+            for link in links:
+                right_terms, right_const = self._linear(
+                    link.right, env, note, allow_b2i=allow_b2i)
+                if link.op == "*":
+                    if terms and right_terms:
+                        raise GroundingError(
+                            f"non-linear product{note}", link.span)
+                    if right_terms:
+                        terms, right_terms = right_terms, terms
+                        constant, right_const = right_const, constant
+                    terms = {v: c * right_const for v, c in terms.items()}
+                    constant *= right_const
+                    continue
+                sign = 1 if link.op == "+" else -1
                 for var, coeff in right_terms.items():
-                    left_terms[var] = left_terms.get(var, 0) + coeff
-                return left_terms, left_const + right_const
-            if expr.op == "-":
-                for var, coeff in right_terms.items():
-                    left_terms[var] = left_terms.get(var, 0) - coeff
-                return left_terms, left_const - right_const
-            if left_terms and right_terms:
-                raise GroundingError(
-                    f"non-linear product{note}", expr.span)
-            if right_terms:
-                left_terms, right_terms = right_terms, left_terms
-                left_const, right_const = right_const, left_const
-            return ({v: c * right_const for v, c in left_terms.items()},
-                    left_const * right_const)
+                    terms[var] = terms.get(var, 0) + sign * coeff
+                constant += sign * right_const
+            return terms, constant
         raise GroundingError(f"expected an integer expression{note}",
                              _span_of(expr))
 
@@ -576,16 +589,16 @@ class _Grounder:
         return LinearExpr(folded, constant)
 
 
-def _index_space(ranges):
-    if len(ranges) == 1:
-        (lo, hi), = ranges
-        for i in range(lo, hi + 1):
-            yield (i,)
-        return
-    (lo1, hi1), (lo2, hi2) = ranges
-    for i in range(lo1, hi1 + 1):
-        for j in range(lo2, hi2 + 1):
-            yield (i, j)
+def _chain(expr, ops):
+    """The leftmost operand of a left-deep chain of ``ops`` and the chain's
+    links, innermost first: folding ``link.op`` and ``link.right`` over the
+    links, left to right, gives ``expr``."""
+    links = []
+    while isinstance(expr, BinOp) and expr.op in ops:
+        links.append(expr)
+        expr = expr.left
+    links.reverse()
+    return expr, links
 
 
 def _note(env: dict) -> str:

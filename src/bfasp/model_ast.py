@@ -178,7 +178,3 @@ class Model:
     constraints: tuple = ()
     rules: tuple = ()
     solve: SolveItem | None = None
-
-    def declarations(self):
-        yield from self.params
-        yield from self.vars

@@ -385,9 +385,59 @@ class _Parser(Cursor):
 
 # -- name resolution ----------------------------------------------------------
 
+# The contexts an expression is checked in: parameter arithmetic, where
+# guards, constraint and rule bodies, and the objective.  _OPEN and _CLOSE
+# mark the walk's stack entries that open a generator's names and close an
+# aggregate's scope.
+_PARAM, _GUARD, _BODY, _OBJECTIVE, _OPEN, _CLOSE = range(6)
+
+
+def _body(here: int) -> dict:
+    return {IntLit: here, Ident: here, ArrayAccess: _PARAM, Neg: here,
+            Not: here, "arith": here, "logic": here, Comparison: _BODY,
+            Agg: here, HeadAnn: "misplaced head annotation",
+            None: "unsupported expression"}
+
+
+# The context table: for each context, the node kinds it admits, each with
+# the context its operands are checked in (array indices and generator
+# ranges are always parameter expressions), or with the message that
+# refuses it.  Kinds not listed get the message under None.  An objective is
+# a body that also admits bool2int.
+_ADMITS = {
+    _PARAM: {IntLit: _PARAM, Ident: _PARAM, ArrayAccess: _PARAM,
+             Neg: _PARAM, "arith": _PARAM,
+             None: "only integer parameter arithmetic is allowed here"},
+    _GUARD: {Comparison: _PARAM, Not: _GUARD, "logic": _GUARD,
+             None: "a where guard must be a parameter condition"},
+    _BODY: {**_body(_BODY),
+            Bool2Int: "bool2int is only allowed in the objective"},
+    _OBJECTIVE: {**_body(_OBJECTIVE), Bool2Int: _BODY},
+}
+
+
+def _kind(node):
+    if isinstance(node, BinOp):
+        return "arith" if node.op in ("+", "-", "*") else "logic"
+    return type(node)
+
+
+def _operands(node) -> tuple:
+    if isinstance(node, (BinOp, Comparison)):
+        return (node.left, node.right)
+    if isinstance(node, ArrayAccess):
+        return node.indices
+    if isinstance(node, (Neg, Not, Bool2Int)):
+        return (node.operand,)
+    return ()
+
 
 class _Resolver:
-    """Checks declarations, arity, and which names each context may use."""
+    """Checks declarations, arity, and which names each context may use.
+
+    Every expression is checked by one iterative walk, ``_walk``, against
+    the context table ``_ADMITS``.
+    """
 
     def __init__(self, file: str):
         self.file = file
@@ -399,27 +449,16 @@ class _Resolver:
         solve = None
         for item in items:
             if isinstance(item, ParamDecl):
-                for lo, hi in item.dims:
-                    self._param_expr(lo)
-                    self._param_expr(hi)
-                if item.elem_range is not None:
-                    self._param_expr(item.elem_range[0])
-                    self._param_expr(item.elem_range[1])
-                if item.value is not None:
-                    self._decl_value(item)
+                self._params(*_pairs(item.dims), *(item.elem_range or ()),
+                             *_values(item))
                 self._declare(item.name, item, item.span)
                 params.append(item)
             elif isinstance(item, VarDecl):
-                for lo, hi in item.dims:
-                    self._param_expr(lo)
-                    self._param_expr(hi)
-                if item.bounds is not None:
-                    self._param_expr(item.bounds[0])
-                    self._param_expr(item.bounds[1])
+                self._params(*_pairs(item.dims), *(item.bounds or ()))
                 self._declare(item.name, item, item.span)
                 variables.append(item)
             elif isinstance(item, ConstraintItem):
-                self._body_expr(item.expr)
+                self._walk([(item.expr, _BODY)])
                 constraints.append(item)
             elif isinstance(item, RuleItem):
                 self._rule(item)
@@ -428,7 +467,7 @@ class _Resolver:
                 if solve is not None:
                     raise ParseError("more than one solve item", item.span)
                 if item.objective is not None:
-                    self._objective_expr(item.objective)
+                    self._walk([(item.objective, _OBJECTIVE)])
                 solve = item
         return Model(self.file, tuple(params), tuple(variables),
                      tuple(constraints), tuple(rules), solve)
@@ -438,19 +477,40 @@ class _Resolver:
             raise ParseError(f"'{name}' is already declared", span)
         self.decls[name] = decl
 
-    def _decl_value(self, item: ParamDecl):
-        value = item.value
-        if item.dims:
-            if not isinstance(value, ArrayLit):
-                raise ParseError(
-                    f"array parameter '{item.name}' needs a [...] value",
-                    item.span)
-            for element in value.elements:
-                self._param_expr(element)
-        else:
-            self._param_expr(value)
+    def _params(self, *exprs):
+        self._walk([(expr, _PARAM) for expr in exprs])
 
-    # -- expression walks --------------------------------------------------
+    # -- the expression walk -------------------------------------------------
+
+    def _walk(self, work: list):
+        """Check ``(node, context)`` pairs in order, depth first.
+
+        An explicit stack replaces recursion, so neither nesting nor a long
+        operator chain is bounded by the interpreter's recursion limit.
+        """
+        stack = work[::-1]
+        while stack:
+            node, context = stack.pop()
+            if context == _OPEN:
+                self._open(node)
+                continue
+            if context == _CLOSE:
+                del self.gen_names[node:]
+                continue
+            kind = _kind(node)
+            admits = _ADMITS[context]
+            inner = admits.get(kind, admits[None])
+            if isinstance(inner, str):
+                raise ParseError(inner, _span_of(node))
+            if kind is Ident or kind is ArrayAccess:
+                self._reference(node, context == _PARAM)
+            if kind is Agg:
+                stack.append((len(self.gen_names), _CLOSE))
+                stack.append((node.body, inner))
+                stack.extend(reversed(_scope(node)))
+            else:
+                for operand in reversed(_operands(node)):
+                    stack.append((operand, inner))
 
     def _lookup(self, name: str, span: Span):
         if name in self.gen_names:
@@ -460,137 +520,42 @@ class _Resolver:
             raise ParseError(f"'{name}' is not declared", span)
         return decl
 
-    def _param_expr(self, expr):
-        """Expressions that must be fixed by parameters alone."""
-        if isinstance(expr, IntLit):
-            return
-        if isinstance(expr, Ident):
-            decl = self._lookup(expr.name, expr.span)
-            if isinstance(decl, VarDecl):
+    def _reference(self, ref, param: bool):
+        """A name or array access; ``param`` when only parameters may be
+        named."""
+        decl = self._lookup(ref.name, ref.span)
+        if isinstance(ref, Ident):
+            if param and isinstance(decl, VarDecl):
                 raise ParseError(
-                    f"'{expr.name}' is a variable; only parameters are "
-                    f"allowed here", expr.span)
-            if isinstance(decl, ParamDecl) and decl.dims:
-                raise ParseError(f"array '{expr.name}' needs indices",
-                                 expr.span)
+                    f"'{ref.name}' is a variable; only parameters are "
+                    f"allowed here", ref.span)
+            if decl != "gen" and decl.dims:
+                raise ParseError(f"array '{ref.name}' needs indices",
+                                 ref.span)
             return
-        if isinstance(expr, ArrayAccess):
-            decl = self._lookup(expr.name, expr.span)
-            if decl == "gen" or isinstance(decl, VarDecl):
-                raise ParseError(
-                    f"'{expr.name}' is not a parameter array", expr.span)
-            self._check_arity(decl, expr)
-            for index in expr.indices:
-                self._param_expr(index)
-            return
-        if isinstance(expr, Neg):
-            self._param_expr(expr.operand)
-            return
-        if isinstance(expr, BinOp) and expr.op in ("+", "-", "*"):
-            self._param_expr(expr.left)
-            self._param_expr(expr.right)
-            return
-        raise ParseError("only integer parameter arithmetic is allowed here",
-                         _span_of(expr))
-
-    def _guard_expr(self, expr):
-        """Where guards: Boolean combinations of parameter comparisons."""
-        if isinstance(expr, Comparison):
-            self._param_expr(expr.left)
-            self._param_expr(expr.right)
-            return
-        if isinstance(expr, Not):
-            self._guard_expr(expr.operand)
-            return
-        if isinstance(expr, BinOp) and expr.op in ("/\\", "\\/", "->", "<-"):
-            self._guard_expr(expr.left)
-            self._guard_expr(expr.right)
-            return
-        raise ParseError("a where guard must be a parameter condition",
-                         _span_of(expr))
-
-    def _check_arity(self, decl, access: ArrayAccess):
+        if decl == "gen" or param and isinstance(decl, VarDecl):
+            what = "a parameter array" if param else "an array"
+            raise ParseError(f"'{ref.name}' is not {what}", ref.span)
         dims = len(decl.dims)
         if dims == 0:
-            raise ParseError(f"'{access.name}' is not an array", access.span)
-        if len(access.indices) != dims:
+            raise ParseError(f"'{ref.name}' is not an array", ref.span)
+        if len(ref.indices) != dims:
             raise ParseError(
-                f"'{access.name}' has {dims} dimension(s), "
-                f"{len(access.indices)} index(es) given", access.span)
+                f"'{ref.name}' has {dims} dimension(s), "
+                f"{len(ref.indices)} index(es) given", ref.span)
 
-    def _body_expr(self, expr, *, allow_b2i: bool = False):
-        """Constraint and rule bodies: variables, parameters, aggregates."""
-        if isinstance(expr, (IntLit,)):
-            return
-        if isinstance(expr, Ident):
-            decl = self._lookup(expr.name, expr.span)
-            if isinstance(decl, (ParamDecl, VarDecl)) and decl.dims:
-                raise ParseError(f"array '{expr.name}' needs indices",
-                                 expr.span)
-            return
-        if isinstance(expr, ArrayAccess):
-            decl = self._lookup(expr.name, expr.span)
-            if decl == "gen":
-                raise ParseError(f"'{expr.name}' is not an array", expr.span)
-            self._check_arity(decl, expr)
-            for index in expr.indices:
-                self._param_expr(index)
-            return
-        if isinstance(expr, (Neg, Not)):
-            self._body_expr(expr.operand, allow_b2i=allow_b2i)
-            return
-        if isinstance(expr, BinOp):
-            self._body_expr(expr.left, allow_b2i=allow_b2i)
-            self._body_expr(expr.right, allow_b2i=allow_b2i)
-            return
-        if isinstance(expr, Comparison):
-            self._body_expr(expr.left)
-            self._body_expr(expr.right)
-            return
-        if isinstance(expr, Agg):
-            self._aggregate(expr, allow_b2i=allow_b2i)
-            return
-        if isinstance(expr, Bool2Int):
-            if not allow_b2i:
+    def _open(self, gen: Gen):
+        for name in gen.names:
+            if name in self.decls or name in self.gen_names:
                 raise ParseError(
-                    "bool2int is only allowed in the objective", expr.span)
-            self._body_expr(expr.operand)
-            return
-        if isinstance(expr, HeadAnn):
-            raise ParseError("misplaced head annotation", expr.span)
-        raise ParseError("unsupported expression", _span_of(expr))
-
-    def _aggregate(self, agg: Agg, *, allow_b2i: bool):
-        opened = self._open_gens(agg)
-        if agg.where is not None:
-            self._guard_expr(agg.where)
-        self._body_expr(agg.body, allow_b2i=allow_b2i)
-        del self.gen_names[-opened:]
-
-    def _open_gens(self, agg: Agg) -> int:
-        opened = 0
-        for gen in agg.gens:
-            self._param_expr(gen.lo)
-            self._param_expr(gen.hi)
-            for name in gen.names:
-                if name in self.decls or name in self.gen_names:
-                    raise ParseError(
-                        f"generator name '{name}' shadows another name",
-                        gen.span)
-                self.gen_names.append(name)
-                opened += 1
-        return opened
-
-    def _objective_expr(self, expr):
-        self._body_expr(expr, allow_b2i=True)
+                    f"generator name '{name}' shadows another name",
+                    gen.span)
+            self.gen_names.append(name)
 
     def _rule(self, item: RuleItem):
         node = item.expr
-        opened = 0
         while isinstance(node, Agg) and node.kind == "forall":
-            opened += self._open_gens(node)
-            if node.where is not None:
-                self._guard_expr(node.where)
+            self._walk(_scope(node))
             node = node.body
         if not isinstance(node, HeadAnn):
             raise ParseError(
@@ -601,16 +566,31 @@ class _Resolver:
         if decl == "gen" or isinstance(decl, ParamDecl):
             raise ParseError(f"head '{target.name}' is not a variable",
                              target.span)
-        if isinstance(target, ArrayAccess):
-            self._check_arity(decl, target)
-            for index in target.indices:
-                self._param_expr(index)
-        elif decl.dims:
-            raise ParseError(f"array '{target.name}' needs indices",
-                             target.span)
-        self._body_expr(node.body)
-        if opened:
-            del self.gen_names[-opened:]
+        self._walk([(target, _BODY), (node.body, _BODY)])
+        self.gen_names.clear()
+
+
+def _scope(agg: Agg) -> list:
+    """Work that checks an aggregate's generators, opens their names, and
+    checks its where guard."""
+    work = []
+    for gen in agg.gens:
+        work += [(gen.lo, _PARAM), (gen.hi, _PARAM), (gen, _OPEN)]
+    if agg.where is not None:
+        work.append((agg.where, _GUARD))
+    return work
+
+
+def _values(item: ParamDecl) -> tuple:
+    """The value expressions of a parameter declaration; the grammar gives
+    an array parameter a ``[...]`` value."""
+    if item.value is None:
+        return ()
+    return item.value.elements if item.dims else (item.value,)
+
+
+def _pairs(ranges) -> tuple:
+    return tuple(bound for pair in ranges for bound in pair)
 
 
 def _span_of(expr) -> Span:
@@ -623,8 +603,9 @@ _TOO_DEEP = "input nested too deeply to process"
 def parse_model(text: str, file: str = "<model>") -> Model:
     """Parse and resolve a model file; raises ParseError with a span.
 
-    Parsing and resolution recurse once per nesting level, so input nested
-    past the interpreter's recursion limit raises a ParseError.
+    Parsing recurses once per nested operand, so input nested past the
+    interpreter's recursion limit raises a ParseError.  A flat operator
+    chain is read, and resolved, in a loop.
     """
     try:
         items = _Parser(text, file).model_items()

@@ -89,9 +89,6 @@ class Literal:
     var: int
     positive: bool = True
 
-    def negated(self) -> "Literal":
-        return Literal(self.var, not self.positive)
-
 
 @dataclass(frozen=True)
 class LinearAtom:

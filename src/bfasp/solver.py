@@ -8,6 +8,7 @@ occurrences); everything else is determined by the fixpoint at each leaf.
 """
 
 import enum
+import itertools
 import time
 import warnings
 from dataclasses import dataclass
@@ -234,16 +235,18 @@ class Search:
         return chosen
 
     def _values_for(self, var: int):
+        """The values tried for ``var``, made lazily: a domain may be wide."""
         info = self.program.variables[var]
+        bottom = ()
         if info.sort is Sort.BOOL:
-            values = [False, True]
-        elif info.is_founded:
-            values = [NEG_INF] + list(range(info.lo, info.hi + 1))
+            values = (False, True)
         else:
-            values = list(range(info.lo, info.hi + 1))
+            values = range(info.lo, info.hi + 1)
+            if info.is_founded:
+                bottom = (NEG_INF,)
         if self.config.value_order is ValueOrder.MAX_FIRST:
-            values.reverse()
-        return values
+            return itertools.chain(reversed(values), bottom)
+        return itertools.chain(bottom, values)
 
     def _schedule_checks(self):
         """Constraints checked before the search, ``(clause, pruning
@@ -333,9 +336,7 @@ class Search:
         levels = []
         while True:
             # A node is entered: a leaf once every guess has a value.
-            if self._deadline is not None and time.monotonic() > self._deadline:
-                self.status = SearchStatus.TIME_LIMIT
-                raise _StopSearch
+            self._check_deadline()
             stats.nodes += 1
             if len(levels) == len(guess):
                 stats.leaves += 1
@@ -348,12 +349,14 @@ class Search:
                         self.status = SearchStatus.SOLUTION_LIMIT
                         raise _StopSearch
             else:
-                levels.append(iter(self._values_for(guess[len(levels)])))
+                levels.append(self._values_for(guess[len(levels)]))
             # Move to the next unpruned value of the deepest open level.
             while levels:
                 depth = len(levels) - 1
                 var = guess[depth]
                 for value in levels[-1]:
+                    # values refused without entering a node count too
+                    self._check_deadline()
                     assignment[var] = value
                     if not self._pruned(assignment, depth):
                         break
@@ -364,6 +367,11 @@ class Search:
                 break
             else:
                 return
+
+    def _check_deadline(self):
+        if self._deadline is not None and time.monotonic() > self._deadline:
+            self.status = SearchStatus.TIME_LIMIT
+            raise _StopSearch
 
     def _pruned(self, assignment: dict, depth: int) -> bool:
         stats = self.stats

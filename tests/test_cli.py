@@ -296,6 +296,22 @@ def test_two_hundred_nested_parentheses_ground(tmp_path, capsys):
                                        "constraint p;\n")
 
 
+def test_three_thousand_term_sum_grounds(tmp_path, capsys):
+    flat = tmp_path / "flat.bfz"
+    flat.write_text("var 0..9: n;\nconstraint " + " + ".join(["n"] * 3000)
+                    + " >= 0;\n")
+    assert run(["ground", str(flat)]) == 0
+    assert capsys.readouterr().out == ("var int 0..9 standard n;\n"
+                                       "constraint 3000*n >= 0;\n")
+
+
+def test_a_wide_integer_domain_solves(tmp_path, capsys):
+    wide = tmp_path / "wide.bfz"
+    wide.write_text("var 0..1000000000000: n;\nconstraint n = 5;\n")
+    assert run(["solve", str(wide)]) == 0
+    assert capsys.readouterr().out == "n = 5;\n----------\n"
+
+
 def test_fixpoint_watchdog_exits_four(monkeypatch, capsys):
     def runaway(*args, **kwargs):
         raise WatchdogError("fixpoint watchdog: bound raises exceeded the "

@@ -8,6 +8,7 @@ from bfasp import (
     LinearExpr,
     Sort,
     VarKind,
+    format_program,
     ground,
     parse_data,
     parse_model,
@@ -228,6 +229,29 @@ def test_a_generator_range_may_name_an_earlier_generator(flat, nested):
     program = g(decls + flat + "\n")
     assert program == g(decls + nested + "\n")
     assert program.constraints
+
+
+def _flat(op: str, term: str, n: int = 3000) -> str:
+    return f" {op} ".join([term] * n)
+
+
+@pytest.mark.parametrize("text,data,last_line", [
+    ("var 0..9: n;\nconstraint " + _flat("+", "n") + " >= 0;\n", "",
+     "constraint 3000*n >= 0;"),
+    ("var 0..9: n;\nconstraint " + _flat("-", "n") + " <= 0;\n", "",
+     "constraint 2998*n >= 0;"),
+    ("var bool: p;\nvar bool: q;\nconstraint q \\/ "
+     + _flat("/\\", "p") + ";\n", "", "constraint q | p;"),
+    ("var bool: p;\nconstraint forall (i in 1..2 where "
+     + _flat("/\\", "i >= 2") + ") (p);\n", "", "constraint p;"),
+    ("int: k;\nvar 0..9: n;\nconstraint n >= k;\n",
+     "k = " + _flat("-", "1") + ";\n", "constraint 1*n >= -2998;"),
+    ("var 0..9: n;\nsolve minimize " + _flat("+", "n") + ";\n", "",
+     "minimize 3000*n;"),
+], ids=["sum", "minus", "conjunction", "where", "data", "objective"])
+def test_flat_chains_of_three_thousand_terms_ground(text, data, last_line):
+    program = g(text, data)
+    assert format_program(program).splitlines()[-1] == last_line
 
 
 def test_implication_and_nesting_flatten_to_cnf():

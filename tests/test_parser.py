@@ -177,6 +177,22 @@ def test_resolution_errors_point_at_the_use_site():
     assert "bad.bfz:2:17" in str(err.value)
 
 
+@pytest.mark.parametrize("text,where,message", [
+    ("var 0..9: n;\nconstraint " + " + ".join(["n"] * 2999)
+     + " + ghost >= 0;\n", "bad.bfz:2:12008", "'ghost' is not declared"),
+    ("var bool: p;\nconstraint forall (i in 1..2 where "
+     + " /\\ ".join(["i >= 1"] * 2999) + " /\\ ghost >= 1) (p);\n",
+     "bad.bfz:2:30026", "'ghost' is not declared"),
+    ("var 0..9: n;\nint: k = " + " - ".join(["1"] * 2999) + " - n;\n",
+     "bad.bfz:2:12006", "'n' is a variable; only parameters are allowed here"),
+], ids=["sum", "where", "parameter"])
+def test_an_error_at_the_end_of_a_long_chain_keeps_its_span(text, where,
+                                                           message):
+    with pytest.raises(ParseError) as err:
+        parse_model(text, "bad.bfz")
+    assert str(err.value) == f"{where}: {message}"
+
+
 # -- rules and head annotations ------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+import bfasp.solver
 from bfasp import (
     NEG_INF,
     Clause,
@@ -323,6 +324,21 @@ def test_time_budget_stops_early():
     models = list(search.models())
     assert search.status is SearchStatus.TIME_LIMIT
     assert models == []
+
+
+def test_time_budget_covers_values_refused_without_a_node(monkeypatch):
+    # After the first model every other value is refused by the objective
+    # bound, so no further node is entered.
+    program = ground(parse_model(
+        "var 0..1000000: n;\nsolve minimize n;\n"))
+    clock = [0.0]
+    monkeypatch.setattr(bfasp.solver.time, "monotonic", lambda: clock[0])
+    search = Search(program, SearchConfig(time_budget=1))
+    models = search.models()
+    assert next(models) == {0: 0}
+    clock[0] = 2.0
+    assert list(models) == []
+    assert search.status is SearchStatus.TIME_LIMIT
 
 
 def test_config_rejects_nonpositive_limits():
