@@ -5,6 +5,17 @@ into cells, unfolds aggregates, normalizes comparisons to ``>=`` atoms, and
 flattens each constraint to conjunctive normal form.  Every rule instance
 must flatten to a single clause containing its head; violations are reported
 with the generator bindings that produced them.
+
+Each item (constraint, rule, objective) is compiled once into a template of
+closures: names are resolved to generator slots, parameters and variables,
+and each integer expression becomes a flat list of parts (a variable slot
+with its coefficient, a parameter value, or a nested sum or product) plus
+the constant folded from its literals and scalar parameters.  The
+template is then instantiated once per generator binding, a tuple of
+values, without walking the syntax tree.  A rule whose body always flattens
+to one clause of fixed occurrence signs is checked once, on a symbolic
+clause; an instance is checked again only when two of its occurrences name
+the same variable.  Binding notes are built only for an error.
 """
 
 import itertools
@@ -63,27 +74,15 @@ _HOLDS = {">=": operator.ge, "<=": operator.le, ">": operator.gt,
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _CONNECTIVES = ("/\\", "\\/")
 
+# The kinds of a linear part ``(coeff, kind, fn, slot)``: ``fn(env)`` is a
+# variable id, a parameter value, or a ``(terms, constant)`` pair.
+_VAR, _INT, _SUB = range(3)
+
 
 class _ParamArray:
-    def __init__(self, name, ranges, values):
-        self.name = name
+    def __init__(self, ranges, values):
         self.ranges = ranges
         self.values = values
-
-    def get(self, indices, span, note):
-        return self.values[_offset(self.name, self.ranges, indices,
-                                   span, note)]
-
-
-def _offset(name, ranges, indices, span, note) -> int:
-    offset = 0
-    for (lo, hi), index in zip(ranges, indices):
-        if not lo <= index <= hi:
-            raise GroundingError(
-                f"index {index} is outside {lo}..{hi} in '{name}'{note}",
-                span)
-        offset = offset * (hi - lo + 1) + (index - lo)
-    return offset
 
 
 def _cell_name(name, indices) -> str:
@@ -122,7 +121,7 @@ class _Draft:
         return out
 
     def to_clause(self) -> Clause:
-        lits = tuple(Literal(var, pos) for var, pos in self.lits.items())
+        lits = tuple(itertools.starmap(Literal, self.lits.items()))
         return Clause(lits, tuple(self.atoms.values()))
 
 
@@ -138,7 +137,8 @@ class _Grounder:
         self.founded_default = founded_default
         self.params: dict[str, object] = {}
         self.variables: list[Variable] = []
-        # scalar vars: name -> id; array vars: name -> (ranges, base id)
+        # scalar vars: name -> id; array vars: name -> (ranges, base id,
+        # declaration as a Variable named like the array)
         self.scalars: dict[str, int] = {}
         self.arrays: dict[str, tuple] = {}
         self.budget = 0
@@ -149,7 +149,8 @@ class _Grounder:
         constraints = []
         for item in self.model.constraints:
             self.budget = 0
-            for draft in self._cnf(item.expr, {}, False, item.span):
+            flatten, _ = self._cnf(item.expr, (), False, item.span)
+            for draft in flatten(()):
                 if not draft.true:
                     constraints.append(draft.to_clause())
         rules = []
@@ -197,10 +198,13 @@ class _Grounder:
                 "parameters not fixed by the model or data: "
                 + ", ".join(missing))
 
+    def _value(self, expr) -> int:
+        """The value of a parameter expression outside any aggregate."""
+        return self._int(expr, ())(())
+
     def _dims(self, decl) -> list:
         """The declared index ranges of ``decl``, evaluated."""
-        ranges = [(self._peval(lo, {}), self._peval(hi, {}))
-                  for lo, hi in decl.dims]
+        ranges = [(self._value(lo), self._value(hi)) for lo, hi in decl.dims]
         if len(ranges) > 2:
             raise GroundingError("only 1- and 2-dimensional arrays are "
                                  "supported", decl.span)
@@ -210,13 +214,13 @@ class _Grounder:
         ranges = self._dims(decl)
         elem_range = None
         if decl.elem_range is not None:
-            elem_range = (self._peval(decl.elem_range[0], {}),
-                          self._peval(decl.elem_range[1], {}))
+            elem_range = (self._value(decl.elem_range[0]),
+                          self._value(decl.elem_range[1]))
         if not decl.dims:
             if isinstance(value, ArrayLit):
                 raise GroundingError(
                     f"'{decl.name}' is a scalar, not an array", value.span)
-            bound = self._peval(value, {})
+            bound = self._value(value)
             self._elem_check(decl.name, bound, elem_range, decl.span)
             self.params[decl.name] = bound
             return
@@ -231,10 +235,11 @@ class _Grounder:
             raise GroundingError(
                 f"'{decl.name}' needs {size} element(s), "
                 f"{len(value.elements)} given", value.span)
-        cells = [self._peval(e, {}) for e in value.elements]
+        cells = [e.value if isinstance(e, IntLit) else self._value(e)
+                 for e in value.elements]
         for cell in cells:
             self._elem_check(decl.name, cell, elem_range, value.span)
-        self.params[decl.name] = _ParamArray(decl.name, ranges, cells)
+        self.params[decl.name] = _ParamArray(ranges, cells)
 
     def _elem_check(self, name, value, elem_range, span):
         if elem_range is not None:
@@ -252,8 +257,8 @@ class _Grounder:
             if decl.sort is Sort.BOOL:
                 lo = hi = None
             elif decl.bounds is not None:
-                lo = self._peval(decl.bounds[0], {})
-                hi = self._peval(decl.bounds[1], {})
+                lo = self._value(decl.bounds[0])
+                hi = self._value(decl.bounds[1])
             elif decl.founded and self.founded_default is not None:
                 lo, hi = self.founded_default
             elif decl.founded:
@@ -268,169 +273,253 @@ class _Grounder:
                 self.variables.append(Variable(decl.name, kind, decl.sort,
                                                lo, hi))
                 continue
-            self.arrays[decl.name] = (ranges, len(self.variables))
+            self.arrays[decl.name] = (ranges, len(self.variables),
+                                      Variable(decl.name, kind, decl.sort))
             for indices in itertools.product(
                     *(range(first, last + 1) for first, last in ranges)):
                 self.variables.append(Variable(_cell_name(decl.name, indices),
                                                kind, decl.sort, lo, hi))
 
-    # -- parameter evaluation ---------------------------------------------
-
-    def _peval(self, expr, env, note: str = "") -> int:
-        if isinstance(expr, IntLit):
-            return expr.value
+    def _is_var_ref(self, expr, scope) -> bool:
         if isinstance(expr, Ident):
-            if expr.name in env:
-                return env[expr.name]
-            value = self.params.get(expr.name)
-            if not isinstance(value, int):
-                raise GroundingError(
-                    f"'{expr.name}' is not a fixed integer here{note}",
-                    expr.span)
-            return value
-        if isinstance(expr, ArrayAccess):
-            array = self.params.get(expr.name)
-            if not isinstance(array, _ParamArray):
-                raise GroundingError(
-                    f"'{expr.name}' is not a parameter array{note}",
-                    expr.span)
-            indices = [self._peval(i, env, note) for i in expr.indices]
-            return array.get(indices, expr.span, note)
-        if isinstance(expr, Neg):
-            return -self._peval(expr.operand, env, note)
-        if isinstance(expr, BinOp) and expr.op in _ARITH:
-            first, links = _chain(expr, _ARITH)
-            value = self._peval(first, env, note)
-            for link in links:
-                value = _ARITH[link.op](value,
-                                        self._peval(link.right, env, note))
-            return value
-        raise GroundingError(f"expected a parameter expression{note}",
-                             _span_of(expr))
-
-    def _guard(self, expr, env, note: str) -> bool:
-        if isinstance(expr, Comparison):
-            left = self._peval(expr.left, env, note)
-            right = self._peval(expr.right, env, note)
-            return _HOLDS[expr.op](left, right)
-        if isinstance(expr, Not):
-            return not self._guard(expr.operand, env, note)
-        if isinstance(expr, BinOp):
-            if expr.op in _CONNECTIVES:
-                first, links = _chain(expr, _CONNECTIVES)
-                value = self._guard(first, env, note)
-                for link in links:
-                    if link.op == "/\\":
-                        value = value and self._guard(link.right, env, note)
-                    else:
-                        value = value or self._guard(link.right, env, note)
-                return value
-            if expr.op == "->":
-                return (not self._guard(expr.left, env, note)) or \
-                    self._guard(expr.right, env, note)
-            if expr.op == "<-":
-                return self._guard(expr.right, env, note) or \
-                    not self._guard(expr.left, env, note)
-        raise GroundingError(f"expected a parameter condition{note}",
-                             _span_of(expr))
-
-    # -- clause construction -------------------------------------------------
-
-    def _bindings(self, agg: Agg, env: dict):
-        """All environments generated by an aggregate's generators."""
-        envs = [dict(env)]
-        for gen in agg.gens:
-            nxt = []
-            for base in envs:  # a range may name an earlier generator
-                lo = self._peval(gen.lo, base, _note(base))
-                hi = self._peval(gen.hi, base, _note(base))
-                nxt.extend(self._spread(base, gen.names, lo, hi))
-            envs = nxt
-        if agg.where is not None:
-            envs = [e for e in envs
-                    if self._guard(agg.where, e, _note(e))]
-        return envs
-
-    def _spread(self, base: dict, names, lo: int, hi: int):
-        out = [base]
-        for name in names:
-            out = [dict(e, **{name: v})
-                   for e in out for v in range(lo, hi + 1)]
-        return out
-
-    def _variable_ref(self, expr, env, note: str) -> int:
-        """Resolve an Ident or ArrayAccess to a ground variable id."""
-        if isinstance(expr, Ident):
-            var = self.scalars.get(expr.name)
-            if var is None:
-                raise GroundingError(
-                    f"'{expr.name}' is not a variable{note}", expr.span)
-            return var
-        array = self.arrays.get(expr.name)
-        if array is None:
-            raise GroundingError(
-                f"'{expr.name}' is not a variable array{note}", expr.span)
-        ranges, base = array
-        indices = [self._peval(i, env, note) for i in expr.indices]
-        return base + _offset(expr.name, ranges, indices, expr.span, note)
-
-    def _is_var_ref(self, expr, env) -> bool:
-        if isinstance(expr, Ident):
-            return expr.name not in env and expr.name in self.scalars
+            return expr.name not in scope and expr.name in self.scalars
         if isinstance(expr, ArrayAccess):
             return expr.name in self.arrays
         return False
 
-    def _cnf(self, expr, env: dict, neg: bool, span) -> list:
-        """Flatten a condition to a conjunction of drafts."""
-        note = _note(env)
+    def _declared(self, expr) -> Variable:
+        """The declaration, kind and sort, of the variables a reference
+        names."""
+        if isinstance(expr, Ident):
+            return self.variables[self.scalars[expr.name]]
+        return self.arrays[expr.name][2]
+
+    # -- compiling parameter expressions -----------------------------------
+    #
+    # Every ``_int``/``_cond``/``_var``/``_cnf`` closure takes ``env``, the
+    # tuple of generator values whose names are ``scope``.  A fault found
+    # while compiling becomes a closure that raises it, so that it surfaces
+    # in evaluation order, for the binding that reaches it, or not at all.
+
+    def _int(self, expr, scope):
+        if isinstance(expr, IntLit):
+            value = expr.value
+            return lambda env: value
+        if isinstance(expr, Ident):
+            if expr.name in scope:
+                return operator.itemgetter(scope.index(expr.name))
+            value = self.params.get(expr.name)
+            if isinstance(value, int):
+                return lambda env: value
+            return _fail(f"'{expr.name}' is not a fixed integer here",
+                         expr.span, scope)
+        if isinstance(expr, ArrayAccess):
+            array = self.params.get(expr.name)
+            if not isinstance(array, _ParamArray):
+                return _fail(f"'{expr.name}' is not a parameter array",
+                             expr.span, scope)
+            return self._cell(expr, array.ranges, array.values, scope)
+        if isinstance(expr, Neg):
+            operand = self._int(expr.operand, scope)
+            return lambda env: -operand(env)
+        if isinstance(expr, BinOp) and expr.op in _ARITH:
+            first, links = _chain(expr, _ARITH)
+            start = self._int(first, scope)
+            steps = [(_ARITH[link.op], self._int(link.right, scope))
+                     for link in links]
+
+            def fold(env):
+                value = start(env)
+                for op, right in steps:
+                    value = op(value, right(env))
+                return value
+            return fold
+        return _fail("expected a parameter expression", _span_of(expr), scope)
+
+    def _cond(self, expr, scope):
+        if isinstance(expr, Comparison):
+            left = self._int(expr.left, scope)
+            right = self._int(expr.right, scope)
+            holds = _HOLDS[expr.op]
+            return lambda env: holds(left(env), right(env))
         if isinstance(expr, Not):
-            return self._cnf(expr.operand, env, not neg, span)
+            operand = self._cond(expr.operand, scope)
+            return lambda env: not operand(env)
+        if isinstance(expr, BinOp):
+            if expr.op in _CONNECTIVES:
+                first, links = _chain(expr, _CONNECTIVES)
+                start = self._cond(first, scope)
+                steps = [(link.op == "/\\", self._cond(link.right, scope))
+                         for link in links]
+
+                def fold(env):
+                    value = start(env)
+                    for conjoin, right in steps:
+                        if value == conjoin:  # else the chain is decided
+                            value = right(env)
+                    return value
+                return fold
+            if expr.op in ("->", "<-"):
+                # an implication is a disjunction of ~left and right
+                left = self._cond(expr.left, scope)
+                right = self._cond(expr.right, scope)
+                if expr.op == "<-":
+                    return lambda env: right(env) or not left(env)
+                return lambda env: (not left(env)) or right(env)
+        return _fail("expected a parameter condition", _span_of(expr), scope)
+
+    def _cell(self, access: ArrayAccess, ranges, values, scope):
+        """A closure giving the element of ``values``, laid out row-major
+        over ``ranges``, that ``access`` picks; every index is evaluated
+        before any is checked."""
+        indices = [self._int(i, scope) for i in access.indices]
+        name, span = access.name, access.span
+
+        def outside(index, lo, hi, env):
+            return GroundingError(f"index {index} is outside {lo}..{hi} in "
+                                  f"'{name}'{_note(scope, env)}", span)
+        if len(indices) == len(ranges) == 1:
+            (index,), ((lo, hi),) = indices, ranges
+
+            def cell(env):
+                i = index(env)
+                if lo <= i <= hi:
+                    return values[i - lo]
+                raise outside(i, lo, hi, env)
+            return cell
+
+        def cell(env):
+            picked = [index(env) for index in indices]
+            offset = 0
+            for (lo, hi), i in zip(ranges, picked):
+                if not lo <= i <= hi:
+                    raise outside(i, lo, hi, env)
+                offset = offset * (hi - lo + 1) + (i - lo)
+            return values[offset]
+        return cell
+
+    def _bindings(self, agg: Agg, scope):
+        """A closure giving every environment an aggregate's generators make
+        from an outer one, and the scope of those environments."""
+        steps = []
+        for gen in agg.gens:  # a range may name an earlier generator
+            steps.append((self._int(gen.lo, scope), self._int(gen.hi, scope),
+                          len(gen.names)))
+            scope = scope + tuple(gen.names)
+        where = None if agg.where is None else self._cond(agg.where, scope)
+
+        def bind(env):
+            envs = [env]
+            for lo, hi, count in steps:
+                spread = []
+                for base in envs:
+                    values = range(lo(base), hi(base) + 1)
+                    out = [base]
+                    for _ in range(count):
+                        out = [e + (v,) for e in out for v in values]
+                    spread.extend(out)
+                envs = spread
+            if where is not None:
+                envs = [e for e in envs if where(e)]
+            return envs
+        return bind, scope
+
+    def _var(self, expr, scope):
+        """A closure giving the ground variable id an Ident or ArrayAccess
+        names."""
+        if isinstance(expr, Ident):
+            var = self.scalars.get(expr.name)
+            if var is None:
+                return _fail(f"'{expr.name}' is not a variable", expr.span,
+                             scope)
+            return lambda env: var
+        array = self.arrays.get(expr.name)
+        if array is None:
+            return _fail(f"'{expr.name}' is not a variable array", expr.span,
+                         scope)
+        ranges, base = array[:2]
+        size = 1
+        for lo, hi in ranges:
+            size *= max(0, hi - lo + 1)
+        return self._cell(expr, ranges, range(base, base + size), scope)
+
+    def _var_fault(self, var, message: str, span, scope):
+        """A closure that resolves ``var`` and raises ``message``, formatted
+        with the variable's name, for that binding."""
+        def fail(env):
+            name = self.variables[var(env)].name
+            raise GroundingError(message.format(name) + _note(scope, env),
+                                 span)
+        return fail
+
+    # -- compiling conditions to clauses -----------------------------------
+
+    def _cnf(self, expr, scope, neg: bool, span):
+        """Compile a condition: ``(fn, slots)``.  ``fn(env)`` flattens it to a
+        conjunction of drafts.  ``slots`` lists its variable occurrences as
+        ``(reference, increasing)`` pairs when it flattens to a single clause
+        of exactly those, up to merging and folding, and is None otherwise."""
+        if isinstance(expr, Not):
+            return self._cnf(expr.operand, scope, not neg, span)
+        join = self._join
         if isinstance(expr, BinOp) and expr.op in _CONNECTIVES:
             first, links = _chain(expr, _CONNECTIVES)
-            parts = self._cnf(first, env, neg, span)
+            start, slots = self._cnf(first, scope, neg, span)
+            steps = []
             for link in links:
-                right = self._cnf(link.right, env, neg, span)
-                parts = self._join(parts, right,
-                                   conjoin=(link.op == "/\\") != neg,
-                                   span=span)
-            return parts
+                right, right_slots = self._cnf(link.right, scope, neg, span)
+                conjoin = (link.op == "/\\") != neg
+                steps.append((right, conjoin))
+                slots = _disjoined(slots, right_slots, conjoin)
+
+            def fold(env):
+                parts = start(env)
+                for right, conjoin in steps:
+                    parts = join(parts, right(env), conjoin, span)
+                return parts
+            return fold, slots
         if isinstance(expr, BinOp) and expr.op in ("->", "<-"):
             # an implication is a disjunction of ~left and right
             if expr.op == "<-":
                 left, right = expr.right, expr.left
             else:
                 left, right = expr.left, expr.right
-            return self._join(self._cnf(left, env, not neg, span),
-                              self._cnf(right, env, neg, span),
-                              conjoin=neg, span=span)
+            left, left_slots = self._cnf(left, scope, not neg, span)
+            right, right_slots = self._cnf(right, scope, neg, span)
+            return (lambda env: join(left(env), right(env), neg, span),
+                    _disjoined(left_slots, right_slots, neg))
         if isinstance(expr, Agg):
             if expr.kind == "sum":
-                raise GroundingError(f"sum is not a condition{note}",
-                                     expr.span)
+                return _fail("sum is not a condition", expr.span, scope), None
             conj = (expr.kind == "forall") != neg
-            parts = _static(conj)  # identity: true for and, false for or
-            for sub in self._bindings(expr, env):
-                part = self._cnf(expr.body, sub, neg, span)
-                parts = self._join(parts, part, conjoin=conj, span=span)
-            return parts
-        if isinstance(expr, Comparison):
-            return self._compare(expr, env, neg, note)
-        if self._is_var_ref(expr, env):
-            var = self._variable_ref(expr, env, note)
-            if self.variables[var].sort is not Sort.BOOL:
-                raise GroundingError(
-                    f"'{self.variables[var].name}' is an integer, not a "
-                    f"condition{note}", expr.span)
-            draft = _Draft()
-            draft.add_lit(var, not neg)
-            return [draft]
-        if isinstance(expr, HeadAnn):
-            raise GroundingError(f"misplaced head annotation{note}",
-                                 expr.span)
-        raise GroundingError(f"expected a condition{note}", _span_of(expr))
+            bind, inner = self._bindings(expr, scope)
+            body, _ = self._cnf(expr.body, inner, neg, span)
 
-    def _join(self, left: list, right: list, *, conjoin: bool, span) -> list:
+            def aggregate(env):
+                parts = _static(conj)  # identity: true for and, false for or
+                for sub in bind(env):
+                    parts = join(parts, body(sub), conj, span)
+                return parts
+            return aggregate, None
+        if isinstance(expr, Comparison):
+            return self._compare(expr, scope, neg)
+        if self._is_var_ref(expr, scope):
+            var = self._var(expr, scope)
+            if self._declared(expr).sort is not Sort.BOOL:
+                return self._var_fault(var, "'{}' is an integer, not a "
+                                       "condition", expr.span, scope), None
+            positive = not neg
+
+            def literal(env):
+                draft = _Draft()
+                draft.lits[var(env)] = positive
+                return [draft]
+            return literal, ((expr, positive),)
+        if isinstance(expr, HeadAnn):
+            return _fail("misplaced head annotation", expr.span, scope), None
+        return _fail("expected a condition", _span_of(expr), scope), None
+
+    def _join(self, left: list, right: list, conjoin: bool, span) -> list:
         if conjoin:  # every conjunction list is fresh, so extend in place
             left.extend(right)
             return left
@@ -452,141 +541,297 @@ class _Grounder:
             return _static(True)
         return out
 
-    def _compare(self, cmp: Comparison, env: dict, neg: bool,
-                 note: str) -> list:
+    def _compare(self, cmp: Comparison, scope, neg: bool):
+        """Compile a comparison to its ``>=`` atoms.  An atom reads ``big -
+        small >= gap``; its parts are ``big``'s followed by ``small``'s
+        negated, so one pass merges its terms in first-appearance order."""
         op = _NEGATED[cmp.op] if neg else cmp.op
-        drafts = []
-        for members in _ATOMS[op]:
-            draft = _Draft()
-            for swap, gap in members:
-                big, small = (cmp.right, cmp.left) if swap else \
-                    (cmp.left, cmp.right)
-                terms, constant = self._linear(big, env, note)
-                neg_terms, neg_constant = self._linear(small, env, note)
-                for var, coeff in neg_terms.items():
-                    terms[var] = terms.get(var, 0) - coeff
-                constant -= neg_constant
-                folded = tuple((coeff, var) for var, coeff in terms.items()
-                               if coeff != 0)
-                bound = gap - constant
-                if not folded:
-                    if 0 >= bound:
-                        draft.true = True
-                    continue
-                draft.add_atom(folded, bound)
-            drafts.append(draft)
-        return [d for d in drafts if not d.true] or _static(True)
+        sides = {False: self._linear(cmp.left, scope),
+                 True: self._linear(cmp.right, scope)}
+        members = []
+        for atoms in _ATOMS[op]:
+            member = []
+            for swap, gap in atoms:
+                big, big_constant = sides[swap]
+                small, small_constant = sides[not swap]
+                member.append((big + _scaled(small, -1),
+                               gap - big_constant + small_constant))
+            members.append(member)
+        parts = [part for member in members for atom, _ in member
+                 for part in atom]
+        if len(members) > 1 or any(kind == _SUB for _, kind, _, _ in parts):
+            slots = None  # a sum or product may bring other occurrences
+        else:
+            slots = tuple((slot, coeff > 0)
+                          for coeff, kind, _, slot in parts if kind == _VAR)
+        if len(members) == 1 and len(members[0]) == 1:
+            ((parts, base),) = members[0]
 
-    def _linear(self, expr, env: dict, note: str, *,
-                allow_b2i: bool = False):
-        """Collect an integer expression into (coefficients, constant)."""
+            def compare(env):
+                folded, bound = _atom(parts, base, env)
+                draft = _Draft()
+                if folded:
+                    draft.atoms[folded, bound] = LinearAtom(folded, bound)
+                elif 0 >= bound:
+                    return []
+                return [draft]
+            return compare, slots
+
+        def compare(env):
+            drafts = []
+            for member in members:
+                draft = _Draft()
+                for parts, base in member:
+                    folded, bound = _atom(parts, base, env)
+                    if not folded:
+                        if 0 >= bound:
+                            draft.true = True
+                        continue
+                    draft.add_atom(folded, bound)
+                drafts.append(draft)
+            return [d for d in drafts if not d.true]
+        return compare, slots
+
+    # -- compiling integer expressions --------------------------------------
+
+    def _linear(self, expr, scope, allow_b2i: bool = False):
+        """Compile an integer expression to ``(parts, constant)``: the
+        constant folded at compile time, and the parts ``(coeff, kind, fn,
+        slot)`` in evaluation order (see ``_collect``).  ``slot`` is the
+        reference of a variable part, else None."""
         if isinstance(expr, IntLit):
-            return {}, expr.value
+            return [], expr.value
         if isinstance(expr, (Ident, ArrayAccess)):
-            if self._is_var_ref(expr, env):
-                var = self._variable_ref(expr, env, note)
-                if self.variables[var].sort is Sort.BOOL:
-                    raise GroundingError(
-                        f"'{self.variables[var].name}' is Boolean; it cannot "
-                        f"appear in arithmetic{note}", expr.span)
-                return {var: 1}, 0
-            return {}, self._peval(expr, env, note)
+            if not self._is_var_ref(expr, scope):
+                value = None if expr.name in scope else \
+                    self.params.get(expr.name)
+                if isinstance(value, int):  # the same in every binding
+                    return [], value
+                return [(1, _INT, self._int(expr, scope), None)], 0
+            var = self._var(expr, scope)
+            if self._declared(expr).sort is Sort.BOOL:
+                return [(1, _INT, self._var_fault(
+                    var, "'{}' is Boolean; it cannot appear in arithmetic",
+                    expr.span, scope), None)], 0
+            return [(1, _VAR, var, expr)], 0
         if isinstance(expr, Neg):
-            terms, constant = self._linear(expr.operand, env, note,
-                                           allow_b2i=allow_b2i)
-            return {v: -c for v, c in terms.items()}, -constant
+            parts, constant = self._linear(expr.operand, scope, allow_b2i)
+            return _scaled(parts, -1), -constant
         if isinstance(expr, Bool2Int):
             if not allow_b2i:
-                raise GroundingError(
-                    f"bool2int is only allowed in the objective{note}",
-                    expr.span)
-            if not self._is_var_ref(expr.operand, env):
-                raise GroundingError(
-                    f"bool2int needs a Boolean variable{note}", expr.span)
-            var = self._variable_ref(expr.operand, env, note)
-            if self.variables[var].sort is not Sort.BOOL:
-                raise GroundingError(
-                    f"bool2int needs a Boolean variable{note}", expr.span)
-            return {var: 1}, 0
+                fault = _fail("bool2int is only allowed in the objective",
+                              expr.span, scope)
+            elif not self._is_var_ref(expr.operand, scope):
+                fault = _fail("bool2int needs a Boolean variable", expr.span,
+                              scope)
+            else:
+                var = self._var(expr.operand, scope)
+                if self._declared(expr.operand).sort is Sort.BOOL:
+                    return [(1, _VAR, var, expr.operand)], 0
+                fault = self._var_fault(var, "bool2int needs a Boolean "
+                                        "variable", expr.span, scope)
+            return [(1, _INT, fault, None)], 0
         if isinstance(expr, Agg) and expr.kind == "sum":
-            terms: dict[int, int] = {}
-            constant = 0
-            for sub in self._bindings(expr, env):
-                sub_terms, sub_constant = self._linear(
-                    expr.body, sub, _note(sub), allow_b2i=allow_b2i)
-                for var, coeff in sub_terms.items():
-                    terms[var] = terms.get(var, 0) + coeff
-                constant += sub_constant
-            return terms, constant
+            bind, inner = self._bindings(expr, scope)
+            body, body_constant = self._linear(expr.body, inner, allow_b2i)
+
+            def total(env):
+                terms = {}
+                constant = 0
+                for sub in bind(env):
+                    constant += _collect(body, sub, terms) + body_constant
+                return terms, constant
+            return [(1, _SUB, total, None)], 0
         if isinstance(expr, BinOp) and expr.op in _ARITH:
             first, links = _chain(expr, _ARITH)
-            terms, constant = self._linear(first, env, note,
-                                           allow_b2i=allow_b2i)
+            parts, constant = self._linear(first, scope, allow_b2i)
             for link in links:
-                right_terms, right_const = self._linear(
-                    link.right, env, note, allow_b2i=allow_b2i)
+                right, right_constant = self._linear(link.right, scope,
+                                                     allow_b2i)
                 if link.op == "*":
-                    if terms and right_terms:
-                        raise GroundingError(
-                            f"non-linear product{note}", link.span)
-                    if right_terms:
-                        terms, right_terms = right_terms, terms
-                        constant, right_const = right_const, constant
-                    terms = {v: c * right_const for v, c in terms.items()}
-                    constant *= right_const
+                    parts, constant = _product(parts, constant, right,
+                                               right_constant, link.span,
+                                               scope)
                     continue
                 sign = 1 if link.op == "+" else -1
-                for var, coeff in right_terms.items():
-                    terms[var] = terms.get(var, 0) + sign * coeff
-                constant += sign * right_const
-            return terms, constant
-        raise GroundingError(f"expected an integer expression{note}",
-                             _span_of(expr))
+                parts = parts + _scaled(right, sign)
+                constant += sign * right_constant
+            return parts, constant
+        return [(1, _INT, _fail("expected an integer expression",
+                                _span_of(expr), scope), None)], 0
 
     # -- items ---------------------------------------------------------------
 
     def _ground_rule(self, item) -> list:
-        node = item.expr
-        envs = [{}]
+        node, scope, levels = item.expr, (), []
         while isinstance(node, Agg) and node.kind == "forall":
-            nxt = []
-            for env in envs:
-                nxt.extend(self._bindings(node, env))
-            envs = nxt
+            bind, scope = self._bindings(node, scope)
+            levels.append(bind)
             node = node.body
+        head_of = self._var(node.target, scope)
+        body, slots = self._cnf(node.body, scope, False, item.span)
+        size = self._template_size(node.target, slots)
+        envs = [()]
+        for bind in levels:
+            envs = [sub for env in envs for sub in bind(env)]
         rules = []
         for env in envs:
-            note = _note(env)
-            head = self._variable_ref(node.target, env, note)
-            drafts = self._cnf(node.body, env, False, item.span)
-            drafts = [d for d in drafts if not d.true]
+            head = head_of(env)
+            drafts = [d for d in body(env) if not d.true]
             if not drafts:
                 continue  # a trivially true clause never forces its head
             if len(drafts) > 1:
                 raise GroundingError(
                     f"a rule must flatten to a single clause, this one "
-                    f"needs {len(drafts)}{note}", item.span)
-            clause = drafts[0].to_clause()
-            rule = Rule(clause, head)
-            violation = validate_rule(rule, self.variables)
-            if violation is not None:
-                raise GroundingError(
-                    violation.describe(self.variables[head].name) + note,
-                    item.span)
-            for var in set(clause.variables()):
-                if var != head and monotonicity(clause, var) is \
-                        Monotonicity.NON_MONOTONE:
-                    raise GroundingError(
-                        f"rule clause is non-monotone in "
-                        f"'{self.variables[var].name}'{note}", item.span)
+                    f"needs {len(drafts)}{_note(scope, env)}", item.span)
+            rule = Rule(drafts[0].to_clause(), head)
+            if size is None or not _spread_out(rule.clause, size):
+                fault = _rule_fault(rule, self.variables)
+                if fault is not None:
+                    raise GroundingError(fault + _note(scope, env),
+                                         item.span)
             rules.append(rule)
         return rules
 
+    def _template_size(self, target, slots):
+        """How many occurrences a rule template has, when an instance with
+        that many occurrences on as many variables needs no check of its
+        own; None when every instance is checked.
+
+        Such an instance has the template's signs, so the template is
+        checked once instead, on a clause with one symbolic variable per
+        occurrence.  The head must be written like exactly one occurrence.
+        """
+        if not slots:
+            return None
+        shape = _unspanned(target)
+        heads = [i for i, (ref, _) in enumerate(slots)
+                 if _unspanned(ref) == shape]
+        if len(heads) != 1:
+            return None
+        variables = [self._declared(ref) for ref, _ in slots]
+        clause = Clause(tuple(Literal(i, increasing)
+                              for i, (_, increasing) in enumerate(slots)))
+        if _rule_fault(Rule(clause, heads[0]), variables) is not None:
+            return None
+        return len(slots)
+
     def _objective(self, expr) -> LinearExpr:
-        terms, constant = self._linear(expr, {}, "", allow_b2i=True)
+        parts, constant = self._linear(expr, (), allow_b2i=True)
+        terms = {}
+        constant += _collect(parts, (), terms)
         folded = tuple((coeff, var) for var, coeff in terms.items()
                        if coeff != 0)
         return LinearExpr(folded, constant)
+
+
+def _collect(parts, env, terms: dict) -> int:
+    """Add the terms of ``parts`` under ``env`` into ``terms`` and return
+    their constant.  A variable keeps its first position and its entry even
+    when its coefficient sums to zero, as a product's linearity check needs.
+    """
+    constant = 0
+    for coeff, kind, fn, _ in parts:
+        if kind == _VAR:
+            var = fn(env)
+            terms[var] = terms.get(var, 0) + coeff
+        elif kind == _INT:
+            constant += coeff * fn(env)
+        else:
+            sub_terms, sub_constant = fn(env)
+            for var, sub_coeff in sub_terms.items():
+                terms[var] = terms.get(var, 0) + coeff * sub_coeff
+            constant += coeff * sub_constant
+    return constant
+
+
+def _atom(parts, base: int, env):
+    """The terms, zero coefficients left out, and the bound of an atom
+    ``parts >= base`` under ``env``."""
+    terms = {}
+    bound = base - _collect(parts, env, terms)
+    return tuple([(coeff, var) for var, coeff in terms.items()
+                  if coeff != 0]), bound
+
+
+def _scaled(parts, factor: int) -> list:
+    return [(coeff * factor, kind, fn, slot)
+            for coeff, kind, fn, slot in parts]
+
+
+def _product(left, left_constant, right, right_constant, span, scope):
+    """The parts of ``left * right``.  A fixed factor scales the other side
+    at compile time; otherwise one part multiplies the two sides per
+    binding, refusing two sides that both have terms."""
+    if not right:
+        return _scaled(left, right_constant), left_constant * right_constant
+    if not left:
+        return _scaled(right, left_constant), left_constant * right_constant
+
+    def product(env):
+        terms = {}
+        constant = _collect(left, env, terms) + left_constant
+        other = {}
+        factor = _collect(right, env, other) + right_constant
+        if terms and other:
+            raise GroundingError(f"non-linear product{_note(scope, env)}",
+                                 span)
+        if other:
+            terms, constant, factor = other, factor, constant
+        return {v: c * factor for v, c in terms.items()}, constant * factor
+    return [(1, _SUB, product, None)], 0
+
+
+def _disjoined(left, right, conjoin: bool):
+    """The slots of two joined conditions: one clause only for a disjunction
+    of two single clauses."""
+    if conjoin or left is None or right is None:
+        return None
+    return left + right
+
+
+def _rule_fault(rule: Rule, variables):
+    """Why ``rule`` cannot be a rule, as the grounder reports it, or None."""
+    violation = validate_rule(rule, variables)
+    if violation is not None:
+        return violation.describe(variables[rule.head].name)
+    for var in set(rule.clause.variables()):
+        if var != rule.head and monotonicity(rule.clause, var) is \
+                Monotonicity.NON_MONOTONE:
+            return f"rule clause is non-monotone in '{variables[var].name}'"
+    return None
+
+
+def _spread_out(clause: Clause, size: int) -> bool:
+    """Whether ``clause`` has ``size`` occurrences, on as many variables.
+
+    Literals are on distinct Boolean variables and an atom's terms on
+    distinct integer ones, so only two atoms can share a variable.
+    """
+    atoms = clause.atoms
+    if len(atoms) > 1:
+        ids = [*clause.variables()]
+        return len(ids) == size == len(set(ids))
+    return len(clause.lits) + (len(atoms[0].terms) if atoms else 0) == size
+
+
+def _unspanned(node):
+    """``node`` with its source spans left out, to compare expressions by
+    what they say."""
+    if isinstance(node, tuple):
+        return tuple(_unspanned(n) for n in node)
+    fields = getattr(node, "__dataclass_fields__", None)
+    if fields is None:
+        return node
+    return (type(node),) + tuple(_unspanned(getattr(node, name))
+                                 for name in fields if name != "span")
+
+
+def _fail(message: str, span, scope):
+    """A closure that raises ``message`` with the binding it is called on."""
+    def fail(env):
+        raise GroundingError(message + _note(scope, env), span)
+    return fail
 
 
 def _chain(expr, ops):
@@ -601,10 +846,10 @@ def _chain(expr, ops):
     return expr, links
 
 
-def _note(env: dict) -> str:
-    if not env:
+def _note(scope, env) -> str:
+    if not scope:
         return ""
-    inner = ", ".join(f"{k}={v}" for k, v in env.items())
+    inner = ", ".join(f"{k}={v}" for k, v in zip(scope, env))
     return f" ({inner})"
 
 

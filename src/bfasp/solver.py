@@ -210,6 +210,7 @@ class Search:
         self._on_update = on_update
         self._evaluator = LeafEvaluator(program)
         self._guess = self._order_guesses()
+        self._ranges = self._narrowed_ranges()
         self._guess_founded = [v for v in self._guess
                                if program.variables[v].is_founded]
         (self._at_root, self._at_guess, self._at_leaf,
@@ -234,6 +235,38 @@ class Search:
                         f"{size} values; expect search blowup", stacklevel=3)
         return chosen
 
+    def _narrowed_ranges(self) -> dict:
+        """At ``CLAUSE``, each guessed integer's ``(lo, hi, bottom tried)``
+        as cut by the constraints that are one atom over it alone.
+
+        Such a constraint refuses a value outside at the variable's own
+        guess anyway, so leaving those values out changes neither the
+        models nor their order; a wide domain is just never walked.
+        """
+        if self.config.propagation is not PropagationLevel.CLAUSE:
+            return {}
+        guessed = set(self._guess)
+        ranges = {}
+        for clause in self.program.constraints:
+            if clause.lits or len(clause.atoms) != 1:
+                continue
+            (atom,) = clause.atoms
+            if len(atom.terms) != 1 or not isinstance(atom.bound, int):
+                continue
+            ((coeff, var),) = atom.terms
+            if var not in guessed:
+                continue
+            info = self.program.variables[var]
+            lo, hi, bottom = ranges.get(var, (info.lo, info.hi,
+                                              info.is_founded))
+            if coeff > 0:  # var >= bound / coeff, which the bottom fails
+                lo = max(lo, -(-atom.bound // coeff))
+                bottom = False
+            else:  # var <= bound / coeff, which the bottom meets
+                hi = min(hi, atom.bound // coeff)
+            ranges[var] = (lo, hi, bottom)
+        return ranges
+
     def _values_for(self, var: int):
         """The values tried for ``var``, made lazily: a domain may be wide."""
         info = self.program.variables[var]
@@ -241,8 +274,10 @@ class Search:
         if info.sort is Sort.BOOL:
             values = (False, True)
         else:
-            values = range(info.lo, info.hi + 1)
-            if info.is_founded:
+            lo, hi, founded = self._ranges.get(
+                var, (info.lo, info.hi, info.is_founded))
+            values = range(lo, hi + 1)
+            if founded:
                 bottom = (NEG_INF,)
         if self.config.value_order is ValueOrder.MAX_FIRST:
             return itertools.chain(reversed(values), bottom)
@@ -360,8 +395,8 @@ class Search:
                     assignment[var] = value
                     if not self._pruned(assignment, depth):
                         break
-                else:
-                    del assignment[var]
+                else:  # a narrowed domain may be empty
+                    assignment.pop(var, None)
                     levels.pop()
                     continue
                 break

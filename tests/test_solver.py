@@ -194,6 +194,35 @@ def test_propagation_levels_agree(rng):
         assert optimize(program, leaf) == optimize(program, clause)
 
 
+def test_single_variable_constraints_narrow_a_wide_guess_domain():
+    program = ground(parse_model(
+        "var 0..1000000000000: n;\nconstraint n = 5;\n"))
+    search = Search(program, SearchConfig(time_budget=60))
+    assert list(search.models()) == [{0: 5}]
+    assert search.status is SearchStatus.EXHAUSTED
+    assert search.stats.pruned_clause == 0  # no refused value was tried
+
+
+@pytest.mark.parametrize("constraints", [
+    "2 * n >= 3;", "-3 * n >= -8;", "n >= 2 /\\ n <= 4;", "n != 4;",
+    "2 * a >= 1;", "-a >= -2;", "-2 * a >= 3;", "a >= 7;", "n + a >= 1;",
+    "3 * n >= 4 /\\ -2 * a >= -3 /\\ n <= 5;",
+], ids=["ceil", "floor", "both", "two-atoms", "bottom-refused",
+        "bottom-kept", "only-bottom", "empty", "two-variables", "mixed"])
+def test_narrowed_guess_domains_keep_the_models_and_their_order(constraints):
+    # a is founded and guessed: p's rule reads it positively.
+    program = ground(parse_model(
+        "var -6..6: n;\nvar -3..3: a :: founded;\nvar bool: p :: founded;\n"
+        "rule (p <- a <= 1 :: head(p));\n"
+        "rule (a >= n - 2 :: head(a));\n"
+        "constraint " + constraints + "\n"))
+    for order in ValueOrder:
+        runs = [list(enumerate_stable(program, SearchConfig(
+                    value_order=order, propagation=level)))
+                for level in PropagationLevel]
+        assert runs[0] == runs[1]
+
+
 def test_undefined_rule_clause_holds_and_undefined_constraint_fails():
     # a and b are guessed (c and e read them in substituted positions), and
     # a - b is undefined at a = b = -inf, where the only stable model sits.
