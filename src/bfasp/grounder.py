@@ -121,7 +121,7 @@ class _Draft:
         return out
 
     def to_clause(self) -> Clause:
-        lits = tuple(itertools.starmap(Literal, self.lits.items()))
+        lits = tuple(Literal(var, pos) for var, pos in self.lits.items())
         return Clause(lits, tuple(self.atoms.values()))
 
 
@@ -235,8 +235,7 @@ class _Grounder:
             raise GroundingError(
                 f"'{decl.name}' needs {size} element(s), "
                 f"{len(value.elements)} given", value.span)
-        cells = [e.value if isinstance(e, IntLit) else self._value(e)
-                 for e in value.elements]
+        cells = [self._value(e) for e in value.elements]
         for cell in cells:
             self._elem_check(decl.name, cell, elem_range, value.span)
         self.params[decl.name] = _ParamArray(ranges, cells)
@@ -378,16 +377,6 @@ class _Grounder:
         def outside(index, lo, hi, env):
             return GroundingError(f"index {index} is outside {lo}..{hi} in "
                                   f"'{name}'{_note(scope, env)}", span)
-        if len(indices) == len(ranges) == 1:
-            (index,), ((lo, hi),) = indices, ranges
-
-            def cell(env):
-                i = index(env)
-                if lo <= i <= hi:
-                    return values[i - lo]
-                raise outside(i, lo, hi, env)
-            return cell
-
         def cell(env):
             picked = [index(env) for index in indices]
             offset = 0
@@ -564,19 +553,6 @@ class _Grounder:
         else:
             slots = tuple((slot, coeff > 0)
                           for coeff, kind, _, slot in parts if kind == _VAR)
-        if len(members) == 1 and len(members[0]) == 1:
-            ((parts, base),) = members[0]
-
-            def compare(env):
-                folded, bound = _atom(parts, base, env)
-                draft = _Draft()
-                if folded:
-                    draft.atoms[folded, bound] = LinearAtom(folded, bound)
-                elif 0 >= bound:
-                    return []
-                return [draft]
-            return compare, slots
-
         def compare(env):
             drafts = []
             for member in members:
@@ -803,16 +779,9 @@ def _rule_fault(rule: Rule, variables):
 
 
 def _spread_out(clause: Clause, size: int) -> bool:
-    """Whether ``clause`` has ``size`` occurrences, on as many variables.
-
-    Literals are on distinct Boolean variables and an atom's terms on
-    distinct integer ones, so only two atoms can share a variable.
-    """
-    atoms = clause.atoms
-    if len(atoms) > 1:
-        ids = [*clause.variables()]
-        return len(ids) == size == len(set(ids))
-    return len(clause.lits) + (len(atoms[0].terms) if atoms else 0) == size
+    """Whether ``clause`` has ``size`` occurrences, on as many variables."""
+    ids = [*clause.variables()]
+    return len(ids) == size == len(set(ids))
 
 
 def _unspanned(node):
