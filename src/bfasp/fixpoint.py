@@ -176,6 +176,13 @@ class _LeafRule(NamedTuple):
     fixed_fold: tuple | None
 
 
+class Cone(NamedTuple):
+    """The rules an upper-bound run needs to bound ``targets``."""
+
+    targets: tuple  # founded variables
+    rules: tuple  # rule indices, in program order
+
+
 class LeafEvaluator:
     """The reduct and its minimal model, compiled once per program.
 
@@ -188,12 +195,18 @@ class LeafEvaluator:
     mapping, applied.
 
     Kept occurrences other than the head are founded and decreasing, so
-    their literals are negative and their coefficients negative.
+    their literals are negative and their coefficients negative.  A rule
+    that owes nothing with them all at the bottom, decided once per rule,
+    is not evaluated until one of them is raised: it stays in the queue at
+    its program position, so the raises and their order are the spec
+    path's.  Rules whose fold reads substituted terms are always evaluated.
 
     ``upper_bounds(partial)`` runs the same fold and fixpoint on a partial
     guess assignment, with every unassigned substituted occurrence at its
     least satisfying value.  The reduct is antitone in those values, so the
-    result bounds the minimal model of every completion from above.
+    result bounds the minimal model of every completion from above.  Given
+    a ``cone(targets)``, it folds and propagates only the rules that can
+    raise a target, which gives the targets the same bounds.
     """
 
     def __init__(self, program: Program):
@@ -212,17 +225,28 @@ class LeafEvaluator:
         # var -> (rule index, atom index or None for a literal) for every
         # kept non-head occurrence, in rule order.
         self._watchers = [[] for _ in variables]
+        self._by_head = [[] for _ in variables]
         for index, rule in enumerate(program.rules):
             compiled = _compile_rule(substitution_plan(rule, variables),
                                      variables)
             self._rules.append(compiled)
             if compiled is None:
                 continue
+            self._by_head[compiled.head].append(index)
             for var, _ in compiled.kept_lits:
                 self._watchers[var].append((index, None))
             for slot, atom in enumerate(compiled.atoms):
                 for _, var in atom.kept:
                     self._watchers[var].append((index, slot))
+        self._all = tuple(i for i, rule in enumerate(self._rules)
+                          if rule is not None)
+        # True for a rule that owes nothing while its kept occurrences are
+        # at the bottom, whatever the valuation.
+        self._idle = [
+            rule is not None and rule.fixed_fold is not None
+            and _leaf_requirement(rule.kept_lits, rule.atoms, rule.fixed_fold,
+                                  self._template, rule.lo is None) is None
+            for rule in self._rules]
 
     def minimal_model(self, valuation, *, on_update=None) -> FixpointResult:
         """Least fixpoint of the program's reduct under ``valuation``.
@@ -230,14 +254,35 @@ class LeafEvaluator:
         ``valuation`` must cover every substituted occurrence (the guess set
         suffices).  The model covers every founded variable.
         """
-        bounds, unsat_index = self._fixpoint(self._fold(valuation), on_update,
+        bounds, unsat_index = self._fixpoint(self._all, valuation, on_update,
                                              clamp=False)
         if unsat_index is not None:
             return FixpointResult(None, unsat_index)
         return FixpointResult({var: bounds[var] for var in self._founded})
 
-    def upper_bounds(self, partial) -> dict:
-        """An upper bound on every founded variable, for every completion.
+    def cone(self, targets) -> Cone:
+        """The rules that can raise a variable of ``targets``: the backward
+        closure from the targets over each rule's head and kept
+        occurrences."""
+        rules = self._rules
+        seen = set(targets)
+        pending = list(seen)
+        chosen = []
+        while pending:
+            for index in self._by_head[pending.pop()]:
+                chosen.append(index)
+                rule = rules[index]
+                kept = [var for var, _ in rule.kept_lits]
+                kept += [var for atom in rule.atoms for _, var in atom.kept]
+                for var in kept:
+                    if var not in seen:
+                        seen.add(var)
+                        pending.append(var)
+        return Cone(tuple(targets), tuple(sorted(chosen)))
+
+    def upper_bounds(self, partial, cone: Cone | None = None) -> dict:
+        """An upper bound on every founded variable, for every completion;
+        on the targets only, given their ``cone``.
 
         ``partial`` assigns some of the guess variables.  An unassigned
         substituted literal counts as false, so its rule stays, and an
@@ -248,38 +293,43 @@ class LeafEvaluator:
         clamped to ``hi``, since it says nothing about whether a
         completion's reduct has a model.
         """
-        bounds, _ = self._fixpoint(self._fold(partial), None, clamp=True)
-        return {var: bounds[var] for var in self._founded}
+        if cone is None:
+            cone = Cone(self._founded, self._all)
+        bounds, _ = self._fixpoint(cone.rules, partial, None, clamp=True)
+        return {var: bounds[var] for var in cone.targets}
 
-    def _fold(self, valuation):
-        """Each rule's folded atom bounds, None for a rule the reduct drops.
+    def _fixpoint(self, order, valuation, on_update, clamp):
+        """Raise bounds from the bottom under the rules ``order`` lists.
 
-        An unassigned substituted occurrence takes its least satisfying
-        value: a literal counts as false, a term adds its least
-        ``coeff * value``.
-        """
-        return [None if rule is None else _fold_rule(rule, valuation)
-                for rule in self._rules]
-
-    def _fixpoint(self, folds, on_update, clamp):
-        """Raise bounds from the bottom under the folded rules.
-
+        Each rule is first folded under ``valuation``: an unassigned
+        substituted occurrence takes its least satisfying value, a literal
+        counting as false and a term adding its least ``coeff * value``.
         Returns the bounds, indexed by variable, and None, or None and the
         index of a rule whose requirement passed its head's ``hi``; with
         ``clamp`` such a requirement raises the head to ``hi`` instead.
         """
         rules = self._rules
         watchers = self._watchers
+        # None for a rule outside ``order`` or one the reduct drops
+        folds = [None] * len(rules)
+        for index in order:
+            folds[index] = _fold_rule(rules[index], valuation)
         bounds = self._template.copy()
         budget = self._budget
         raises = 0
-        queue = deque([i for i, fold in enumerate(folds) if fold is not None])
+        queue = deque([i for i in order if folds[i] is not None])
         # Inactive rules are never popped, so they stay marked and never
         # join the queue.
         queued = [True] * len(rules)
+        # An idle rule is skipped at its first pop unless a raise woke it
+        # while it was queued.
+        idle = self._idle.copy()
         while queue:
             index = queue.popleft()
             queued[index] = False
+            if idle[index]:
+                idle[index] = False
+                continue
             head, lo, hi, _, kept_lits, atoms, _ = rules[index]
             required = _leaf_requirement(kept_lits, atoms, folds[index],
                                          bounds, lo is None)
@@ -306,6 +356,7 @@ class LeafEvaluator:
                 raise WatchdogError(_WATCHDOG_MESSAGE)
             for watching, slot in watchers[head]:
                 if queued[watching]:
+                    idle[watching] = False
                     continue
                 if slot is None or folds[watching][slot] is not None:
                     queued[watching] = True

@@ -146,7 +146,8 @@ class SearchStats:
     refused it: a clause over guess variables (``pruned_clause``), the
     objective bound (``pruned_objective``), or the upper bounds on founded
     variables (``pruned_bounds``).  ``bound_runs`` counts the upper-bound
-    fixpoints run for that last check.
+    fixpoints run for that last check, and ``bound_rules`` the rules in
+    their cones, once per run.
     """
 
     nodes: int = 0
@@ -155,6 +156,7 @@ class SearchStats:
     pruned_objective: int = 0
     pruned_bounds: int = 0
     bound_runs: int = 0
+    bound_rules: int = 0
 
 
 @dataclass
@@ -190,8 +192,11 @@ class Search:
     variable negatively is left to the leaf, since that member holds at the
     bottom.  A guessed founded variable is checked against its upper bound
     at its own guess, again not the last: no completion can be stable when
-    its value exceeds the bound.  Only subtrees without a stable model are
-    pruned, so every level yields the same models in the same order.
+    its value exceeds the bound.  A guess's bound run folds and propagates
+    only the cone of the founded variables its checks read
+    (``LeafEvaluator.cone``), built at its first run.  Only subtrees
+    without a stable model are pruned, so every level yields the same
+    models in the same order.
     ``LEAF_CHECK`` moves every constraint to the leaf and turns the
     objective-bound and upper-bound prunes off.  Each leaf evaluates the
     program's reduct under the guesses without building it (see
@@ -215,9 +220,12 @@ class Search:
                                if program.variables[v].is_founded]
         (self._at_root, self._at_guess, self._at_leaf,
          self._bounded) = self._schedule_checks()
+        self._cones = [None] * len(self._guess)
         self._objective = program.objective
         self._bound: int | None = None
-        self._obj_floor = self._objective_floor_values()
+        self._floor_root, self._floor_steps = self._objective_floor()
+        # the objective floor with the guesses down to each depth assigned
+        self._floors = [None] * len(self._guess)
         self._emitted = 0
         self._deadline = None
 
@@ -287,8 +295,8 @@ class Search:
         """Constraints checked before the search, ``(clause, pruning
         verdicts)`` per deciding guess position, leaf constraints, and the
         upper-bound checks per guess position: ``(clause, its members over
-        guess variables)`` pairs and ``(guessed founded variable, its least
-        value)`` pairs."""
+        guess variables)`` pairs, ``(guessed founded variable, its least
+        value)`` pairs, and the founded variables those checks read."""
         variables = self.program.variables
         position = {var: i for i, var in enumerate(self._guess)}
         by_guess = self.config.propagation is PropagationLevel.CLAUSE
@@ -322,23 +330,36 @@ class Search:
                 if position[var] < last:
                     bounded[position[var]][1].append(
                         (var, variables[var].least_value()))
-        return at_root, at_guess, at_leaf, bounded
+        return at_root, at_guess, at_leaf, [
+            (clauses, guessed, tuple(dict.fromkeys(
+                [var for clause, _ in clauses for var in clause.variables()
+                 if var not in position] + [var for var, _ in guessed])))
+            for clauses, guessed in bounded]
 
-    def _objective_floor_values(self):
-        """Values minimising each objective term; None disables the prune."""
-        if (self._objective is None
+    def _objective_floor(self):
+        """The least objective value, and per guess position the
+        ``(coefficient, minimising value)`` of each objective term over
+        that guess; ``(None, None)`` disables the prune."""
+        objective = self._objective
+        if (objective is None
                 or self.config.propagation is PropagationLevel.LEAF_CHECK):
-            return None
-        floors = {}
-        for coeff, var in self._objective.terms:
+            return None, None
+        least = {}
+        for coeff, var in objective.terms:
             info = self.program.variables[var]
             if info.sort is Sort.BOOL:
-                floors[var] = coeff < 0
+                least[var] = coeff < 0
             elif info.is_founded:
-                return None  # -inf possible, no useful floor
+                return None, None  # -inf possible, no useful floor
             else:
-                floors[var] = info.lo if coeff > 0 else info.hi
-        return floors
+                least[var] = info.lo if coeff > 0 else info.hi
+        steps = [[] for _ in self._guess]
+        position = {var: i for i, var in enumerate(self._guess)}
+        for coeff, var in objective.terms:
+            if var in position:
+                steps[position[var]].append((coeff, least[var]))
+        return (objective.constant + linear_sum(objective.terms, least),
+                steps)
 
     # -- search ----------------------------------------------------------
 
@@ -409,36 +430,45 @@ class Search:
             raise _StopSearch
 
     def _pruned(self, assignment: dict, depth: int) -> bool:
+        """Whether the value just given to the guess at ``depth`` is
+        refused.  Keeps ``_floors[depth]`` for the deeper guesses."""
         stats = self.stats
         for clause, pruning in self._at_guess[depth]:
             if eval_clause(clause, assignment) in pruning:
                 stats.pruned_clause += 1
                 return True
-        if self._bound is not None and self._obj_floor is not None:
-            floor = self._objective.constant + linear_sum(
-                self._objective.terms, {**self._obj_floor, **assignment})
-            if floor > self._bound:
+        if self._floor_steps is not None:
+            floor = self._floors[depth - 1] if depth else self._floor_root
+            value = assignment[self._guess[depth]]
+            for coeff, least in self._floor_steps[depth]:
+                floor += coeff * (value - least)
+            self._floors[depth] = floor
+            if self._bound is not None and floor > self._bound:
                 stats.pruned_objective += 1
                 return True
-        clauses, guessed = self._bounded[depth]
-        if (clauses or guessed) and self._refuted_by_bounds(
-                assignment, clauses, guessed):
+        if self._refuted_by_bounds(assignment, depth):
             stats.pruned_bounds += 1
             return True
         return False
 
-    def _refuted_by_bounds(self, assignment, clauses, guessed) -> bool:
+    def _refuted_by_bounds(self, assignment, depth) -> bool:
         """True when no completion of ``assignment`` is stable, by the
-        upper bounds on the founded variables.  The bounds are computed only
-        when a check could fail: a clause not TRUE on its guess members, or
-        a guessed founded variable above its least value."""
+        upper bounds on the founded variables the checks at ``depth`` read.
+        The bounds are computed only when a check could fail: a clause not
+        TRUE on its guess members, or a guessed founded variable above its
+        least value."""
+        clauses, guessed, targets = self._bounded[depth]
         open_clauses = [clause for clause, members in clauses
                         if eval_clause(members, assignment) is not Truth.TRUE]
         raised = [var for var, least in guessed if assignment[var] != least]
         if not open_clauses and not raised:
             return False
+        cone = self._cones[depth]
+        if cone is None:
+            cone = self._cones[depth] = self._evaluator.cone(targets)
         self.stats.bound_runs += 1
-        upper = self._evaluator.upper_bounds(assignment)
+        self.stats.bound_rules += len(cone.rules)
+        upper = self._evaluator.upper_bounds(assignment, cone)
         if any(assignment[var] > upper[var] for var in raised):
             return True
         upper.update(assignment)

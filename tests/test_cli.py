@@ -169,7 +169,7 @@ def test_solve_stats_follow_the_models_as_comments(tmp_path, capsys):
     stats = out[len(FIRST_MODEL):].splitlines()
     assert [line.split(" = ")[0] for line in stats] == [
         "# nodes", "# leaves", "# pruned_clause", "# pruned_objective",
-        "# pruned_bounds", "# bound_runs"]
+        "# pruned_bounds", "# bound_runs", "# bound_rules"]
     assert "# leaves = 1" in stats
     # the whole output, counters included, is still an assignment file
     model = tmp_path / "model.bfa"

@@ -269,8 +269,8 @@ def with_substituted_terms(rand, pcp: PositiveCP) -> Program:
     return Program(variables, rules=tuple(rules))
 
 
-def guess_assignments(program: Program):
-    """Every assignment of the guess set, as the search reaches its leaves."""
+def guess_domains(program: Program):
+    """The guess variables in search order, and the values each takes."""
     guess = sorted(guess_set(program))
     domains = []
     for var in guess:
@@ -281,8 +281,22 @@ def guess_assignments(program: Program):
             domains.append((NEG_INF, *range(info.lo, info.hi + 1)))
         else:
             domains.append(range(info.lo, info.hi + 1))
+    return guess, domains
+
+
+def guess_assignments(program: Program):
+    """Every assignment of the guess set, as the search reaches its leaves."""
+    guess, domains = guess_domains(program)
     for combo in itertools.product(*domains):
         yield dict(zip(guess, combo))
+
+
+def guess_prefixes(program: Program):
+    """Every assignment of a prefix of the guess order, the empty one too."""
+    guess, domains = guess_domains(program)
+    for k in range(len(guess) + 1):
+        for combo in itertools.product(*domains[:k]):
+            yield dict(zip(guess, combo))
 
 
 def typed(model):
@@ -331,16 +345,22 @@ def test_leaf_evaluator_matches_the_explicit_reduct(rng):
     assert leaves > 6000 and unsat > 500
 
 
-def test_upper_bounds_dominate_every_completed_leaf(rng):
-    """upper_bounds on each partial guess assignment, over every prefix of
-    the guess order, bounds the leaf model of each of its completions."""
+def bound_programs(rng):
+    """Programs for the upper-bound tests: mixed ones, and positive ones
+    with substituted terms."""
     programs = [random_mixed_program(rng) for _ in range(500)]
     for _ in range(200):
         program = with_substituted_terms(rng, random_positive_cp(rng))
         if validate_program(program).ok:
             programs.append(program)
+    return programs
+
+
+def test_upper_bounds_dominate_every_completed_leaf(rng):
+    """upper_bounds on each partial guess assignment, over every prefix of
+    the guess order, bounds the leaf model of each of its completions."""
     compared = below_top = 0
-    for program in programs:
+    for program in bound_programs(rng):
         evaluator = LeafEvaluator(program)
         guess = sorted(guess_set(program))
         founded = [v for v, info in enumerate(program.variables)
@@ -363,6 +383,30 @@ def test_upper_bounds_dominate_every_completed_leaf(rng):
                                                        else top)
     # the bounds are often informative, not just every domain's top
     assert compared > 10000 and below_top > 5000
+
+
+def test_cone_bounds_equal_the_whole_program_bounds(rng):
+    """upper_bounds restricted to a cone gives its targets the bounds of
+    the whole program, on every guess prefix, for each founded variable
+    alone and for each target set the search schedules."""
+    compared = narrower = scheduled = 0
+    for program in bound_programs(rng):
+        evaluator = LeafEvaluator(program)
+        singles = [(var,) for var, info in enumerate(program.variables)
+                   if info.is_founded]
+        slots = [targets for _, _, targets in Search(program)._bounded
+                 if targets]
+        cones = [evaluator.cone(targets) for targets in singles + slots]
+        for partial in guess_prefixes(program):
+            whole = evaluator.upper_bounds(partial)
+            for cone in cones:
+                assert typed(evaluator.upper_bounds(partial, cone)) == \
+                    typed({var: whole[var] for var in cone.targets})
+                compared += 1
+                narrower += len(cone.rules) < len(program.rules)
+            scheduled += len(slots)
+    # many cones leave rules out, and the search's target sets are covered
+    assert compared > 8000 and narrower > 4000 and scheduled > 1000
 
 
 def test_model_values_are_bools_ints_or_the_bottom_constant(rng):
@@ -407,3 +451,23 @@ def test_leaf_evaluator_ignores_raises_in_deleted_atoms():
     minimal_model(build_reduct(program, {u: NEG_INF}),
                   on_update=lambda var, old, new, i: spec_updates.append(var))
     assert result.ok and updates == spec_updates == [v, y, w, z, h]
+
+
+def test_an_idle_rule_raised_in_the_first_pass_runs_at_its_place():
+    """b's rule owes nothing while a is at the bottom, so the first pass
+    may skip it; but a's rule raises a before its turn, so it must run in
+    its place, before c's rule, as on the spec path."""
+    a, b, c = range(3)
+    variables = tuple(int_var(name, 0, 5) for name in "abc")
+    rules = (
+        Rule(Clause(atoms=(LinearAtom(((1, a),), 0),)), a),
+        Rule(Clause(atoms=(LinearAtom(((1, b), (-1, a)), 0),)), b),
+        Rule(Clause(atoms=(LinearAtom(((1, c),), 0),)), c),
+    )
+    program = Program(variables, rules=rules)
+    updates, spec_updates = [], []
+    result = LeafEvaluator(program).minimal_model(
+        {}, on_update=lambda var, old, new, i: updates.append(var))
+    minimal_model(build_reduct(program, {}),
+                  on_update=lambda var, old, new, i: spec_updates.append(var))
+    assert result.ok and updates == spec_updates == [a, b, c]
