@@ -98,14 +98,31 @@ def guess_set(program: Program) -> frozenset[int]:
     """
     guessed = {i for i, v in enumerate(program.variables)
                if v.kind is VarKind.STANDARD}
-    for rule in program.rules:
-        for var in set(rule.clause.variables()):
-            if var == rule.head or var in guessed:
-                continue
-            if monotonicity(rule.clause, var) in (Monotonicity.INCREASING,
-                                                  Monotonicity.NON_MONOTONE):
-                guessed.add(var)
+    positions = {}  # shape number -> where its guessed variables occur
+    for rule, number in zip(program.rules, program.shapes):
+        where = positions.get(number)
+        if where is None:
+            first = _first_occurrences(rule.clause)
+            where = positions[number] = [
+                first[var] for var in first if var != rule.head
+                and monotonicity(rule.clause, var) in (
+                    Monotonicity.INCREASING, Monotonicity.NON_MONOTONE)]
+        for atom, index in where:
+            guessed.add(rule.clause.lits[index].var if atom is None
+                        else rule.clause.atoms[atom].terms[index][1])
     return frozenset(guessed)
+
+
+def _first_occurrences(clause: Clause) -> dict:
+    """Each variable's first occurrence in ``clause``: ``(None, i)`` for
+    the i-th literal, ``(a, i)`` for the i-th term of the a-th atom."""
+    first = {}
+    for i, lit in enumerate(clause.lits):
+        first.setdefault(lit.var, (None, i))
+    for a, atom in enumerate(clause.atoms):
+        for i, (_, var) in enumerate(atom.terms):
+            first.setdefault(var, (a, i))
+    return first
 
 
 def is_tautology(clause: Clause, variables) -> bool:

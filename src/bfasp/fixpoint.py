@@ -8,6 +8,7 @@ exists.  A requirement above a variable's domain ceiling witnesses
 unsatisfiability.
 """
 
+import time
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -32,6 +33,12 @@ from .program import (
 
 
 _WATCHDOG_MESSAGE = "fixpoint watchdog: bound raises exceeded the lattice budget"
+
+_new = tuple.__new__
+
+
+class DeadlinePassed(Exception):
+    """A leaf or upper-bound run went past the deadline it was given."""
 
 
 def _ceil_div(num: int, den: int) -> int:
@@ -192,7 +199,10 @@ class LeafEvaluator:
     valuation into the plans and runs the same bounds-raising fixpoint over
     the rules the fold leaves active.  Rule indices, in ``on_update`` and in
     ``unsat_index``, are source rule indices: the reduct's ``origin_of``
-    mapping, applied.
+    mapping, applied.  The plan and the layout of its leaf form are
+    compiled once per rule shape (``Program.shapes``), from the shape's
+    first rule; each rule of the shape then fills in its own variables and
+    atom bounds, by position, and its head's and terms' domains.
 
     Kept occurrences other than the head are founded and decreasing, so
     their literals are negative and their coefficients negative.  A rule
@@ -226,36 +236,48 @@ class LeafEvaluator:
         # kept non-head occurrence, in rule order.
         self._watchers = [[] for _ in variables]
         self._by_head = [[] for _ in variables]
-        for index, rule in enumerate(program.rules):
-            compiled = _compile_rule(substitution_plan(rule, variables),
-                                     variables)
-            self._rules.append(compiled)
-            if compiled is None:
-                continue
-            self._by_head[compiled.head].append(index)
-            for var, _ in compiled.kept_lits:
-                self._watchers[var].append((index, None))
-            for slot, atom in enumerate(compiled.atoms):
-                for _, var in atom.kept:
-                    self._watchers[var].append((index, slot))
-        self._all = tuple(i for i, rule in enumerate(self._rules)
-                          if rule is not None)
         # True for a rule that owes nothing while its kept occurrences are
         # at the bottom, whatever the valuation.
-        self._idle = [
-            rule is not None and rule.fixed_fold is not None
-            and _leaf_requirement(rule.kept_lits, rule.atoms, rule.fixed_fold,
-                                  self._template, rule.lo is None) is None
-            for rule in self._rules]
+        self._idle = []
+        rules, watchers, by_head, idle = (self._rules, self._watchers,
+                                          self._by_head, self._idle)
+        template = self._template
+        forms = {}  # shape number -> _leaf_form of the shape's first rule
+        for index, (rule, number) in enumerate(zip(program.rules,
+                                                   program.shapes)):
+            if number not in forms:
+                forms[number] = _leaf_form(rule,
+                                           substitution_plan(rule, variables))
+            form = forms[number]
+            compiled = None if form is None else _instance(form, rule,
+                                                           variables)
+            rules.append(compiled)
+            if compiled is None:
+                idle.append(False)
+                continue
+            by_head[compiled.head].append(index)
+            for var, _ in compiled.kept_lits:
+                watchers[var].append((index, None))
+            for slot, atom in enumerate(compiled.atoms):
+                for _, var in atom.kept:
+                    watchers[var].append((index, slot))
+            idle.append(compiled.fixed_fold is not None and _leaf_requirement(
+                compiled.kept_lits, compiled.atoms, compiled.fixed_fold,
+                template, compiled.lo is None) is None)
+        self._all = tuple(i for i, rule in enumerate(rules)
+                          if rule is not None)
 
-    def minimal_model(self, valuation, *, on_update=None) -> FixpointResult:
+    def minimal_model(self, valuation, *, on_update=None,
+                      deadline=None) -> FixpointResult:
         """Least fixpoint of the program's reduct under ``valuation``.
 
         ``valuation`` must cover every substituted occurrence (the guess set
-        suffices).  The model covers every founded variable.
+        suffices).  The model covers every founded variable.  Past the
+        ``time.monotonic()`` value ``deadline``, a bound raise raises
+        ``DeadlinePassed``.
         """
         bounds, unsat_index = self._fixpoint(self._all, valuation, on_update,
-                                             clamp=False)
+                                             False, deadline)
         if unsat_index is not None:
             return FixpointResult(None, unsat_index)
         return FixpointResult({var: bounds[var] for var in self._founded})
@@ -280,7 +302,8 @@ class LeafEvaluator:
                         pending.append(var)
         return Cone(tuple(targets), tuple(sorted(chosen)))
 
-    def upper_bounds(self, partial, cone: Cone | None = None) -> dict:
+    def upper_bounds(self, partial, cone: Cone | None = None, *,
+                     deadline=None) -> dict:
         """An upper bound on every founded variable, for every completion;
         on the targets only, given their ``cone``.
 
@@ -291,14 +314,15 @@ class LeafEvaluator:
         asks, so the fixpoint bounds that reduct's minimal model, whenever
         one exists, from above.  A requirement past a head's ``hi`` is
         clamped to ``hi``, since it says nothing about whether a
-        completion's reduct has a model.
+        completion's reduct has a model.  ``deadline`` is as in
+        ``minimal_model``.
         """
         if cone is None:
             cone = Cone(self._founded, self._all)
-        bounds, _ = self._fixpoint(cone.rules, partial, None, clamp=True)
+        bounds, _ = self._fixpoint(cone.rules, partial, None, True, deadline)
         return {var: bounds[var] for var in cone.targets}
 
-    def _fixpoint(self, order, valuation, on_update, clamp):
+    def _fixpoint(self, order, valuation, on_update, clamp, deadline):
         """Raise bounds from the bottom under the rules ``order`` lists.
 
         Each rule is first folded under ``valuation``: an unassigned
@@ -307,6 +331,8 @@ class LeafEvaluator:
         Returns the bounds, indexed by variable, and None, or None and the
         index of a rule whose requirement passed its head's ``hi``; with
         ``clamp`` such a requirement raises the head to ``hi`` instead.
+        Each raise counts against the watchdog's budget and checks the
+        ``deadline``, when there is one.
         """
         rules = self._rules
         watchers = self._watchers
@@ -354,6 +380,8 @@ class LeafEvaluator:
             raises += 1
             if raises > budget:
                 raise WatchdogError(_WATCHDOG_MESSAGE)
+            if deadline is not None and time.monotonic() > deadline:
+                raise DeadlinePassed
             for watching, slot in watchers[head]:
                 if queued[watching]:
                     idle[watching] = False
@@ -365,7 +393,12 @@ class LeafEvaluator:
 
 
 def _compile_rule(plan, variables) -> _LeafRule | None:
-    """The leaf form of one rule plan, or None when no reduct keeps it."""
+    """The leaf form of one rule plan, or None when no reduct keeps it.
+
+    ``LeafEvaluator`` compiles each rule shape once instead (``_leaf_form``,
+    ``_instance``); this compile of a single plan is the reference that
+    path is tested against.
+    """
     head = plan.head
     if is_tautology(Clause(plan.kept_lits), variables):
         return None  # complementary kept literals
@@ -387,6 +420,74 @@ def _compile_rule(plan, variables) -> _LeafRule | None:
         tuple((l.var, l.positive) for l in plan.substituted_lits),
         tuple((l.var, l.positive) for l in plan.kept_lits if l.var != head),
         atoms, fixed_fold)
+
+
+def _leaf_form(rule: Rule, plan) -> _LeafRule | None:
+    """The part of ``rule``'s leaf form that its shape decides, from its
+    substitution ``plan``: members by position (literal indices, and each
+    atom's term indices) and each atom's head coefficient, the other fields
+    left empty.  None when the kept literals are complementary, so that no
+    reduct keeps a rule of this shape."""
+    if is_tautology(Clause(plan.kept_lits), ()):
+        return None
+    head = rule.head
+    substituted = {lit.var for lit in plan.substituted_lits}
+    substituted.update(var for ap in plan.atoms for _, var in ap.substituted)
+    atoms = tuple(
+        _LeafAtom(tuple(i for i, (_, v) in enumerate(atom.terms)
+                        if v != head and v not in substituted),
+                  tuple(i for i, (_, v) in enumerate(atom.terms)
+                        if v in substituted), (), None,
+                  next((c for c, v in atom.terms if v == head), None))
+        for atom in rule.clause.atoms)
+    lits = rule.clause.lits
+    return _LeafRule(
+        None, None, None,
+        tuple(i for i, lit in enumerate(lits) if lit.var in substituted),
+        tuple(i for i, lit in enumerate(lits)
+              if lit.var != head and lit.var not in substituted),
+        atoms, None)
+
+
+def _instance(form, rule: Rule, variables) -> _LeafRule | None:
+    """``rule``'s leaf form, from the ``form`` of its shape; None when a
+    constant atom satisfies it, so that no reduct keeps it.
+
+    This runs once per rule, so it takes the terms' tuples from the rule
+    itself and builds the rest with ``tuple.__new__``: a NamedTuple's own
+    constructor is a Python function call, and every object that outlives
+    the call adds to the garbage collector's work.
+    """
+    atoms = []
+    fixed = True  # no atom has a substituted term
+    for atom, source in zip(form.atoms, rule.clause.atoms):
+        terms = source.terms
+        kept, substituted, least = atom.kept, atom.substituted, ()
+        if kept:
+            kept = tuple([terms[i] for i in kept])
+        if substituted:
+            fixed = False
+            substituted = tuple([terms[i] for i in substituted])
+            least = _least_products(substituted, variables)
+        atoms.append(_new(_LeafAtom, (kept, substituted, least, source.bound,
+                                      atom.head_coeff)))
+    fixed_fold = None
+    if fixed:
+        fixed_fold = _fold_atoms(atoms, {})
+        if fixed_fold is None:
+            return None  # a constant member satisfies it
+        fixed_fold = tuple(fixed_fold)
+    lits = rule.clause.lits
+    substituted_lits, kept_lits = form.substituted_lits, form.kept_lits
+    if substituted_lits:
+        substituted_lits = tuple([(lits[i].var, lits[i].positive)
+                                  for i in substituted_lits])
+    if kept_lits:
+        kept_lits = tuple([(lits[i].var, lits[i].positive)
+                           for i in kept_lits])
+    info = variables[rule.head]
+    return _new(_LeafRule, (rule.head, info.lo, info.hi, substituted_lits,
+                            kept_lits, tuple(atoms), fixed_fold))
 
 
 def _least_products(terms, variables) -> tuple:

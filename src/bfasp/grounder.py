@@ -12,10 +12,10 @@ and each integer expression becomes a flat list of parts (a variable slot
 with its coefficient, a parameter value, or a nested sum or product) plus
 the constant folded from its literals and scalar parameters.  The
 template is then instantiated once per generator binding, a tuple of
-values, without walking the syntax tree.  A rule whose body always flattens
-to one clause of fixed occurrence signs is checked once, on a symbolic
-clause; an instance is checked again only when two of its occurrences name
-the same variable.  Binding notes are built only for an error.
+values, without walking the syntax tree.  A rule instance is checked only
+when its shape (``program.RuleShapes``) is new in the program, since a
+shape's instances are all valid or all faulty; the shapes are handed on
+to the ground program.  Binding notes are built only for an error.
 """
 
 import itertools
@@ -45,6 +45,7 @@ from .program import (
     Literal,
     Program,
     Rule,
+    RuleShapes,
     Sort,
     VarKind,
     Variable,
@@ -74,7 +75,7 @@ _HOLDS = {">=": operator.ge, "<=": operator.le, ">": operator.gt,
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _CONNECTIVES = ("/\\", "\\/")
 
-# The kinds of a linear part ``(coeff, kind, fn, slot)``: ``fn(env)`` is a
+# The kinds of a linear part ``(coeff, kind, fn)``: ``fn(env)`` is a
 # variable id, a parameter value, or a ``(terms, constant)`` pair.
 _VAR, _INT, _SUB = range(3)
 
@@ -149,20 +150,25 @@ class _Grounder:
         constraints = []
         for item in self.model.constraints:
             self.budget = 0
-            flatten, _ = self._cnf(item.expr, (), False, item.span)
+            flatten = self._cnf(item.expr, (), False, item.span)
             for draft in flatten(()):
                 if not draft.true:
                     constraints.append(draft.to_clause())
         rules = []
+        shapes = RuleShapes(self.variables)
         for item in self.model.rules:
             self.budget = 0
-            rules.extend(self._ground_rule(item))
+            rules.extend(self._ground_rule(item, shapes))
         objective = None
         if self.model.solve is not None and \
                 self.model.solve.objective is not None:
             objective = self._objective(self.model.solve.objective)
-        return Program(tuple(self.variables), tuple(constraints),
-                       tuple(rules), objective)
+        program = Program(tuple(self.variables), tuple(constraints),
+                          tuple(rules), objective)
+        # hand the keyed shapes on to the cached property, so that the
+        # program's consumers do not key every rule again
+        vars(program)["shapes"] = shapes.numbered()
+        return program
 
     # -- parameters ---------------------------------------------------------
 
@@ -444,69 +450,62 @@ class _Grounder:
     # -- compiling conditions to clauses -----------------------------------
 
     def _cnf(self, expr, scope, neg: bool, span):
-        """Compile a condition: ``(fn, slots)``.  ``fn(env)`` flattens it to a
-        conjunction of drafts.  ``slots`` lists its variable occurrences as
-        ``(reference, increasing)`` pairs when it flattens to a single clause
-        of exactly those, up to merging and folding, and is None otherwise."""
+        """Compile a condition: ``fn(env)`` flattens it to a conjunction of
+        drafts."""
         if isinstance(expr, Not):
             return self._cnf(expr.operand, scope, not neg, span)
         join = self._join
         if isinstance(expr, BinOp) and expr.op in _CONNECTIVES:
             first, links = _chain(expr, _CONNECTIVES)
-            start, slots = self._cnf(first, scope, neg, span)
-            steps = []
-            for link in links:
-                right, right_slots = self._cnf(link.right, scope, neg, span)
-                conjoin = (link.op == "/\\") != neg
-                steps.append((right, conjoin))
-                slots = _disjoined(slots, right_slots, conjoin)
+            start = self._cnf(first, scope, neg, span)
+            steps = [(self._cnf(link.right, scope, neg, span),
+                      (link.op == "/\\") != neg) for link in links]
 
             def fold(env):
                 parts = start(env)
                 for right, conjoin in steps:
                     parts = join(parts, right(env), conjoin, span)
                 return parts
-            return fold, slots
+            return fold
         if isinstance(expr, BinOp) and expr.op in ("->", "<-"):
             # an implication is a disjunction of ~left and right
             if expr.op == "<-":
                 left, right = expr.right, expr.left
             else:
                 left, right = expr.left, expr.right
-            left, left_slots = self._cnf(left, scope, not neg, span)
-            right, right_slots = self._cnf(right, scope, neg, span)
-            return (lambda env: join(left(env), right(env), neg, span),
-                    _disjoined(left_slots, right_slots, neg))
+            left = self._cnf(left, scope, not neg, span)
+            right = self._cnf(right, scope, neg, span)
+            return lambda env: join(left(env), right(env), neg, span)
         if isinstance(expr, Agg):
             if expr.kind == "sum":
-                return _fail("sum is not a condition", expr.span, scope), None
+                return _fail("sum is not a condition", expr.span, scope)
             conj = (expr.kind == "forall") != neg
             bind, inner = self._bindings(expr, scope)
-            body, _ = self._cnf(expr.body, inner, neg, span)
+            body = self._cnf(expr.body, inner, neg, span)
 
             def aggregate(env):
                 parts = _static(conj)  # identity: true for and, false for or
                 for sub in bind(env):
                     parts = join(parts, body(sub), conj, span)
                 return parts
-            return aggregate, None
+            return aggregate
         if isinstance(expr, Comparison):
             return self._compare(expr, scope, neg)
         if self._is_var_ref(expr, scope):
             var = self._var(expr, scope)
             if self._declared(expr).sort is not Sort.BOOL:
                 return self._var_fault(var, "'{}' is an integer, not a "
-                                       "condition", expr.span, scope), None
+                                       "condition", expr.span, scope)
             positive = not neg
 
             def literal(env):
                 draft = _Draft()
                 draft.lits[var(env)] = positive
                 return [draft]
-            return literal, ((expr, positive),)
+            return literal
         if isinstance(expr, HeadAnn):
-            return _fail("misplaced head annotation", expr.span, scope), None
-        return _fail("expected a condition", _span_of(expr), scope), None
+            return _fail("misplaced head annotation", expr.span, scope)
+        return _fail("expected a condition", _span_of(expr), scope)
 
     def _join(self, left: list, right: list, conjoin: bool, span) -> list:
         if conjoin:  # every conjunction list is fresh, so extend in place
@@ -546,13 +545,7 @@ class _Grounder:
                 member.append((big + _scaled(small, -1),
                                gap - big_constant + small_constant))
             members.append(member)
-        parts = [part for member in members for atom, _ in member
-                 for part in atom]
-        if len(members) > 1 or any(kind == _SUB for _, kind, _, _ in parts):
-            slots = None  # a sum or product may bring other occurrences
-        else:
-            slots = tuple((slot, coeff > 0)
-                          for coeff, kind, _, slot in parts if kind == _VAR)
+
         def compare(env):
             drafts = []
             for member in members:
@@ -566,15 +559,14 @@ class _Grounder:
                     draft.add_atom(folded, bound)
                 drafts.append(draft)
             return [d for d in drafts if not d.true]
-        return compare, slots
+        return compare
 
     # -- compiling integer expressions --------------------------------------
 
     def _linear(self, expr, scope, allow_b2i: bool = False):
         """Compile an integer expression to ``(parts, constant)``: the
-        constant folded at compile time, and the parts ``(coeff, kind, fn,
-        slot)`` in evaluation order (see ``_collect``).  ``slot`` is the
-        reference of a variable part, else None."""
+        constant folded at compile time, and the parts ``(coeff, kind, fn)``
+        in evaluation order (see ``_collect``)."""
         if isinstance(expr, IntLit):
             return [], expr.value
         if isinstance(expr, (Ident, ArrayAccess)):
@@ -583,13 +575,13 @@ class _Grounder:
                     self.params.get(expr.name)
                 if isinstance(value, int):  # the same in every binding
                     return [], value
-                return [(1, _INT, self._int(expr, scope), None)], 0
+                return [(1, _INT, self._int(expr, scope))], 0
             var = self._var(expr, scope)
             if self._declared(expr).sort is Sort.BOOL:
                 return [(1, _INT, self._var_fault(
                     var, "'{}' is Boolean; it cannot appear in arithmetic",
-                    expr.span, scope), None)], 0
-            return [(1, _VAR, var, expr)], 0
+                    expr.span, scope))], 0
+            return [(1, _VAR, var)], 0
         if isinstance(expr, Neg):
             parts, constant = self._linear(expr.operand, scope, allow_b2i)
             return _scaled(parts, -1), -constant
@@ -603,10 +595,10 @@ class _Grounder:
             else:
                 var = self._var(expr.operand, scope)
                 if self._declared(expr.operand).sort is Sort.BOOL:
-                    return [(1, _VAR, var, expr.operand)], 0
+                    return [(1, _VAR, var)], 0
                 fault = self._var_fault(var, "bool2int needs a Boolean "
                                         "variable", expr.span, scope)
-            return [(1, _INT, fault, None)], 0
+            return [(1, _INT, fault)], 0
         if isinstance(expr, Agg) and expr.kind == "sum":
             bind, inner = self._bindings(expr, scope)
             body, body_constant = self._linear(expr.body, inner, allow_b2i)
@@ -617,7 +609,7 @@ class _Grounder:
                 for sub in bind(env):
                     constant += _collect(body, sub, terms) + body_constant
                 return terms, constant
-            return [(1, _SUB, total, None)], 0
+            return [(1, _SUB, total)], 0
         if isinstance(expr, BinOp) and expr.op in _ARITH:
             first, links = _chain(expr, _ARITH)
             parts, constant = self._linear(first, scope, allow_b2i)
@@ -634,19 +626,20 @@ class _Grounder:
                 constant += sign * right_constant
             return parts, constant
         return [(1, _INT, _fail("expected an integer expression",
-                                _span_of(expr), scope), None)], 0
+                                _span_of(expr), scope))], 0
 
     # -- items ---------------------------------------------------------------
 
-    def _ground_rule(self, item) -> list:
+    def _ground_rule(self, item, shapes: RuleShapes) -> list:
+        """The instances of a rule item, each added to ``shapes``; an
+        instance of a shape not seen before is checked."""
         node, scope, levels = item.expr, (), []
         while isinstance(node, Agg) and node.kind == "forall":
             bind, scope = self._bindings(node, scope)
             levels.append(bind)
             node = node.body
         head_of = self._var(node.target, scope)
-        body, slots = self._cnf(node.body, scope, False, item.span)
-        size = self._template_size(node.target, slots)
+        body = self._cnf(node.body, scope, False, item.span)
         envs = [()]
         for bind in levels:
             envs = [sub for env in envs for sub in bind(env)]
@@ -661,36 +654,13 @@ class _Grounder:
                     f"a rule must flatten to a single clause, this one "
                     f"needs {len(drafts)}{_note(scope, env)}", item.span)
             rule = Rule(drafts[0].to_clause(), head)
-            if size is None or not _spread_out(rule.clause, size):
+            if shapes.add(rule):
                 fault = _rule_fault(rule, self.variables)
                 if fault is not None:
                     raise GroundingError(fault + _note(scope, env),
                                          item.span)
             rules.append(rule)
         return rules
-
-    def _template_size(self, target, slots):
-        """How many occurrences a rule template has, when an instance with
-        that many occurrences on as many variables needs no check of its
-        own; None when every instance is checked.
-
-        Such an instance has the template's signs, so the template is
-        checked once instead, on a clause with one symbolic variable per
-        occurrence.  The head must be written like exactly one occurrence.
-        """
-        if not slots:
-            return None
-        shape = _unspanned(target)
-        heads = [i for i, (ref, _) in enumerate(slots)
-                 if _unspanned(ref) == shape]
-        if len(heads) != 1:
-            return None
-        variables = [self._declared(ref) for ref, _ in slots]
-        clause = Clause(tuple(Literal(i, increasing)
-                              for i, (_, increasing) in enumerate(slots)))
-        if _rule_fault(Rule(clause, heads[0]), variables) is not None:
-            return None
-        return len(slots)
 
     def _objective(self, expr) -> LinearExpr:
         parts, constant = self._linear(expr, (), allow_b2i=True)
@@ -707,7 +677,7 @@ def _collect(parts, env, terms: dict) -> int:
     when its coefficient sums to zero, as a product's linearity check needs.
     """
     constant = 0
-    for coeff, kind, fn, _ in parts:
+    for coeff, kind, fn in parts:
         if kind == _VAR:
             var = fn(env)
             terms[var] = terms.get(var, 0) + coeff
@@ -731,8 +701,7 @@ def _atom(parts, base: int, env):
 
 
 def _scaled(parts, factor: int) -> list:
-    return [(coeff * factor, kind, fn, slot)
-            for coeff, kind, fn, slot in parts]
+    return [(coeff * factor, kind, fn) for coeff, kind, fn in parts]
 
 
 def _product(left, left_constant, right, right_constant, span, scope):
@@ -755,15 +724,7 @@ def _product(left, left_constant, right, right_constant, span, scope):
         if other:
             terms, constant, factor = other, factor, constant
         return {v: c * factor for v, c in terms.items()}, constant * factor
-    return [(1, _SUB, product, None)], 0
-
-
-def _disjoined(left, right, conjoin: bool):
-    """The slots of two joined conditions: one clause only for a disjunction
-    of two single clauses."""
-    if conjoin or left is None or right is None:
-        return None
-    return left + right
+    return [(1, _SUB, product)], 0
 
 
 def _rule_fault(rule: Rule, variables):
@@ -776,24 +737,6 @@ def _rule_fault(rule: Rule, variables):
                 Monotonicity.NON_MONOTONE:
             return f"rule clause is non-monotone in '{variables[var].name}'"
     return None
-
-
-def _spread_out(clause: Clause, size: int) -> bool:
-    """Whether ``clause`` has ``size`` occurrences, on as many variables."""
-    ids = [*clause.variables()]
-    return len(ids) == size == len(set(ids))
-
-
-def _unspanned(node):
-    """``node`` with its source spans left out, to compare expressions by
-    what they say."""
-    if isinstance(node, tuple):
-        return tuple(_unspanned(n) for n in node)
-    fields = getattr(node, "__dataclass_fields__", None)
-    if fields is None:
-        return node
-    return (type(node),) + tuple(_unspanned(getattr(node, name))
-                                 for name in fields if name != "span")
 
 
 def _fail(message: str, span, scope):

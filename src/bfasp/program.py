@@ -159,8 +159,65 @@ class Program:
     def index_by_name(self) -> dict[str, int]:
         return {v.name: i for i, v in enumerate(self.variables)}
 
+    @cached_property
+    def shapes(self) -> tuple[int, ...]:
+        """Each rule's shape number (see ``RuleShapes``)."""
+        shapes = RuleShapes(self.variables)
+        for rule in self.rules:
+            shapes.add(rule)
+        return shapes.numbered()
+
     def name(self, var: int) -> str:
         return self.variables[var].name
+
+
+class RuleShapes:
+    """Numbers the shapes of rules, in the order their first rules are added.
+
+    A rule's shape is its occurrence structure with each variable replaced
+    by a canonical id, numbered by first occurrence (the head's id comes
+    after the clause's when the clause lacks it): the literals' ids and
+    signs, each atom's coefficients and ids, the head's id, and each id's
+    kind and sort.  Repeated variables, self-loops among them, are part of
+    the shape; atom bounds and variable domains are not.  Rules of one
+    shape agree member by member and term by term, so every analysis that
+    reads only the occurrence structure (rule validity, monotonicity, the
+    substitution plan) can be made on a shape's first rule and applied to
+    the others by position.  An unknown variable index counts as a
+    variable of no kind, so that malformed programs get shapes too.
+    """
+
+    def __init__(self, variables):
+        # kind and sort by value: an Enum member hashes through a Python
+        # call, which would dominate the keying of a large program
+        self._kinds = {i: (v.kind.value, v.sort.value)
+                       for i, v in enumerate(variables)}
+        self._numbers: dict[tuple, int] = {}
+        self._of: list[int] = []  # per rule added, its shape's number
+
+    def add(self, rule: "Rule") -> bool:
+        """Number ``rule``'s shape; True when no rule added before had it."""
+        clause = rule.clause
+        ids: dict[int, int] = {}
+        number_of = ids.setdefault  # an id, numbered when first met
+        key = []
+        for lit in clause.lits:
+            key.append((number_of(lit.var, len(ids)), lit.positive))
+        for atom in clause.atoms:
+            key.append(None)  # opens an atom
+            for coeff, var in atom.terms:
+                key.append((coeff, number_of(var, len(ids))))
+        key.append(number_of(rule.head, len(ids)))
+        key += map(self._kinds.get, ids)
+        numbers = self._numbers
+        count = len(numbers)
+        number = numbers.setdefault(tuple(key), count)
+        self._of.append(number)
+        return number == count
+
+    def numbered(self) -> tuple[int, ...]:
+        """The shape numbers of the rules added so far."""
+        return tuple(self._of)
 
 
 class Truth(enum.Enum):
@@ -264,8 +321,9 @@ class ValidationReport:
 
 
 def _check_clause(clause: Clause, variables, where: str, issues: list):
+    count = len(variables)
     for lit in clause.lits:
-        if not 0 <= lit.var < len(variables):
+        if not 0 <= lit.var < count:
             issues.append(f"{where}: literal references unknown variable {lit.var}")
         elif variables[lit.var].sort is not Sort.BOOL:
             issues.append(f"{where}: literal on non-Boolean variable "
@@ -273,7 +331,7 @@ def _check_clause(clause: Clause, variables, where: str, issues: list):
     for atom in clause.atoms:
         seen = set()
         for coeff, var in atom.terms:
-            if not 0 <= var < len(variables):
+            if not 0 <= var < count:
                 issues.append(f"{where}: atom references unknown variable {var}")
                 continue
             if variables[var].sort is not Sort.INT:
@@ -324,22 +382,41 @@ def validate_program(program: Program) -> ValidationReport:
     for i, clause in enumerate(program.constraints):
         _check_clause(clause, program.variables, f"constraint {i}", issues)
 
+    # Index, sort, coefficient and bound checks for every rule first; the
+    # rest depends only on a rule's shape, so it is checked once per shape.
+    count = len(program.variables)
+    faults = {}  # rule index -> its issues from the checks above
     for i, rule in enumerate(program.rules):
+        found = []
+        _check_clause(rule.clause, program.variables, f"rule {i}", found)
+        if found:
+            faults[i] = found
+    verdicts = {}  # shape number -> (violation, some body non-monotone)
+    for i, (rule, number) in enumerate(zip(program.rules, program.shapes)):
         where = f"rule {i}"
-        _check_clause(rule.clause, program.variables, where, issues)
+        issues += faults.get(i, ())
         if rule.clause.is_empty:
             issues.append(f"{where}: empty clause")
             continue
-        if not 0 <= rule.head < len(program.variables):
+        if not 0 <= rule.head < count:
             issues.append(f"{where}: unknown head variable {rule.head}")
             continue
-        violation = validate_rule(rule, program.variables)
+        verdict = verdicts.get(number)
+        if verdict is None:
+            verdict = verdicts[number] = (
+                validate_rule(rule, program.variables),
+                any(monotonicity(rule.clause, var) is Monotonicity.NON_MONOTONE
+                    for var in set(rule.clause.variables()) - {rule.head}))
+        violation, non_monotone = verdict
         if violation is not None:
             issues.append(f"{where}: {violation.describe(program.name(rule.head))}")
-        for var in set(rule.clause.variables()) - {rule.head}:
-            if monotonicity(rule.clause, var) is Monotonicity.NON_MONOTONE:
-                issues.append(f"{where}: non-monotone occurrence of "
-                              f"'{program.name(var)}' in a rule body")
+        if non_monotone:  # name this rule's variables
+            for var in set(rule.clause.variables()) - {rule.head}:
+                # an unknown variable is reported above, by its index
+                if 0 <= var < count and monotonicity(rule.clause, var) is \
+                        Monotonicity.NON_MONOTONE:
+                    issues.append(f"{where}: non-monotone occurrence of "
+                                  f"'{program.name(var)}' in a rule body")
 
     if program.objective is not None:
         seen = set()

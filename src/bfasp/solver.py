@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .analysis import ReductBuilder, guess_set, validate_positive_cp
 from .errors import SolveError
-from .fixpoint import LeafEvaluator, minimal_model
+from .fixpoint import DeadlinePassed, LeafEvaluator, minimal_model
 from .program import (
     NEG_INF,
     Clause,
@@ -179,7 +179,9 @@ class Search:
     objective mode each yielded model strictly improves on the previous one.
     ``status`` reports, after the generator finishes, whether the space was
     exhausted or a limit cut the run short, and ``stats`` counts the work
-    done so far (see ``SearchStats``).
+    done so far (see ``SearchStats``).  A time budget is checked at every
+    node, every value tried and every bound raise of a leaf or upper-bound
+    fixpoint, so a long fixpoint stops at the budget too.
 
     Guess variables are branched on in index order.  A clause over guess
     variables only is checked once, at the guess that decides it (the last
@@ -378,6 +380,9 @@ class Search:
             yield from self._search()
         except _StopSearch:
             return
+        except DeadlinePassed:
+            self.status = SearchStatus.TIME_LIMIT
+            return
         self.status = SearchStatus.EXHAUSTED
 
     def _search(self):
@@ -426,8 +431,7 @@ class Search:
 
     def _check_deadline(self):
         if self._deadline is not None and time.monotonic() > self._deadline:
-            self.status = SearchStatus.TIME_LIMIT
-            raise _StopSearch
+            raise DeadlinePassed
 
     def _pruned(self, assignment: dict, depth: int) -> bool:
         """Whether the value just given to the guess at ``depth`` is
@@ -468,7 +472,8 @@ class Search:
             cone = self._cones[depth] = self._evaluator.cone(targets)
         self.stats.bound_runs += 1
         self.stats.bound_rules += len(cone.rules)
-        upper = self._evaluator.upper_bounds(assignment, cone)
+        upper = self._evaluator.upper_bounds(assignment, cone,
+                                             deadline=self._deadline)
         if any(assignment[var] > upper[var] for var in raised):
             return True
         upper.update(assignment)
@@ -477,7 +482,8 @@ class Search:
 
     def _leaf(self, assignment: dict):
         result = self._evaluator.minimal_model(assignment,
-                                               on_update=self._on_update)
+                                               on_update=self._on_update,
+                                               deadline=self._deadline)
         if not result.ok:
             return None
         model = result.model

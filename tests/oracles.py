@@ -292,6 +292,70 @@ def random_mixed_program(rand, max_vars: int = 4,
                    objective)
 
 
+def random_shaped_program(rand, templates: int = 3,
+                          copies: int = 4) -> Program:
+    """Programs whose rules repeat a few rule templates.
+
+    Each template is a head and body members over slots, and each slot has
+    a kind and sort; an instance maps every slot to a variable of that kind
+    and sort, with its own atom bounds.  There are two variables of every
+    kind and sort, with their own domains, so instances of one template
+    often share a shape while their bounds and domains differ.  Two slots
+    of one kind and sort may name the same variable, a self-loop, which
+    changes the shape.  Signs are random, so bodies may be increasing (a
+    guessed founded variable), non-monotone or repeat the head (sometimes
+    as complementary literals), and atoms without terms are constants that
+    may satisfy the rule.  Sorts always match: literals on Booleans, terms
+    on integers.
+    """
+    classes = [(kind, sort) for kind in VarKind for sort in Sort]
+    variables = []
+    for kind, sort in classes:
+        for _ in range(2):
+            name = f"s{len(variables)}"
+            if sort is Sort.BOOL:
+                variables.append(Variable(name, kind, sort))
+            else:
+                lo = rand.randint(-2, 1)
+                variables.append(Variable(name, kind, sort, lo,
+                                          lo + rand.randint(0, 2)))
+    pool = {cls: [i for i, v in enumerate(variables)
+                  if (v.kind, v.sort) == cls] for cls in classes}
+    rules = []
+    for _ in range(templates):
+        slots = [rand.choice(classes) for _ in range(rand.randint(1, 4))]
+        head = rand.randrange(len(slots))
+        lits, atoms = [], []
+        for slot, (_, sort) in enumerate(slots):
+            if sort is Sort.BOOL:
+                lits.append((slot, slot == head or rand.random() < 0.3))
+            elif slot == head or not atoms or rand.random() < 0.5:
+                atoms.append([(rand.choice((-1, 1, 2)) if slot != head
+                               else 1, slot)])
+            else:
+                atoms[-1].append((rand.choice((-2, -1, 1)), slot))
+        if rand.random() < 0.3:
+            atoms.append([])  # a constant
+        if slots[head][1] is Sort.BOOL and rand.random() < 0.1:
+            lits.append((head, False))  # complementary head literals
+        for _ in range(copies):
+            picked = [rand.choice(pool[cls]) for cls in slots]
+            if rand.random() < 0.3:  # a self-loop, where classes allow it
+                a, b = rand.randrange(len(slots)), rand.randrange(len(slots))
+                if slots[a] == slots[b]:
+                    picked[b] = picked[a]
+            clause = Clause(
+                tuple(Literal(picked[slot], positive)
+                      for slot, positive in lits),
+                tuple(LinearAtom(tuple((coeff, picked[slot])
+                                       for coeff, slot in terms),
+                                 rand.randint(-2, 2))
+                      for terms in atoms))
+            rules.append(Rule(clause, picked[head]))
+    rand.shuffle(rules)
+    return Program(tuple(variables), rules=tuple(rules))
+
+
 def all_valuations(program: Program):
     """Every total in-domain valuation of the program, for exhaustive checks."""
     domains = []

@@ -1,5 +1,7 @@
 """End-to-end command line behavior, run in process."""
 
+import types
+
 import pytest
 
 import bfasp.fixpoint
@@ -107,6 +109,16 @@ def test_unsatisfiable_model(tmp_path, capsys):
 
 def test_tiny_time_budget_reports_unknown(capsys):
     assert run(["solve", MCDS, "--time-budget", "0.000001"]) == 4
+    assert capsys.readouterr().out == "=====UNKNOWN=====\n"
+
+
+def test_time_budget_inside_a_fixpoint_exits_four(monkeypatch, capsys):
+    # the clock jumps an hour ahead for the fixpoint's reads only, so the
+    # first bound raise of the first leaf passes the budget
+    real = bfasp.fixpoint.time.monotonic
+    monkeypatch.setattr(bfasp.fixpoint, "time", types.SimpleNamespace(
+        monotonic=lambda: real() + 3600))
+    assert run(["solve", MCDS, "--time-budget", "60"]) == 4
     assert capsys.readouterr().out == "=====UNKNOWN=====\n"
 
 

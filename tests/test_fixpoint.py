@@ -8,6 +8,7 @@ from bfasp import (
     Clause,
     LinearAtom,
     Literal,
+    Monotonicity,
     PositiveCP,
     Program,
     PropagationLevel,
@@ -23,14 +24,21 @@ from bfasp import (
     eval_clause,
     guess_set,
     minimal_model,
+    monotonicity,
     satisfied_at,
     validate_positive_cp,
     validate_program,
 )
-from bfasp.fixpoint import LeafEvaluator
+from bfasp.analysis import substitution_plan
+from bfasp.fixpoint import LeafEvaluator, _compile_rule, _leaf_requirement
 
 from conftest import THETA_PRIME, build_example_one, valuation_of
-from oracles import least_solution, random_mixed_program, random_positive_cp
+from oracles import (
+    least_solution,
+    random_mixed_program,
+    random_positive_cp,
+    random_shaped_program,
+)
 
 
 def int_var(name, lo, hi, founded=True):
@@ -343,6 +351,88 @@ def test_leaf_evaluator_matches_the_explicit_reduct(rng):
             unsat += not spec.ok
     # the comparison covers both outcomes, many times over
     assert leaves > 6000 and unsat > 500
+
+
+def per_rule_state(program: Program):
+    """The evaluator's compiled state, from a compile of each rule on its
+    own: the leaf forms, the idle marks, the watch lists and the rules by
+    head."""
+    variables = program.variables
+    bottom = [v.least_value() if v.is_founded else None for v in variables]
+    rules = [_compile_rule(substitution_plan(rule, variables), variables)
+             for rule in program.rules]
+    watchers = [[] for _ in variables]
+    by_head = [[] for _ in variables]
+    for index, rule in enumerate(rules):
+        if rule is None:
+            continue
+        by_head[rule.head].append(index)
+        for var, _ in rule.kept_lits:
+            watchers[var].append((index, None))
+        for slot, atom in enumerate(rule.atoms):
+            for _, var in atom.kept:
+                watchers[var].append((index, slot))
+    idle = [rule is not None and rule.fixed_fold is not None
+            and _leaf_requirement(rule.kept_lits, rule.atoms,
+                                  rule.fixed_fold, bottom,
+                                  rule.lo is None) is None
+            for rule in rules]
+    return rules, idle, watchers, by_head
+
+
+def per_rule_guess_set(program: Program) -> frozenset:
+    """guess_set with every rule's variables classified on their own."""
+    guessed = {i for i, v in enumerate(program.variables)
+               if v.kind is VarKind.STANDARD}
+    for rule in program.rules:
+        for var in set(rule.clause.variables()):
+            if var != rule.head and monotonicity(rule.clause, var) in (
+                    Monotonicity.INCREASING, Monotonicity.NON_MONOTONE):
+                guessed.add(var)
+    return frozenset(guessed)
+
+
+def test_shape_compiled_state_equals_a_per_rule_compile(rng):
+    """The evaluator compiles one leaf form per rule shape and instantiates
+    it per rule; that must give, rule by rule, the state a compile of each
+    rule on its own gives, and guess_set must read the same guesses from
+    the shapes.  repr compares the types too (True is not 1)."""
+    rules = shared = self_loops = complementary = dropped = kept_apart = 0
+    domains_apart = guessed = 0
+    for _ in range(400):
+        program = random_shaped_program(rng)
+        evaluator = LeafEvaluator(program)
+        got = (evaluator._rules, evaluator._idle, evaluator._watchers,
+               evaluator._by_head)
+        assert repr(got) == repr(per_rule_state(program))
+        assert guess_set(program) == per_rule_guess_set(program)
+        numbers = program.shapes
+        rules += len(numbers)
+        shared += len(numbers) - len(set(numbers))
+        for rule, compiled in zip(program.rules, evaluator._rules):
+            occurrences = [*rule.clause.variables()]
+            self_loops += len(set(occurrences)) < len(occurrences)
+            signs = {lit.positive for lit in rule.clause.lits
+                     if lit.var == rule.head}
+            complementary += len(signs) == 2
+            dropped += compiled is None and len(signs) < 2
+        # shapes whose rules differ in whether a constant drops them, and
+        # in their heads' domains
+        drops, domains = {}, {}
+        for number, compiled in zip(numbers, evaluator._rules):
+            drops.setdefault(number, set()).add(compiled is None)
+            if compiled is not None:
+                domains.setdefault(number, set()).add(
+                    (compiled.lo, compiled.hi))
+        kept_apart += sum(len(seen) > 1 for seen in drops.values())
+        domains_apart += sum(len(seen) > 1 for seen in domains.values())
+        guessed += sum(program.variables[var].is_founded
+                       for var in guess_set(program))
+    # shapes repeat, and the special cases are all met many times
+    assert shared > rules // 2
+    assert self_loops > 500 and complementary > 200
+    assert dropped > 200 and kept_apart > 30 and domains_apart > 100
+    assert guessed > 300
 
 
 def bound_programs(rng):

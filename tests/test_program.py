@@ -25,7 +25,11 @@ from bfasp import (
     validate_valuation,
 )
 
+from bfasp import Monotonicity, monotonicity, validate_rule
+from bfasp.program import _check_clause
+
 from conftest import build_example_one, valuation_of
+from oracles import random_shaped_program
 
 
 # -- the extended value order -------------------------------------------------
@@ -257,6 +261,131 @@ def test_validate_program_flags_rule_issues():
     assert any("head 'q': head does not occur" in i for i in issues)
     assert any("empty clause" in i for i in issues)
     assert any("non-monotone occurrence of 'r'" in i for i in issues)
+
+
+def test_an_unknown_variable_in_both_signs_is_no_traceback():
+    variables = (Variable("h", VarKind.FOUNDED, Sort.BOOL),)
+    rule = Rule(Clause((Literal(0), Literal(9), Literal(9, False))), 0)
+    assert validate_program(Program(variables, rules=(rule,))).issues == [
+        "rule 0: literal references unknown variable 9",
+        "rule 0: literal references unknown variable 9"]
+
+
+def test_rules_that_differ_in_bounds_and_domains_share_a_shape():
+    h, g, x, y = range(4)
+    variables = (Variable("h", VarKind.FOUNDED, Sort.INT, 0, 5),
+                 Variable("g", VarKind.FOUNDED, Sort.INT, -3, 9),
+                 Variable("x", VarKind.FOUNDED, Sort.INT, 1, 2),
+                 Variable("y", VarKind.STANDARD, Sort.INT, 1, 2))
+
+    def edge(head, tail, bound, coeff=-1):
+        return Rule(Clause(atoms=(LinearAtom(((1, head), (coeff, tail)),
+                                             bound),)), head)
+
+    program = Program(variables, rules=(
+        edge(h, x, 3), edge(g, h, -7), edge(h, h, 0),  # a self-loop
+        edge(h, y, 0), edge(h, x, 0, coeff=-2)))
+    assert program.shapes == (0, 0, 1, 2, 3)
+
+
+def per_rule_rule_issues(program: Program) -> list:
+    """validate_program's rule issues, with every rule checked on its own."""
+    variables = program.variables
+    issues = []
+    for i, rule in enumerate(program.rules):
+        where = f"rule {i}"
+        _check_clause(rule.clause, variables, where, issues)
+        if rule.clause.is_empty:
+            issues.append(f"{where}: empty clause")
+            continue
+        if not 0 <= rule.head < len(variables):
+            issues.append(f"{where}: unknown head variable {rule.head}")
+            continue
+        violation = validate_rule(rule, variables)
+        if violation is not None:
+            issues.append(f"{where}: "
+                          f"{violation.describe(variables[rule.head].name)}")
+        for var in set(rule.clause.variables()) - {rule.head}:
+            if (0 <= var < len(variables) and monotonicity(rule.clause, var)
+                    is Monotonicity.NON_MONOTONE):
+                issues.append(f"{where}: non-monotone occurrence of "
+                              f"'{variables[var].name}' in a rule body")
+    return issues
+
+
+def malformed(rand, rule: Rule, variables) -> Rule:
+    """``rule`` with one fault of a random kind added."""
+    lits, atoms = list(rule.clause.lits), list(rule.clause.atoms)
+    ints = [i for i, v in enumerate(variables) if v.sort is Sort.INT]
+    bools = [i for i, v in enumerate(variables) if v.sort is Sort.BOOL]
+    head = rule.head
+    fault = rand.randrange(10)
+    if fault == 0:  # unknown variable, in one or both signs
+        var = rand.choice((-1, len(variables), len(variables) + 5))
+        lits.append(Literal(var, rand.random() < 0.5))
+        if rand.random() < 0.5:
+            atoms.append(LinearAtom(((1, var), (-1, var)), 0))
+    elif fault == 1:  # wrong sort
+        if rand.random() < 0.5:
+            lits.append(Literal(rand.choice(ints)))
+        else:
+            atoms.append(LinearAtom(((-1, rand.choice(bools)),), 1))
+    elif fault == 2:
+        atoms.append(LinearAtom(((0, rand.choice(ints)),), 1))
+    elif fault == 3:  # a variable repeated within one atom
+        var = rand.choice(ints)
+        atoms.append(LinearAtom(((-1, var), (rand.choice((-1, 1)), var)), 0))
+    elif fault == 4:  # the head twice
+        if variables[head].sort is Sort.BOOL:
+            lits.append(Literal(head, rand.random() < 0.5))
+        else:
+            atoms.append(LinearAtom(((rand.choice((-1, 1)), head),), 0))
+    elif fault == 5:  # the head absent
+        lits = [lit for lit in lits if lit.var != head]
+        atoms = [LinearAtom(tuple(t for t in atom.terms if t[1] != head),
+                            atom.bound) for atom in atoms]
+    elif fault == 6:  # a standard head
+        head = rand.choice([i for i, v in enumerate(variables)
+                            if v.kind is VarKind.STANDARD])
+    elif fault == 7:  # a body variable in both signs
+        var = rand.choice(bools)
+        lits += [Literal(var, True), Literal(var, False)]
+    elif fault == 8:
+        lits, atoms = [], []
+    else:
+        head = len(variables) + rand.randrange(3)
+    return Rule(Clause(tuple(lits), tuple(atoms)), head)
+
+
+def test_validation_by_shape_equals_a_per_rule_check(rng):
+    """Text for text and in order, on programs whose rules repeat shapes:
+    the valid rules of each program on their own, and the whole program
+    with faults of every kind validation reports added."""
+    markers = ("unknown variable", "literal on non-Boolean",
+               "atom term on non-integer", "zero coefficient",
+               "repeats within one atom", "head occurs more than once",
+               "head does not occur", "head is not a founded variable",
+               "non-monotone occurrence", "empty clause",
+               "unknown head variable")
+    met = dict.fromkeys(markers, 0)
+    valid_rules = 0
+    for _ in range(600):
+        program = random_shaped_program(rng)
+        faulty = {int(issue.split(":")[0].split()[1])
+                  for issue in per_rule_rule_issues(program)}
+        valid = Program(program.variables, rules=tuple(
+            rule for i, rule in enumerate(program.rules) if i not in faulty))
+        assert validate_program(valid).ok
+        valid_rules += len(valid.rules)
+        rules = [malformed(rng, rule, program.variables)
+                 if rng.random() < 0.3 else rule for rule in program.rules]
+        program = Program(program.variables, rules=tuple(rules))
+        issues = validate_program(program).issues
+        assert issues == per_rule_rule_issues(program)
+        for marker in markers:
+            met[marker] += any(marker in issue for issue in issues)
+    assert valid_rules > 1000
+    assert min(met.values()) > 20, met
 
 
 def test_validate_program_flags_objective_issues():

@@ -1,9 +1,12 @@
 """Stability checking, model enumeration, and branch-and-bound optimization."""
 
+import time
+import types
 import warnings
 
 import pytest
 
+import bfasp.fixpoint
 import bfasp.solver
 from bfasp import (
     NEG_INF,
@@ -368,6 +371,50 @@ def test_time_budget_covers_values_refused_without_a_node(monkeypatch):
     clock[0] = 2.0
     assert list(models) == []
     assert search.status is SearchStatus.TIME_LIMIT
+
+
+def an_hour_ahead_in_the_fixpoint(monkeypatch):
+    """Move the clock an hour ahead for the fixpoint's reads only: the
+    search's own checks see the real time, far from its budget."""
+    monkeypatch.setattr(bfasp.fixpoint, "time", types.SimpleNamespace(
+        monotonic=lambda: time.monotonic() + 3600))
+
+
+def test_time_budget_stops_a_long_leaf_fixpoint(monkeypatch):
+    # No guesses: the root is the only leaf, whose fixpoint raises each
+    # link of the chain d0 >= 0, d(i+1) >= d(i) - 1.
+    variables = tuple(founded_int(f"d{i}", -100, 0) for i in range(50))
+    rules = [Rule(Clause(atoms=(LinearAtom(((1, 0),), 0),)), 0)]
+    rules += [Rule(Clause(atoms=(LinearAtom(((1, i + 1), (-1, i)), -1),)),
+                   i + 1) for i in range(49)]
+    program = Program(variables, rules=tuple(rules))
+    config = SearchConfig(time_budget=60)
+    assert len(list(Search(program, config).models())) == 1
+    an_hour_ahead_in_the_fixpoint(monkeypatch)
+    search = Search(program, config)
+    assert list(search.models()) == []
+    assert search.status is SearchStatus.TIME_LIMIT
+    assert search.stats.nodes == search.stats.leaves == 1
+
+
+def test_time_budget_stops_an_upper_bound_run(monkeypatch):
+    # At t = false, the first guess tried, the constraint asks a >= 1, and
+    # the upper-bound run for it raises a before any leaf is reached.
+    t, s, a = range(3)
+    program = Program(
+        variables=(Variable("t", VarKind.STANDARD, Sort.BOOL),
+                   standard_int("s", 0, 5), founded_int("a", 0, 2)),
+        constraints=(Clause((Literal(t),), (LinearAtom(((1, a),), 1),)),),
+        rules=(Rule(Clause(atoms=(LinearAtom(((1, a), (-1, s)), 0),)), a),))
+    an_hour_ahead_in_the_fixpoint(monkeypatch)
+    search = Search(program, SearchConfig(time_budget=60))
+    assert list(search.models()) == []
+    assert search.status is SearchStatus.TIME_LIMIT
+    assert search.stats.bound_runs == 1 and search.stats.leaves == 0
+    # without a budget the clock is never read
+    search = Search(program)
+    assert len(list(search.models())) == 5
+    assert search.status is SearchStatus.EXHAUSTED
 
 
 def test_config_rejects_nonpositive_limits():
