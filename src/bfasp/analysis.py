@@ -11,6 +11,7 @@ the fixpoint module computes.
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .program import (
     POS_INF,
@@ -88,6 +89,56 @@ def validate_rule(rule: Rule, variables) -> RuleViolation | None:
     return None
 
 
+def rule_verdict(rule: Rule, variables) -> tuple:
+    """``validate_rule``'s violation, or None, and the set of body variables
+    the clause is non-monotone in.  Both read only the rule's shape
+    (``Program.shapes``), so a shape passes when its first rule does."""
+    return validate_rule(rule, variables), {
+        var for var in set(rule.clause.variables()) if var != rule.head
+        and monotonicity(rule.clause, var) is Monotonicity.NON_MONOTONE}
+
+
+class ShapeForm(NamedTuple):
+    """A rule's substitution plan by member position, so that it holds for
+    every rule of the rule's shape.  Each atom is a triple: its kept term
+    positions, the head's excluded; its substituted term positions; and
+    the head's coefficient, or None when the head is not in it."""
+
+    substituted_lits: tuple  # literal positions
+    kept_lits: tuple  # literal positions, the head's excluded
+    atoms: tuple
+    complementary: bool  # kept literals, so that no reduct keeps the rule
+
+
+def shape_form(rule: Rule, variables) -> ShapeForm:
+    """``substitution_plan(rule, variables)`` by member position."""
+    plan = substitution_plan(rule, variables)
+    substituted = {lit.var for lit in plan.substituted_lits}
+    substituted.update(var for ap in plan.atoms for _, var in ap.substituted)
+    head = rule.head
+    atoms = tuple(
+        (tuple(i for i, (_, v) in enumerate(atom.terms)
+               if v != head and v not in substituted),
+         tuple(i for i, (_, v) in enumerate(atom.terms) if v in substituted),
+         next((c for c, v in atom.terms if v == head), None))
+        for atom in rule.clause.atoms)
+    lits = rule.clause.lits
+    return ShapeForm(
+        tuple(i for i, lit in enumerate(lits) if lit.var in substituted),
+        tuple(i for i, lit in enumerate(lits)
+              if lit.var != head and lit.var not in substituted),
+        atoms, is_tautology(Clause(plan.kept_lits), ()))
+
+
+def shape_forms(program: Program) -> list[ShapeForm]:
+    """Each shape's ``shape_form``, by number, from its first rule."""
+    forms = []
+    for rule, number in zip(program.rules, program.shapes):
+        if number == len(forms):  # shapes are numbered as first met
+            forms.append(shape_form(rule, program.variables))
+    return forms
+
+
 def guess_set(program: Program) -> frozenset[int]:
     """Variables the stable-model search must branch on.
 
@@ -98,31 +149,16 @@ def guess_set(program: Program) -> frozenset[int]:
     """
     guessed = {i for i, v in enumerate(program.variables)
                if v.kind is VarKind.STANDARD}
-    positions = {}  # shape number -> where its guessed variables occur
+    forms = shape_forms(program)
     for rule, number in zip(program.rules, program.shapes):
-        where = positions.get(number)
-        if where is None:
-            first = _first_occurrences(rule.clause)
-            where = positions[number] = [
-                first[var] for var in first if var != rule.head
-                and monotonicity(rule.clause, var) in (
-                    Monotonicity.INCREASING, Monotonicity.NON_MONOTONE)]
-        for atom, index in where:
-            guessed.add(rule.clause.lits[index].var if atom is None
-                        else rule.clause.atoms[atom].terms[index][1])
+        form = forms[number]
+        lits = rule.clause.lits
+        for i in form.substituted_lits:
+            guessed.add(lits[i].var)
+        for (_, substituted, _), source in zip(form.atoms, rule.clause.atoms):
+            for i in substituted:
+                guessed.add(source.terms[i][1])
     return frozenset(guessed)
-
-
-def _first_occurrences(clause: Clause) -> dict:
-    """Each variable's first occurrence in ``clause``: ``(None, i)`` for
-    the i-th literal, ``(a, i)`` for the i-th term of the a-th atom."""
-    first = {}
-    for i, lit in enumerate(clause.lits):
-        first.setdefault(lit.var, (None, i))
-    for a, atom in enumerate(clause.atoms):
-        for i, (_, var) in enumerate(atom.terms):
-            first.setdefault(var, (a, i))
-    return first
 
 
 def is_tautology(clause: Clause, variables) -> bool:

@@ -204,9 +204,6 @@ def run(argv=None) -> int:
     except (BfaspError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except RecursionError:
-        print("error: input nested too deeply to process", file=sys.stderr)
-        return 3
     except WatchdogError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4

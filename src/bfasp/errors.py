@@ -1,5 +1,7 @@
 """Shared exception types for parsing, grounding, and solving."""
 
+TOO_DEEP = "input nested too deeply to process"
+
 
 class BfaspError(Exception):
     """Base class for all toolkit errors."""

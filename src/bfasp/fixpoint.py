@@ -13,11 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .analysis import (
-    PositiveCP,
-    is_tautology,
-    substitution_plan,
-)
+from .analysis import PositiveCP, is_tautology, shape_forms
 from .errors import WatchdogError
 from .program import (
     NEG_INF,
@@ -199,10 +195,10 @@ class LeafEvaluator:
     valuation into the plans and runs the same bounds-raising fixpoint over
     the rules the fold leaves active.  Rule indices, in ``on_update`` and in
     ``unsat_index``, are source rule indices: the reduct's ``origin_of``
-    mapping, applied.  The plan and the layout of its leaf form are
-    compiled once per rule shape (``Program.shapes``), from the shape's
-    first rule; each rule of the shape then fills in its own variables and
-    atom bounds, by position, and its head's and terms' domains.
+    mapping, applied.  The plan is analysed once per rule shape, as its
+    ``analysis.shape_form``; each rule of the shape then fills in its own
+    variables and atom bounds, by position, and its head's and terms'
+    domains.
 
     Kept occurrences other than the head are founded and decreasing, so
     their literals are negative and their coefficients negative.  A rule
@@ -242,15 +238,12 @@ class LeafEvaluator:
         rules, watchers, by_head, idle = (self._rules, self._watchers,
                                           self._by_head, self._idle)
         template = self._template
-        forms = {}  # shape number -> _leaf_form of the shape's first rule
+        forms = shape_forms(program)
         for index, (rule, number) in enumerate(zip(program.rules,
                                                    program.shapes)):
-            if number not in forms:
-                forms[number] = _leaf_form(rule,
-                                           substitution_plan(rule, variables))
             form = forms[number]
-            compiled = None if form is None else _instance(form, rule,
-                                                           variables)
+            compiled = None if form.complementary else _instance(form, rule,
+                                                                 variables)
             rules.append(compiled)
             if compiled is None:
                 idle.append(False)
@@ -395,9 +388,9 @@ class LeafEvaluator:
 def _compile_rule(plan, variables) -> _LeafRule | None:
     """The leaf form of one rule plan, or None when no reduct keeps it.
 
-    ``LeafEvaluator`` compiles each rule shape once instead (``_leaf_form``,
-    ``_instance``); this compile of a single plan is the reference that
-    path is tested against.
+    ``LeafEvaluator`` instantiates each rule from its shape's
+    ``analysis.shape_form`` instead (``_instance``); this compile of a
+    single plan is the reference that path is tested against.
     """
     head = plan.head
     if is_tautology(Clause(plan.kept_lits), variables):
@@ -422,36 +415,9 @@ def _compile_rule(plan, variables) -> _LeafRule | None:
         atoms, fixed_fold)
 
 
-def _leaf_form(rule: Rule, plan) -> _LeafRule | None:
-    """The part of ``rule``'s leaf form that its shape decides, from its
-    substitution ``plan``: members by position (literal indices, and each
-    atom's term indices) and each atom's head coefficient, the other fields
-    left empty.  None when the kept literals are complementary, so that no
-    reduct keeps a rule of this shape."""
-    if is_tautology(Clause(plan.kept_lits), ()):
-        return None
-    head = rule.head
-    substituted = {lit.var for lit in plan.substituted_lits}
-    substituted.update(var for ap in plan.atoms for _, var in ap.substituted)
-    atoms = tuple(
-        _LeafAtom(tuple(i for i, (_, v) in enumerate(atom.terms)
-                        if v != head and v not in substituted),
-                  tuple(i for i, (_, v) in enumerate(atom.terms)
-                        if v in substituted), (), None,
-                  next((c for c, v in atom.terms if v == head), None))
-        for atom in rule.clause.atoms)
-    lits = rule.clause.lits
-    return _LeafRule(
-        None, None, None,
-        tuple(i for i, lit in enumerate(lits) if lit.var in substituted),
-        tuple(i for i, lit in enumerate(lits)
-              if lit.var != head and lit.var not in substituted),
-        atoms, None)
-
-
 def _instance(form, rule: Rule, variables) -> _LeafRule | None:
-    """``rule``'s leaf form, from the ``form`` of its shape; None when a
-    constant atom satisfies it, so that no reduct keeps it.
+    """``rule``'s leaf form, from the ``analysis.shape_form`` of its shape;
+    None when a constant atom satisfies it, so that no reduct keeps it.
 
     This runs once per rule, so it takes the terms' tuples from the rule
     itself and builds the rest with ``tuple.__new__``: a NamedTuple's own
@@ -460,9 +426,9 @@ def _instance(form, rule: Rule, variables) -> _LeafRule | None:
     """
     atoms = []
     fixed = True  # no atom has a substituted term
-    for atom, source in zip(form.atoms, rule.clause.atoms):
-        terms = source.terms
-        kept, substituted, least = atom.kept, atom.substituted, ()
+    for (kept, substituted, head_coeff), source in zip(form.atoms,
+                                                      rule.clause.atoms):
+        terms, least = source.terms, ()
         if kept:
             kept = tuple([terms[i] for i in kept])
         if substituted:
@@ -470,7 +436,7 @@ def _instance(form, rule: Rule, variables) -> _LeafRule | None:
             substituted = tuple([terms[i] for i in substituted])
             least = _least_products(substituted, variables)
         atoms.append(_new(_LeafAtom, (kept, substituted, least, source.bound,
-                                      atom.head_coeff)))
+                                      head_coeff)))
     fixed_fold = None
     if fixed:
         fixed_fold = _fold_atoms(atoms, {})

@@ -12,17 +12,18 @@ and each integer expression becomes a flat list of parts (a variable slot
 with its coefficient, a parameter value, or a nested sum or product) plus
 the constant folded from its literals and scalar parameters.  The
 template is then instantiated once per generator binding, a tuple of
-values, without walking the syntax tree.  A rule instance is checked only
-when its shape (``program.RuleShapes``) is new in the program, since a
-shape's instances are all valid or all faulty; the shapes are handed on
-to the ground program.  Binding notes are built only for an error.
+values, without walking the syntax tree.  A rule instance is checked
+(``analysis.rule_verdict``) only when its shape (``program.RuleShapes``)
+is new, since a shape's instances are all valid or all faulty; the shapes
+are handed on to the ground program.  Binding notes are built only for
+an error.
 """
 
 import itertools
 import operator
 
-from .analysis import Monotonicity, monotonicity, validate_rule
-from .errors import GroundingError
+from .analysis import rule_verdict
+from .errors import TOO_DEEP, GroundingError
 from .model_ast import (
     Agg,
     ArrayAccess,
@@ -729,12 +730,11 @@ def _product(left, left_constant, right, right_constant, span, scope):
 
 def _rule_fault(rule: Rule, variables):
     """Why ``rule`` cannot be a rule, as the grounder reports it, or None."""
-    violation = validate_rule(rule, variables)
+    violation, non_monotone = rule_verdict(rule, variables)
     if violation is not None:
         return violation.describe(variables[rule.head].name)
     for var in set(rule.clause.variables()):
-        if var != rule.head and monotonicity(rule.clause, var) is \
-                Monotonicity.NON_MONOTONE:
+        if var in non_monotone:
             return f"rule clause is non-monotone in '{variables[var].name}'"
     return None
 
@@ -775,6 +775,10 @@ def ground(model: Model, data=(), founded_default=None) -> Program:
     ``data`` is a sequence of DataAssign items (from parse_data), and
     ``founded_default`` an (lo, hi) interval for founded integer variables
     declared without one.  Raises GroundingError with a source span and, for
-    quantified items, the generator bindings of the failing instance.
+    quantified items, the generator bindings of the failing instance; or
+    without either, for an item nested past the recursion limit.
     """
-    return _Grounder(model, data, founded_default).run()
+    try:
+        return _Grounder(model, data, founded_default).run()
+    except RecursionError:
+        raise GroundingError(TOO_DEEP) from None

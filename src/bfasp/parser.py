@@ -13,7 +13,7 @@ import re
 from functools import partial
 from typing import NoReturn
 
-from .errors import ParseError
+from .errors import TOO_DEEP, ParseError
 from .model_ast import (
     Agg,
     ArrayAccess,
@@ -597,9 +597,6 @@ def _span_of(expr) -> Span:
     return getattr(expr, "span", Span("<unknown>", 0, 0))
 
 
-_TOO_DEEP = "input nested too deeply to process"
-
-
 def parse_model(text: str, file: str = "<model>") -> Model:
     """Parse and resolve a model file; raises ParseError with a span.
 
@@ -611,7 +608,7 @@ def parse_model(text: str, file: str = "<model>") -> Model:
         items = _Parser(text, file).model_items()
         return _Resolver(file).run(items)
     except RecursionError:
-        raise ParseError(_TOO_DEEP) from None
+        raise ParseError(TOO_DEEP) from None
 
 
 def parse_data(text: str, file: str = "<data>") -> tuple:
@@ -622,7 +619,7 @@ def parse_data(text: str, file: str = "<data>") -> tuple:
     try:
         return _parse_data(text, file)
     except RecursionError:
-        raise ParseError(_TOO_DEEP) from None
+        raise ParseError(TOO_DEEP) from None
 
 
 def _parse_data(text: str, file: str) -> tuple:

@@ -180,9 +180,9 @@ class RuleShapes:
     signs, each atom's coefficients and ids, the head's id, and each id's
     kind and sort.  Repeated variables, self-loops among them, are part of
     the shape; atom bounds and variable domains are not.  Rules of one
-    shape agree member by member and term by term, so every analysis that
-    reads only the occurrence structure (rule validity, monotonicity, the
-    substitution plan) can be made on a shape's first rule and applied to
+    shape agree member by member and term by term, so the analyses that
+    read only the occurrence structure, ``analysis.rule_verdict`` and
+    ``analysis.shape_form``, are made on a shape's first rule and hold for
     the others by position.  An unknown variable index counts as a
     variable of no kind, so that malformed programs get shapes too.
     """
@@ -359,7 +359,7 @@ def validate_program(program: Program) -> ValidationReport:
     Covers variable domains, clause well-formedness, rule head requirements
     (founded, single increasing occurrence) and monotone rule bodies.
     """
-    from .analysis import Monotonicity, monotonicity, validate_rule
+    from .analysis import rule_verdict
 
     issues: list[str] = []
     names = set()
@@ -382,41 +382,31 @@ def validate_program(program: Program) -> ValidationReport:
     for i, clause in enumerate(program.constraints):
         _check_clause(clause, program.variables, f"constraint {i}", issues)
 
-    # Index, sort, coefficient and bound checks for every rule first; the
-    # rest depends only on a rule's shape, so it is checked once per shape.
+    # Index, sort, coefficient and bound checks for every rule; the rest reads
+    # only the rule's shape, so only a faulty shape's rules are all checked.
     count = len(program.variables)
-    faults = {}  # rule index -> its issues from the checks above
-    for i, rule in enumerate(program.rules):
-        found = []
-        _check_clause(rule.clause, program.variables, f"rule {i}", found)
-        if found:
-            faults[i] = found
-    verdicts = {}  # shape number -> (violation, some body non-monotone)
+    passed = set()  # shape numbers
     for i, (rule, number) in enumerate(zip(program.rules, program.shapes)):
         where = f"rule {i}"
-        issues += faults.get(i, ())
+        _check_clause(rule.clause, program.variables, where, issues)
         if rule.clause.is_empty:
             issues.append(f"{where}: empty clause")
             continue
         if not 0 <= rule.head < count:
             issues.append(f"{where}: unknown head variable {rule.head}")
             continue
-        verdict = verdicts.get(number)
-        if verdict is None:
-            verdict = verdicts[number] = (
-                validate_rule(rule, program.variables),
-                any(monotonicity(rule.clause, var) is Monotonicity.NON_MONOTONE
-                    for var in set(rule.clause.variables()) - {rule.head}))
-        violation, non_monotone = verdict
+        if number in passed:
+            continue
+        violation, non_monotone = rule_verdict(rule, program.variables)
+        if violation is None and not non_monotone:
+            passed.add(number)
         if violation is not None:
             issues.append(f"{where}: {violation.describe(program.name(rule.head))}")
-        if non_monotone:  # name this rule's variables
-            for var in set(rule.clause.variables()) - {rule.head}:
-                # an unknown variable is reported above, by its index
-                if 0 <= var < count and monotonicity(rule.clause, var) is \
-                        Monotonicity.NON_MONOTONE:
-                    issues.append(f"{where}: non-monotone occurrence of "
-                                  f"'{program.name(var)}' in a rule body")
+        for var in set(rule.clause.variables()) - {rule.head}:
+            # an unknown variable is reported above, by its index
+            if var in non_monotone and 0 <= var < count:
+                issues.append(f"{where}: non-monotone occurrence of "
+                              f"'{program.name(var)}' in a rule body")
 
     if program.objective is not None:
         seen = set()

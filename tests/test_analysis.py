@@ -2,6 +2,7 @@
 
 import pytest
 
+import bfasp
 from bfasp import (
     NEG_INF,
     POS_INF,
@@ -13,20 +14,26 @@ from bfasp import (
     ReductBuilder,
     Rule,
     RuleViolation,
+    Search,
     Sort,
     VarKind,
     Variable,
     build_reduct,
+    ground,
     guess_set,
     is_tautology,
     minimal_model,
     monotonicity,
+    parse_data,
+    parse_model,
     validate_positive_cp,
+    validate_program,
     validate_rule,
 )
 
 from conftest import THETA, THETA_PRIME, build_example_one, valuation_of
 from oracles import random_mixed_program, random_positive_cp
+from test_ground_output import GOLDEN_CASES, ROOT
 
 
 def bools(*names, founded=True):
@@ -125,6 +132,34 @@ def test_guess_set_includes_standard_and_substituted_founded():
     rule = Rule(Clause(lits=(Literal(1), Literal(2), Literal(3, False))), 1)
     program = Program(variables, rules=(rule,))
     assert guess_set(program) == frozenset({0, 2})
+
+
+def test_rules_are_analysed_once_per_shape(monkeypatch):
+    """Grounding and validating check each rule shape once, and setting up
+    a search plans it twice (the leaf evaluator and the guess set): no
+    count grows with the rules of a shape."""
+    calls = dict.fromkeys(("substitution_plan", "validate_rule"), 0)
+    for name in calls:
+        original = getattr(bfasp.analysis, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        for module in (bfasp, bfasp.analysis, bfasp.fixpoint, bfasp.grounder,
+                       bfasp.program, bfasp.solver):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    path, data, founded_default = GOLDEN_CASES["bench_sssp"]
+    program = ground(parse_model((ROOT / path).read_text(), path),
+                     parse_data(data), founded_default=founded_default)
+    shapes = len(set(program.shapes))
+    assert len(program.rules) > 2 * shapes
+    assert calls == {"substitution_plan": 0, "validate_rule": shapes}
+    assert validate_program(program).ok
+    assert calls == {"substitution_plan": 0, "validate_rule": 2 * shapes}
+    Search(program)
+    assert calls == {"substitution_plan": 2 * shapes,
+                     "validate_rule": 2 * shapes}
 
 
 # -- tautology detection ------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Instantiation: parameter binding, expansion, normalization, rule checks."""
 
+from dataclasses import replace
+
 import pytest
 
 from bfasp import (
@@ -14,6 +16,7 @@ from bfasp import (
     parse_model,
     validate_program,
 )
+from bfasp.model_ast import Not
 
 from conftest import MODELS, build_example_one
 
@@ -320,6 +323,29 @@ def test_rule_bodies_must_be_monotone():
                        match="non-monotone in 'n'"):
         g("var 0..9: a :: founded;\nvar 0..9: n;\n"
           "rule (a >= -n <- n >= 3 :: head(a));\n")
+
+
+def test_the_grounder_names_the_first_non_monotone_variable_it_meets():
+    # Iterating the rule's variables, ids 0 (the head), 1 and 8, meets 1
+    # before 8; without the head, as validation iterates them, 8 comes first.
+    with pytest.raises(GroundingError) as caught:
+        g("var 0..99: a :: founded;\narray[1..8] of var 0..9: x;\n"
+          "rule (a >= 1 \\/ x[1] >= 1 \\/ -x[1] >= 0 \\/ x[8] >= 1 "
+          "\\/ -x[8] >= 0 :: head(a));\n")
+    assert str(caught.value) == \
+        "<model>:3:1: rule clause is non-monotone in 'x[1]'"
+
+
+def test_nesting_past_the_recursion_limit_is_a_grounding_error():
+    # the parser refuses such input, but a model built by hand can hold it
+    model = parse_model("var bool: p;\nconstraint p;\n")
+    item = model.constraints[0]
+    expr = item.expr
+    for _ in range(5000):
+        expr = Not(expr, item.span)
+    with pytest.raises(GroundingError) as caught:
+        ground(replace(model, constraints=(replace(item, expr=expr),)))
+    assert str(caught.value) == "input nested too deeply to process"
 
 
 def test_rules_must_flatten_to_one_clause():

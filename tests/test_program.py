@@ -263,6 +263,20 @@ def test_validate_program_flags_rule_issues():
     assert any("non-monotone occurrence of 'r'" in i for i in issues)
 
 
+def test_non_monotone_variables_are_named_in_validation_order():
+    # Validation iterates the body variables without the head, 42; with the
+    # head among them the same ids iterate as 37, 42, 12, 15, 23.
+    variables = tuple(Variable(f"v{i}", VarKind.FOUNDED if i == 42
+                               else VarKind.STANDARD, Sort.BOOL)
+                      for i in range(43))
+    lits = tuple(Literal(var, positive) for var in (12, 23, 37, 15)
+                 for positive in (True, False))
+    rule = Rule(Clause(lits + (Literal(42),)), 42)
+    assert validate_program(Program(variables, rules=(rule,))).issues == [
+        f"rule 0: non-monotone occurrence of '{name}' in a rule body"
+        for name in ("v23", "v12", "v37", "v15")]
+
+
 def test_an_unknown_variable_in_both_signs_is_no_traceback():
     variables = (Variable("h", VarKind.FOUNDED, Sort.BOOL),)
     rule = Rule(Clause((Literal(0), Literal(9), Literal(9, False))), 0)
