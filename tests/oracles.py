@@ -8,6 +8,7 @@ the two sides is meaningful evidence.
 
 import itertools
 import math
+import re
 
 from bfasp import (
     NEG_INF,
@@ -461,3 +462,54 @@ def mcds_optima(n: int, edges, cap: int):
 
 MCDS_EDGES = ((1, 2, 20), (2, 1, 20), (2, 3, 30),
               (3, 2, 30), (3, 4, 40), (4, 3, 40))
+
+
+# -- tokens -------------------------------------------------------------------
+
+# The token grammars of the text formats, written as one named group per
+# kind: the model and data formats, and the ground-program and assignment
+# formats.  ``kw`` holds the model keywords as whole words.
+MODEL_TOKENS = re.compile(
+    r"""(?P<skip>[ \t\r\n]+|%[^\n]*)
+      | (?P<kw>(?:array|bool|bool2int|constraint|exists|false|forall|founded
+                |head|in|int|minimize|not|of|rule|satisfy|solve|sum|true|var
+                |where)\b)
+      | (?P<name>[A-Za-z_]\w*)
+      | (?P<int>\d+)
+      | (?P<op>::|\.\.|->|<-|/\\|\\/|[<>=!]=|[;:,()\[\]=<>+*-])
+      | (?P<bad>.)
+    """,
+    re.VERBOSE | re.ASCII,
+)
+
+GROUND_TOKENS = re.compile(
+    r"""(?P<skip>\s+|\#[^\n]*)
+      | (?P<name>[A-Za-z_]\w*(?:\[-?\d+(?:,-?\d+)*\])?)
+      | (?P<int>\d+)
+      | (?P<op>>=|\.\.|[|~;*+=-])
+      | (?P<bad>.)
+    """,
+    re.VERBOSE | re.ASCII,
+)
+
+
+def reference_scan(pattern: re.Pattern, text: str):
+    """Yield ``(kind, value, line, col)`` for each token of ``text``.
+
+    The kind is the name of the group that matched, and the location is
+    counted while scanning: lines from the newlines in skipped text, both
+    counted from 1.  A ``bad`` token ends the tokens; otherwise an ``end``
+    token with the empty value does.
+    """
+    line, line_start = 1, 0
+    for match in pattern.finditer(text):
+        kind, value = match.lastgroup, match.group()
+        if kind == "skip":
+            if "\n" in value:
+                line += value.count("\n")
+                line_start = match.start() + value.rindex("\n") + 1
+            continue
+        yield kind, value, line, match.start() - line_start + 1
+        if kind == "bad":
+            return
+    yield "end", "", line, len(text) - line_start + 1
