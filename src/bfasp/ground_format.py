@@ -12,10 +12,14 @@ Clause members are separated by ``|``; an empty clause is written ``false``.
 Assignment files hold ``name = value;`` lines with true/false/int/-inf values.
 
 Both readers use the model parser's ``scan`` and ``Cursor``; the four text
-formats differ only in their token regex and their grammar.
+formats differ only in their token regex, their operators and their grammar.
+The readers hold token indices and turn one into a line number only when
+they raise a FormatError, and a ``k*name`` term is read straight off the
+token values.  Lines end at ``"\\n"`` in both formats.
 """
 
 import re
+from typing import NoReturn
 
 from .errors import FormatError
 from .parser import Cursor
@@ -100,12 +104,16 @@ def format_assignment(program: Program, valuation) -> str:
 
 # -- tokens ----------------------------------------------------------------
 
+_OPS = frozenset(">= .. | ~ ; * + = -".split())
+
+# skipped text, then one token: a name (an indexed name like ``d[1,-2]``
+# is one word), an integer, an operator of _OPS, a character no token
+# admits, or the end
 _TOKEN_RE = re.compile(
-    r"""(?P<skip>\s+|\#[^\n]*)
-      | (?P<name>[A-Za-z_]\w*(?:\[-?\d+(?:,-?\d+)*\])?)
-      | (?P<int>\d+)
-      | (?P<op>>=|\.\.|[|~;*+=-])
-      | (?P<bad>.)
+    r"""(?:\s+|\#[^\n]*)*
+        ( [A-Za-z_]\w*(?:\[-?\d+(?:,-?\d+)*\])? | \d+
+        | >=|\.\.|[|~;*+=-]
+        | . | \Z )
     """,
     re.VERBOSE | re.ASCII,
 )
@@ -130,8 +138,11 @@ def _take_neg_inf(t: Cursor) -> bool:
 
 
 class _GroundReader(Cursor):
+    """Reads a ground program; errors name the line of a token index, made
+    only when one is raised."""
+
     def __init__(self, text: str):
-        super().__init__(_TOKEN_RE, text, FormatError, _line_only)
+        super().__init__(_TOKEN_RE, text, FormatError, _line_only, _OPS)
         self.variables: list[Variable] = []
         self.index: dict[str, int] = {}
         self.constraints: list[Clause] = []
@@ -154,8 +165,11 @@ class _GroundReader(Cursor):
         return Program(tuple(self.variables), tuple(self.constraints),
                        tuple(self.rules), self.objective)
 
+    def _raise(self, message: str, at: int) -> NoReturn:
+        raise FormatError(message, self.location(at))
+
     def _var_decl(self):
-        line = self.where
+        at = self._at
         if self.take("bool"):
             sort, lo, hi = Sort.BOOL, None, None
         elif self.take("int"):
@@ -174,7 +188,7 @@ class _GroundReader(Cursor):
         name = self.name("variable name")
         self.expect(";")
         if name in self.index:
-            raise FormatError(f"duplicate variable '{name}'", line)
+            self._raise(f"duplicate variable '{name}'", at)
         self.index[name] = len(self.variables)
         self.variables.append(Variable(name, kind, sort, lo, hi))
 
@@ -185,11 +199,11 @@ class _GroundReader(Cursor):
             return NEG_INF
         return self.integer()
 
-    def _lookup(self, name: str, line: int) -> int:
-        try:
-            return self.index[name]
-        except KeyError:
-            raise FormatError(f"unknown variable '{name}'", line) from None
+    def _lookup(self, name: str, at: int) -> int:
+        var = self.index.get(name)
+        if var is None:
+            self._raise(f"unknown variable '{name}'", at)
+        return var
 
     def _clause(self) -> Clause:
         if self.take("false"):
@@ -204,20 +218,20 @@ class _GroundReader(Cursor):
 
     def _member(self, lits: list, atoms: list):
         """One clause member: ``~name``, ``name``, or a linear atom."""
-        line = self.where
+        at = self._at
         if self.take("~"):
-            var = self._lookup(self.name(), line)
-            self._want_sort(var, Sort.BOOL, line)
+            var = self._lookup(self.name(), at)
+            self._want_sort(var, Sort.BOOL, at)
             lits.append(Literal(var, False))
             return
-        kind, value, _ = self.current
-        if kind == "name" and not self._starts_atom():
-            self.name()
-            var = self._lookup(value, line)
-            self._want_sort(var, Sort.BOOL, line)
+        value = self._values[at]
+        if self.kind(value) == "name" and not self._starts_atom():
+            self._at += 1
+            var = self._lookup(value, at)
+            self._want_sort(var, Sort.BOOL, at)
             lits.append(Literal(var, True))
             return
-        terms, constant = self._linear(line)
+        terms, constant = self._linear()
         self.expect(">=")
         bound = self._bound()
         if isinstance(constant, int) and isinstance(bound, int):
@@ -226,36 +240,41 @@ class _GroundReader(Cursor):
 
     def _starts_atom(self) -> bool:
         """Lookahead: a bare name is an atom when an operator follows."""
-        return any(self.peek(op, 1) for op in (">=", "+", "-", "*"))
+        return self._values[self._at + 1] in (">=", "+", "-", "*")
 
-    def _linear(self, line: int, *, allow_bool: bool = False):
+    def _linear(self, *, allow_bool: bool = False):
         """Sum of ``k*name``, ``name``, and integer terms.
 
         Objectives may carry Boolean variables (counted 0/1); clause atoms
-        may not.
+        may not.  A ``k*name`` term is read straight off the token values.
         """
+        values = self._values
         terms: list[tuple[int, int]] = []
         constant = 0
         sign = 1
         while True:
             if self.take("-"):
                 sign = -sign
-            item_line = self.where
-            kind = self.current[0]
+            at = self._at
+            value = values[at]
+            kind = self.kind(value)
             if kind == "int":
-                coeff = sign * self.integer()
-                if self.take("*"):
-                    name = self.name()
-                    var = self._lookup(name, item_line)
+                if values[at + 1] == "*" and self.kind(values[at + 2]) == "name":
+                    self._at = at + 3
+                    var = self._lookup(values[at + 2], at)
                     if not allow_bool:
-                        self._want_sort(var, Sort.INT, item_line)
-                    terms.append((coeff, var))
+                        self._want_sort(var, Sort.INT, at)
+                    terms.append((sign * int(value), var))
                 else:
+                    coeff = sign * self.integer()
+                    if self.take("*"):
+                        self.fail("name")
                     constant += coeff
             elif kind == "name":
-                var = self._lookup(self.name(), item_line)
+                self._at += 1
+                var = self._lookup(value, at)
                 if not allow_bool:
-                    self._want_sort(var, Sort.INT, item_line)
+                    self._want_sort(var, Sort.INT, at)
                 terms.append((sign, var))
             else:
                 self.fail("a term")
@@ -266,26 +285,27 @@ class _GroundReader(Cursor):
                 continue
             return terms, constant
 
-    def _want_sort(self, var: int, sort: Sort, line: int):
+    def _want_sort(self, var: int, sort: Sort, at: int):
         info = self.variables[var]
         if info.sort is not sort:
             place = "a literal" if sort is Sort.BOOL else "a linear term"
-            raise FormatError(
+            self._raise(
                 f"'{info.name}' is {info.sort.value}, not usable as {place}",
-                line)
+                at)
 
     def _rule(self):
         clause = self._clause()
         self.expect("head")
-        head = self._lookup(self.name("head variable"), self.where)
+        name = self.name("head variable")
+        # an unknown head is reported on the line of the token after it
+        head = self._lookup(name, self._at)
         self.expect(";")
         self.rules.append(Rule(clause, head))
 
     def _minimize(self):
-        line = self.where
         if self.objective is not None:
-            raise FormatError("more than one minimize item", line)
-        terms, constant = self._linear(line, allow_bool=True)
+            self._raise("more than one minimize item", self._at)
+        terms, constant = self._linear(allow_bool=True)
         self.expect(";")
         self.objective = LinearExpr(tuple(terms), constant)
 
@@ -303,7 +323,7 @@ def parse_ground_program(text: str) -> Program:
 # -- assignments -------------------------------------------------------------
 
 
-def _parse_value(tokens: Cursor, info: Variable, line: int):
+def _parse_value(tokens: Cursor, info: Variable, at: int):
     if tokens.take("true"):
         value = True
     elif tokens.take("false"):
@@ -315,7 +335,7 @@ def _parse_value(tokens: Cursor, info: Variable, line: int):
     if not info.admits(value):
         raise FormatError(
             f"value {format_value(value)} is outside the domain of "
-            f"'{info.name}'", line)
+            f"'{info.name}'", tokens.location(at))
     return value
 
 
@@ -328,20 +348,21 @@ def parse_assignment(text: str, program: Program) -> dict:
     marker lines are ignored.
     """
     kept = [line if not _SEPARATOR_RE.match(line) else ""
-            for line in text.splitlines()]
-    tokens = Cursor(_TOKEN_RE, "\n".join(kept), FormatError, _line_only)
+            for line in text.split("\n")]
+    tokens = Cursor(_TOKEN_RE, "\n".join(kept), FormatError, _line_only, _OPS)
     valuation: dict[int, object] = {}
     index = program.index_by_name
     while not tokens.at_end():
-        line = tokens.where
+        at = tokens.at
         name = tokens.name("variable name")
         if name not in index:
-            raise FormatError(f"unknown variable '{name}'", line)
+            raise FormatError(f"unknown variable '{name}'",
+                              tokens.location(at))
         var = index[name]
         if var in valuation:
-            raise FormatError(f"'{name}' assigned twice", line)
+            raise FormatError(f"'{name}' assigned twice", tokens.location(at))
         tokens.expect("=")
-        valuation[var] = _parse_value(tokens, program.variables[var], line)
+        valuation[var] = _parse_value(tokens, program.variables[var], at)
         tokens.expect(";")
     missing = [info.name for var, info in enumerate(program.variables)
                if var not in valuation]

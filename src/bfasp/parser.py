@@ -6,11 +6,17 @@ only) close a parenthesized group.  Comments run from ``%`` to end of line.
 
 ``scan`` and ``Cursor`` also read the ground-program and assignment formats
 (``ground_format``): the four text formats share one scanner and one cursor
-and differ only in their token regex and their grammar.
+and differ only in their token regex, their operators and keywords, and
+their grammar.  A text becomes a list of token values, plain strings; a
+token's kind follows from its value, and its location (line and column) is
+made only when an error or an AST span asks for it.
 """
 
 import re
+import string
+from bisect import bisect_right
 from functools import partial
+from operator import attrgetter, methodcaller
 from typing import NoReturn
 
 from .errors import TOO_DEEP, ParseError
@@ -40,72 +46,118 @@ from .program import Sort
 
 # -- scanning ----------------------------------------------------------------
 
+_DIGITS = frozenset("0123456789")
+_NAME_START = frozenset(string.ascii_letters + "_")
+_token_start = methodcaller("start", 1)
 
-def scan(pattern: re.Pattern, text: str, where) -> list:
-    """Split ``text`` into ``(kind, value, location)`` tokens.
 
-    Each alternative of ``pattern`` is a named group, and the group's name is
-    the token's kind.  ``skip`` matches (whitespace and comments) are
-    dropped, and lines are counted from the newlines they hold.  A catch-all
-    ``bad`` group of one character ends the list; otherwise an ``end`` token
-    does.  Locations are ``where(line, column)``, both counted from 1.
+def scan(pattern: re.Pattern, text: str) -> list:
+    """Split ``text`` into its token values, ending with ``""`` for the end.
+
+    ``pattern`` has one group, a token, and lets skipped text (whitespace
+    and comments) come before it in the same match; its last alternatives
+    are ``.``, for a character no token admits, and ``\\Z``.  ``findall``
+    then yields plain strings, without locations.
     """
-    tokens = []
-    line, line_start = 1, 0
-    for match in pattern.finditer(text):
-        kind = match.lastgroup
-        value = match.group()
-        if kind == "skip":
-            newlines = value.count("\n")
-            if newlines:
-                line += newlines
-                line_start = match.start() + value.rindex("\n") + 1
-            continue
-        col = match.start() - line_start + 1
-        tokens.append((kind, value, where(line, col)))
-        if kind == "bad":
-            return tokens
-    tokens.append(("end", "", where(line, len(text) - line_start + 1)))
-    return tokens
+    values = pattern.findall(text)
+    if len(values) > 1 and not values[-2]:
+        # skipped text at the end: the end matched once with it and once
+        # without
+        values.pop()
+    return values
 
 
 class Cursor:
-    """Reads the tokens of one text; errors are ``error(message, location)``.
+    """Reads the token values of one text; errors are ``error(message,
+    location)``.
 
-    Tokens are matched by value, so a grammar peeks keywords and operators
-    alike; ``name`` and ``integer`` read the ``name`` and ``int`` kinds.
+    A token's kind follows from its value: an ASCII digit starts an ``int``,
+    an ASCII letter or ``_`` a ``name`` (a ``kw`` when the word is one of
+    ``keywords``), a member of ``ops`` is an ``op``, ``""`` is the ``end``,
+    and anything else is ``bad``: the first bad token is refused when the
+    cursor is made.  Tokens are matched by value, so a grammar peeks
+    keywords and operators alike; ``name`` and ``integer`` read the
+    ``name`` and ``int`` kinds.
+
+    A location is made on demand, as ``where(line, column)`` (both counted
+    from 1): the first request re-scans the text for token offsets, and
+    each token's location is kept once made.
     """
 
-    def __init__(self, pattern: re.Pattern, text: str, error, where):
-        self._tokens = scan(pattern, text, where)
+    def __init__(self, pattern: re.Pattern, text: str, error, where,
+                 ops: frozenset, keywords: frozenset = frozenset()):
+        self._pattern = pattern
+        self._text = text
+        self._values = values = scan(pattern, text)
         self._at = 0
         self._error = error
-        kind, value, location = self._tokens[-1]
-        if kind == "bad":
-            raise error(f"unexpected character {value!r}", location)
+        self._where = where
+        self._ops = ops
+        self._keywords = keywords
+        self._locations = None
+        # one kind per distinct value; the first bad one is found by index
+        bad = [value for value in set(values) if self.kind(value) == "bad"]
+        if bad:
+            at = min(map(values.index, bad))
+            raise error(f"unexpected character {values[at]!r}",
+                        self.location(at))
+
+    def kind(self, value: str) -> str:
+        """The kind of a token value."""
+        first = value[:1]
+        if first in _DIGITS:
+            return "int"
+        if first in _NAME_START:
+            return "kw" if value in self._keywords else "name"
+        if value in self._ops:
+            return "op"
+        return "bad" if value else "end"
+
+    def location(self, at: int):
+        """The location of the token at index ``at``."""
+        if self._locations is None:
+            self._offsets = list(map(_token_start,
+                                     self._pattern.finditer(self._text)))
+            self._line_starts = [0] + [match.end() for match
+                                       in re.finditer("\n", self._text)]
+            self._locations = [None] * len(self._values)
+        location = self._locations[at]
+        if location is None:
+            offset = self._offsets[at]
+            line = bisect_right(self._line_starts, offset)
+            location = self._where(line,
+                                   offset - self._line_starts[line - 1] + 1)
+            self._locations[at] = location
+        return location
+
+    @property
+    def at(self) -> int:
+        """The index of the next token."""
+        return self._at
 
     @property
     def current(self) -> tuple:
         """The next token as ``(kind, value, location)``."""
-        return self._tokens[self._at]
+        value = self._values[self._at]
+        return self.kind(value), value, self.location(self._at)
 
     @property
     def where(self):
         """Location of the next token."""
-        return self._tokens[self._at][2]
+        return self.location(self._at)
 
     def at_end(self) -> bool:
-        return self._tokens[self._at][0] == "end"
+        return not self._values[self._at]
 
     def peek(self, value: str, ahead: int = 0) -> bool:
         """Whether the token ``ahead`` places on is ``value``.
 
         Only a token before the end token may be looked past.
         """
-        return self._tokens[self._at + ahead][1] == value
+        return self._values[self._at + ahead] == value
 
     def take(self, value: str) -> bool:
-        if self._tokens[self._at][1] == value:
+        if self._values[self._at] == value:
             self._at += 1
             return True
         return False
@@ -115,8 +167,8 @@ class Cursor:
             self.fail(repr(value))
 
     def name(self, what: str = "name") -> str:
-        kind, value, _ = self._tokens[self._at]
-        if kind != "name":
+        value = self._values[self._at]
+        if value[:1] not in _NAME_START or value in self._keywords:
             self.fail(what)
         self._at += 1
         return value
@@ -124,33 +176,36 @@ class Cursor:
     def integer(self) -> int:
         """An ``int`` token, after an optional ``-``."""
         negative = self.take("-")
-        kind, value, _ = self._tokens[self._at]
-        if kind != "int":
+        value = self._values[self._at]
+        if value[:1] not in _DIGITS:
             self.fail("integer")
         self._at += 1
         return -int(value) if negative else int(value)
 
     def fail(self, expected: str) -> NoReturn:
         """Raise ``expected ..., found <the next token>``."""
-        kind, value, location = self._tokens[self._at]
-        found = "end of input" if kind == "end" else repr(value)
-        raise self._error(f"expected {expected}, found {found}", location)
+        value = self._values[self._at]
+        found = repr(value) if value else "end of input"
+        raise self._error(f"expected {expected}, found {found}", self.where)
 
 
 # -- parsing -----------------------------------------------------------------
 
-_KEYWORDS = """
+_KEYWORDS = frozenset("""
     array bool bool2int constraint exists false forall founded head in int
     minimize not of rule satisfy solve sum true var where
-""".split()
+""".split())
 
+_OPS = frozenset(r":: .. -> <- /\ \/ >= <= == != ; : , ( ) [ ] = < > + * -"
+                 .split())
+
+# skipped text, then one token: a word, an integer, an operator of _OPS, a
+# character no token admits, or the end
 _MODEL_TOKENS = re.compile(
-    r"""(?P<skip>[ \t\r\n]+|%[^\n]*)
-      | (?P<kw>(?:""" + "|".join(_KEYWORDS) + r""")\b)
-      | (?P<name>[A-Za-z_]\w*)
-      | (?P<int>\d+)
-      | (?P<op>::|\.\.|->|<-|/\\|\\/|[<>=!]=|[;:,()\[\]=<>+*-])
-      | (?P<bad>.)
+    r"""(?:[ \t\r\n]+|%[^\n]*)*
+        ( [A-Za-z_]\w* | \d+
+        | ::|\.\.|->|<-|/\\|\\/|[<>=!]=|[;:,()\[\]=<>+*-]
+        | . | \Z )
     """,
     re.VERBOSE | re.ASCII,
 )
@@ -177,7 +232,8 @@ _NO_CHAIN = {
 
 class _Parser(Cursor):
     def __init__(self, text: str, file: str):
-        super().__init__(_MODEL_TOKENS, text, ParseError, partial(Span, file))
+        super().__init__(_MODEL_TOKENS, text, ParseError, partial(Span, file),
+                         _OPS, _KEYWORDS)
         self.in_rule = False
 
     # -- items --------------------------------------------------------------
@@ -273,13 +329,23 @@ class _Parser(Cursor):
         return (lo, hi)
 
     def _array_lit(self) -> ArrayLit:
+        """A ``[...]`` list; an integer followed by ``,`` or ``]`` is read
+        straight off the token values, anything else as an expression."""
         span = self.where
         self.expect("[")
+        values = self._values
         elements = []
         if not self.peek("]"):
-            elements.append(self._expr(_ARITH))
-            while self.take(","):
-                elements.append(self._expr(_ARITH))
+            while True:
+                at = self._at
+                value = values[at]
+                if value[:1] in _DIGITS and values[at + 1] in (",", "]"):
+                    self._at = at + 1
+                    elements.append(IntLit(int(value), self.location(at)))
+                else:
+                    elements.append(self._expr(_ARITH))
+                if not self.take(","):
+                    break
         self.expect("]")
         return ArrayLit(tuple(elements), span)
 
@@ -287,20 +353,22 @@ class _Parser(Cursor):
 
     def _expr(self, least: int = 0):
         """An expression of operators at ``least`` or a tighter level."""
-        span = self.where
-        if least <= _NOT and self.take("not"):
+        values = self._values
+        if least <= _NOT and values[self._at] == "not":
+            span = self.where
+            self._at += 1
             left = Not(self._expr(_NOT), span)
         else:
             left = self._unary()
         while True:
-            span = self.where
-            op = self.current[1]
+            op = values[self._at]
             level = _LEVEL.get(op, -1)
             if level < least:
                 return left
-            self.take(op)
+            span = self.where
+            self._at += 1
             right = self._expr(level + 1)
-            if level in _NO_CHAIN and _LEVEL.get(self.current[1]) == level:
+            if level in _NO_CHAIN and _LEVEL.get(values[self._at]) == level:
                 raise ParseError(_NO_CHAIN[level], self.where)
             if level == _CMP:
                 left = Comparison("=" if op == "==" else op, left, right,
@@ -309,17 +377,21 @@ class _Parser(Cursor):
                 left = BinOp(op, left, right, span)
 
     def _unary(self):
-        span = self.where
-        if self.take("-"):
+        if self._values[self._at] == "-":
+            span = self.where
+            self._at += 1
             return Neg(self._unary(), span)
         return self._primary()
 
     def _primary(self):
-        kind, value, span = self.current
+        value = self._values[self._at]
+        kind = self.kind(value)
         if kind == "int":
+            span = self.where
             return IntLit(self.integer(), span)
         if kind == "name":
             return self._reference()
+        span = self.where
         if value in ("forall", "exists", "sum"):
             self.take(value)
             return self._aggregate(value, span)
@@ -392,23 +464,32 @@ class _Parser(Cursor):
 _PARAM, _GUARD, _BODY, _OBJECTIVE, _OPEN, _CLOSE = range(6)
 
 
+# Arithmetic operators bind at _ARITH or tighter, logical ones at weaker
+# levels than prefix ``not``.
+_ARITH_OPS = [op for op, level in _LEVEL.items() if level >= _ARITH]
+_LOGIC_OPS = [op for op, level in _LEVEL.items() if level < _NOT]
+
+
 def _body(here: int) -> dict:
     return {IntLit: here, Ident: here, ArrayAccess: _PARAM, Neg: here,
-            Not: here, "arith": here, "logic": here, Comparison: _BODY,
-            Agg: here, HeadAnn: "misplaced head annotation",
+            Not: here, **dict.fromkeys(_ARITH_OPS + _LOGIC_OPS, here),
+            Comparison: _BODY, Agg: here,
+            HeadAnn: "misplaced head annotation",
             None: "unsupported expression"}
 
 
 # The context table: for each context, the node kinds it admits, each with
 # the context its operands are checked in (array indices and generator
 # ranges are always parameter expressions), or with the message that
-# refuses it.  Kinds not listed get the message under None.  An objective is
-# a body that also admits bool2int.
+# refuses it.  A node's kind is its type, and a BinOp's is its operator.
+# Kinds not listed get the message under None.  An objective is a body that
+# also admits bool2int.
 _ADMITS = {
     _PARAM: {IntLit: _PARAM, Ident: _PARAM, ArrayAccess: _PARAM,
-             Neg: _PARAM, "arith": _PARAM,
+             Neg: _PARAM, **dict.fromkeys(_ARITH_OPS, _PARAM),
              None: "only integer parameter arithmetic is allowed here"},
-    _GUARD: {Comparison: _PARAM, Not: _GUARD, "logic": _GUARD,
+    _GUARD: {Comparison: _PARAM, Not: _GUARD,
+             **dict.fromkeys(_LOGIC_OPS, _GUARD),
              None: "a where guard must be a parameter condition"},
     _BODY: {**_body(_BODY),
             Bool2Int: "bool2int is only allowed in the objective"},
@@ -416,20 +497,24 @@ _ADMITS = {
 }
 
 
-def _kind(node):
-    if isinstance(node, BinOp):
-        return "arith" if node.op in ("+", "-", "*") else "logic"
-    return type(node)
+# what _Resolver._lookup returns for a generator name
+_GEN = "gen"
 
 
-def _operands(node) -> tuple:
-    if isinstance(node, (BinOp, Comparison)):
-        return (node.left, node.right)
-    if isinstance(node, ArrayAccess):
-        return node.indices
-    if isinstance(node, (Neg, Not, Bool2Int)):
-        return (node.operand,)
-    return ()
+def _operand(node) -> tuple:
+    return (node.operand,)
+
+
+# The walk's one per-type table: each node type with operands, and a getter
+# of its operands, in order.
+_OPERANDS = {
+    BinOp: attrgetter("left", "right"),
+    Comparison: attrgetter("left", "right"),
+    ArrayAccess: attrgetter("indices"),
+    Neg: _operand,
+    Not: _operand,
+    Bool2Int: _operand,
+}
 
 
 class _Resolver:
@@ -489,6 +574,7 @@ class _Resolver:
         operator chain is bounded by the interpreter's recursion limit.
         """
         stack = work[::-1]
+        push = stack.append
         while stack:
             node, context = stack.pop()
             if context == _OPEN:
@@ -497,24 +583,28 @@ class _Resolver:
             if context == _CLOSE:
                 del self.gen_names[node:]
                 continue
-            kind = _kind(node)
+            kind = type(node)
             admits = _ADMITS[context]
-            inner = admits.get(kind, admits[None])
-            if isinstance(inner, str):
+            inner = admits.get(node.op if kind is BinOp else kind,
+                               admits[None])
+            if type(inner) is str:
                 raise ParseError(inner, _span_of(node))
-            if kind is Ident or kind is ArrayAccess:
+            operands = _OPERANDS.get(kind)
+            if operands is not None:
+                if kind is ArrayAccess:
+                    self._reference(node, context == _PARAM)
+                for operand in reversed(operands(node)):
+                    push((operand, inner))
+            elif kind is Ident:
                 self._reference(node, context == _PARAM)
-            if kind is Agg:
-                stack.append((len(self.gen_names), _CLOSE))
-                stack.append((node.body, inner))
+            elif kind is Agg:
+                push((len(self.gen_names), _CLOSE))
+                push((node.body, inner))
                 stack.extend(reversed(_scope(node)))
-            else:
-                for operand in reversed(_operands(node)):
-                    stack.append((operand, inner))
 
     def _lookup(self, name: str, span: Span):
         if name in self.gen_names:
-            return "gen"
+            return _GEN
         decl = self.decls.get(name)
         if decl is None:
             raise ParseError(f"'{name}' is not declared", span)
@@ -529,11 +619,11 @@ class _Resolver:
                 raise ParseError(
                     f"'{ref.name}' is a variable; only parameters are "
                     f"allowed here", ref.span)
-            if decl != "gen" and decl.dims:
+            if decl is not _GEN and decl.dims:
                 raise ParseError(f"array '{ref.name}' needs indices",
                                  ref.span)
             return
-        if decl == "gen" or param and isinstance(decl, VarDecl):
+        if decl is _GEN or param and isinstance(decl, VarDecl):
             what = "a parameter array" if param else "an array"
             raise ParseError(f"'{ref.name}' is not {what}", ref.span)
         dims = len(decl.dims)
@@ -563,7 +653,7 @@ class _Resolver:
                 "the rule or under its foralls", item.span)
         target = node.target
         decl = self._lookup(target.name, target.span)
-        if decl == "gen" or isinstance(decl, ParamDecl):
+        if decl is _GEN or isinstance(decl, ParamDecl):
             raise ParseError(f"head '{target.name}' is not a variable",
                              target.span)
         self._walk([(target, _BODY), (node.body, _BODY)])

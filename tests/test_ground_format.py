@@ -212,3 +212,32 @@ def test_assignment_error_lines_survive_chrome_removal():
     text = "----------\ns = 0;\n----------\ns = 1;\n"
     with pytest.raises(FormatError, match="line 4: 's' assigned twice"):
         parse_assignment(text, build_example_one())
+
+
+def _two_ints() -> Program:
+    return Program((Variable("a", VarKind.STANDARD, Sort.INT, 0, 5),
+                    Variable("b", VarKind.STANDARD, Sort.INT, 0, 5)))
+
+
+def test_assignment_lines_end_at_newline_only():
+    # form feeds, NEL and the line separator break no line, as in .bfg text
+    with pytest.raises(FormatError, match="^line 2: unknown variable 'zz'$"):
+        parse_assignment("a = 1;\x0cb = 2;\nzz = 3;", _two_ints())
+    with pytest.raises(FormatError, match="^line 2: unknown variable 'zz'$"):
+        parse_ground_program("var bool standard p;\x0cvar bool standard q;"
+                             "\nconstraint zz;")
+    with pytest.raises(FormatError,
+                       match="^line 1: unexpected character '\\\\u2028'$"):
+        parse_assignment("a = 1;\u2028zz = 3;", _two_ints())
+
+
+def test_assignment_comments_run_to_the_newline():
+    text = "a = 1; # note \x85 x\u2028 y\nb = 2;\n"
+    assert parse_assignment(text, _two_ints()) == {0: 1, 1: 2}
+
+
+def test_assignment_reads_crlf_solver_output():
+    text = "# objective = 3\r\na = 1;\r\nb = 2;\r\n----------\r\n==========\r\n"
+    assert parse_assignment(text, _two_ints()) == {0: 1, 1: 2}
+    with pytest.raises(FormatError, match="^line 3: 'a' assigned twice$"):
+        parse_assignment("a = 1;\r\n----------\r\na = 2;\r\n", _two_ints())

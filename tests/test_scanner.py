@@ -220,6 +220,9 @@ GROUND_PINS = {
         "FormatError: line 2: unexpected character '@' @ 2",
     "var int 0..5 founded n;\nminimize 2*n + 1*q;":
         "FormatError: line 2: unknown variable 'q' @ 2",
+    # an unknown head is reported on the line of the token after it
+    "var int 0..5 founded n;\nrule 1*n >= 0 head m\n;":
+        "FormatError: line 3: unknown variable 'm' @ 3",
 }
 
 
