@@ -13,7 +13,6 @@ made only when an error or an AST span asks for it.
 """
 
 import re
-import string
 from bisect import bisect_right
 from functools import partial
 from operator import attrgetter, methodcaller
@@ -47,7 +46,7 @@ from .program import Sort
 # -- scanning ----------------------------------------------------------------
 
 _DIGITS = frozenset("0123456789")
-_NAME_START = frozenset(string.ascii_letters + "_")
+_NAME_START = frozenset("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _token_start = methodcaller("start", 1)
 
 

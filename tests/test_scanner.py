@@ -374,8 +374,8 @@ def _lines_end_at_newline(text: str) -> bool:
     """Whether ``str.splitlines`` breaks ``text`` where ``"\\n"`` does, and
     leaves no last line break.
 
-    Assignments were once read line by line from ``splitlines``; their
-    outcomes are pinned on the texts where that made no difference.
+    Assignment outcomes are pinned on such texts only: on them, splitting
+    lines with ``splitlines`` and at ``"\\n"`` numbers every line alike.
     """
     return (not any(c in text for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
             and "\r" not in text.replace("\r\n", "")
