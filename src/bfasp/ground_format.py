@@ -11,18 +11,16 @@ One item per line, ``#`` comments, and a deliberately small grammar:
 Clause members are separated by ``|``; an empty clause is written ``false``.
 Assignment files hold ``name = value;`` lines with true/false/int/-inf values.
 
-Both readers use the model parser's ``scan`` and ``Cursor``; the four text
+Both readers are ``Cursor``s of the model parser's scanner; the four text
 formats differ only in their token regex, their operators and their grammar.
 The readers hold token indices and turn one into a line number only when
-they raise a FormatError, and a ``k*name`` term is read straight off the
-token values.  Lines end at ``"\\n"`` in both formats.
+they raise a FormatError.  Lines end at ``"\\n"`` in both formats.
 """
 
 import re
-from typing import NoReturn
 
 from .errors import FormatError
-from .parser import Cursor
+from .parser import Cursor, _token_pattern
 from .program import (
     NEG_INF,
     POS_INF,
@@ -106,17 +104,9 @@ def format_assignment(program: Program, valuation) -> str:
 
 _OPS = frozenset(">= .. | ~ ; * + = -".split())
 
-# skipped text, then one token: a name (an indexed name like ``d[1,-2]``
-# is one word), an integer, an operator of _OPS, a character no token
-# admits, or the end
-_TOKEN_RE = re.compile(
-    r"""(?:\s+|\#[^\n]*)*
-        ( [A-Za-z_]\w*(?:\[-?\d+(?:,-?\d+)*\])? | \d+
-        | >=|\.\.|[|~;*+=-]
-        | . | \Z )
-    """,
-    re.VERBOSE | re.ASCII,
-)
+# an indexed name like ``d[1,-2]`` is one word
+_TOKEN_RE = _token_pattern(r"\s+|\#[^\n]*",
+                           r"[A-Za-z_]\w*(?:\[-?\d+(?:,-?\d+)*\])?", _OPS)
 
 # model separator / proven marker lines emitted by the solve command
 _SEPARATOR_RE = re.compile(r"\s*(-{2,}|={2,})\s*$")
@@ -164,9 +154,6 @@ class _GroundReader(Cursor):
                 self.fail("an item")
         return Program(tuple(self.variables), tuple(self.constraints),
                        tuple(self.rules), self.objective)
-
-    def _raise(self, message: str, at: int) -> NoReturn:
-        raise FormatError(message, self.location(at))
 
     def _var_decl(self):
         at = self._at
@@ -246,7 +233,7 @@ class _GroundReader(Cursor):
         """Sum of ``k*name``, ``name``, and integer terms.
 
         Objectives may carry Boolean variables (counted 0/1); clause atoms
-        may not.  A ``k*name`` term is read straight off the token values.
+        may not.
         """
         values = self._values
         terms: list[tuple[int, int]] = []
@@ -259,25 +246,21 @@ class _GroundReader(Cursor):
             value = values[at]
             kind = self.kind(value)
             if kind == "int":
-                if values[at + 1] == "*" and self.kind(values[at + 2]) == "name":
-                    self._at = at + 3
-                    var = self._lookup(values[at + 2], at)
-                    if not allow_bool:
-                        self._want_sort(var, Sort.INT, at)
-                    terms.append((sign * int(value), var))
-                else:
-                    coeff = sign * self.integer()
-                    if self.take("*"):
-                        self.fail("name")
-                    constant += coeff
+                self._at = at + 1
+                coeff = sign * int(value)
+                name = self.name() if self.take("*") else None
             elif kind == "name":
-                self._at += 1
-                var = self._lookup(value, at)
-                if not allow_bool:
-                    self._want_sort(var, Sort.INT, at)
-                terms.append((sign, var))
+                self._at = at + 1
+                coeff, name = sign, value
             else:
                 self.fail("a term")
+            if name is None:
+                constant += coeff
+            else:
+                var = self._lookup(name, at)
+                if not allow_bool:
+                    self._want_sort(var, Sort.INT, at)
+                terms.append((coeff, var))
             sign = 1
             if self.take("+"):
                 continue
@@ -323,20 +306,46 @@ def parse_ground_program(text: str) -> Program:
 # -- assignments -------------------------------------------------------------
 
 
-def _parse_value(tokens: Cursor, info: Variable, at: int):
-    if tokens.take("true"):
-        value = True
-    elif tokens.take("false"):
-        value = False
-    elif _take_neg_inf(tokens):
-        value = NEG_INF
-    else:
-        value = tokens.integer()
-    if not info.admits(value):
-        raise FormatError(
-            f"value {format_value(value)} is outside the domain of "
-            f"'{info.name}'", tokens.location(at))
-    return value
+class _AssignmentReader(Cursor):
+    """Reads ``name = value;`` lines; errors name the line of a token index,
+    as in _GroundReader."""
+
+    def __init__(self, text: str):
+        super().__init__(_TOKEN_RE, text, FormatError, _line_only, _OPS)
+
+    def run(self, program: Program) -> dict:
+        valuation: dict[int, object] = {}
+        index = program.index_by_name
+        while not self.at_end():
+            at = self._at
+            name = self.name("variable name")
+            if name not in index:
+                self._raise(f"unknown variable '{name}'", at)
+            var = index[name]
+            if var in valuation:
+                self._raise(f"'{name}' assigned twice", at)
+            self.expect("=")
+            valuation[var] = self._value(program.variables[var], at)
+            self.expect(";")
+        missing = [info.name for var, info in enumerate(program.variables)
+                   if var not in valuation]
+        if missing:
+            raise FormatError("missing assignments: " + ", ".join(missing))
+        return valuation
+
+    def _value(self, info: Variable, at: int):
+        if self.take("true"):
+            value = True
+        elif self.take("false"):
+            value = False
+        elif _take_neg_inf(self):
+            value = NEG_INF
+        else:
+            value = self.integer()
+        if not info.admits(value):
+            self._raise(f"value {format_value(value)} is outside the domain "
+                        f"of '{info.name}'", at)
+        return value
 
 
 def parse_assignment(text: str, program: Program) -> dict:
@@ -349,23 +358,4 @@ def parse_assignment(text: str, program: Program) -> dict:
     """
     kept = [line if not _SEPARATOR_RE.match(line) else ""
             for line in text.split("\n")]
-    tokens = Cursor(_TOKEN_RE, "\n".join(kept), FormatError, _line_only, _OPS)
-    valuation: dict[int, object] = {}
-    index = program.index_by_name
-    while not tokens.at_end():
-        at = tokens.at
-        name = tokens.name("variable name")
-        if name not in index:
-            raise FormatError(f"unknown variable '{name}'",
-                              tokens.location(at))
-        var = index[name]
-        if var in valuation:
-            raise FormatError(f"'{name}' assigned twice", tokens.location(at))
-        tokens.expect("=")
-        valuation[var] = _parse_value(tokens, program.variables[var], at)
-        tokens.expect(";")
-    missing = [info.name for var, info in enumerate(program.variables)
-               if var not in valuation]
-    if missing:
-        raise FormatError("missing assignments: " + ", ".join(missing))
-    return valuation
+    return _AssignmentReader("\n".join(kept)).run(program)

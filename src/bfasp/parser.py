@@ -66,6 +66,18 @@ def scan(pattern: re.Pattern, text: str) -> list:
     return values
 
 
+def _token_pattern(skip: str, word: str, ops: frozenset) -> re.Pattern:
+    """The token regex of a format, as ``scan`` reads it: skipped text
+    (``skip``), then one token: a ``word``, an integer, an operator of
+    ``ops`` (the longest first), a character no token admits, or the end."""
+    longer = sorted((op for op in ops if len(op) > 1),
+                    key=lambda op: (-len(op), op))
+    single = "".join(sorted(op for op in ops if len(op) == 1))
+    token = "|".join([word, r"\d+", *map(re.escape, longer),
+                      f"[{re.escape(single)}]", ".", r"\Z"])
+    return re.compile(f"(?:{skip})*({token})", re.ASCII)
+
+
 class Cursor:
     """Reads the token values of one text; errors are ``error(message,
     location)``.
@@ -94,12 +106,11 @@ class Cursor:
         self._ops = ops
         self._keywords = keywords
         self._locations = None
-        # one kind per distinct value; the first bad one is found by index
-        bad = [value for value in set(values) if self.kind(value) == "bad"]
+        # one kind per distinct value; the first bad one is found in one pass
+        bad = {value for value in set(values) if self.kind(value) == "bad"}
         if bad:
-            at = min(map(values.index, bad))
-            raise error(f"unexpected character {values[at]!r}",
-                        self.location(at))
+            at = next(at for at, value in enumerate(values) if value in bad)
+            self._raise(f"unexpected character {values[at]!r}", at)
 
     def kind(self, value: str) -> str:
         """The kind of a token value."""
@@ -128,17 +139,6 @@ class Cursor:
                                    offset - self._line_starts[line - 1] + 1)
             self._locations[at] = location
         return location
-
-    @property
-    def at(self) -> int:
-        """The index of the next token."""
-        return self._at
-
-    @property
-    def current(self) -> tuple:
-        """The next token as ``(kind, value, location)``."""
-        value = self._values[self._at]
-        return self.kind(value), value, self.location(self._at)
 
     @property
     def where(self):
@@ -185,7 +185,11 @@ class Cursor:
         """Raise ``expected ..., found <the next token>``."""
         value = self._values[self._at]
         found = repr(value) if value else "end of input"
-        raise self._error(f"expected {expected}, found {found}", self.where)
+        self._raise(f"expected {expected}, found {found}", self._at)
+
+    def _raise(self, message: str, at: int) -> NoReturn:
+        """Raise ``message`` at the location of the token at index ``at``."""
+        raise self._error(message, self.location(at))
 
 
 # -- parsing -----------------------------------------------------------------
@@ -198,16 +202,7 @@ _KEYWORDS = frozenset("""
 _OPS = frozenset(r":: .. -> <- /\ \/ >= <= == != ; : , ( ) [ ] = < > + * -"
                  .split())
 
-# skipped text, then one token: a word, an integer, an operator of _OPS, a
-# character no token admits, or the end
-_MODEL_TOKENS = re.compile(
-    r"""(?:[ \t\r\n]+|%[^\n]*)*
-        ( [A-Za-z_]\w* | \d+
-        | ::|\.\.|->|<-|/\\|\\/|[<>=!]=|[;:,()\[\]=<>+*-]
-        | . | \Z )
-    """,
-    re.VERBOSE | re.ASCII,
-)
+_MODEL_TOKENS = _token_pattern(r"[ \t\r\n]+|%[^\n]*", r"[A-Za-z_]\w*", _OPS)
 
 # The precedence spec: each binary operator's level, weakest first.  Prefix
 # ``not`` binds at _NOT, between ``/\`` and the comparisons, unary ``-``

@@ -9,6 +9,7 @@ by a digest of their ``repr`` for the random ones.
 
 import hashlib
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -48,7 +49,9 @@ def _walk(make, text: str) -> list:
         return [("error", str(err))]
     tokens = []
     while True:
-        kind, value, where = cursor.current
+        at = cursor._at
+        value = cursor._values[at]
+        kind, where = cursor.kind(value), cursor.location(at)
         assert cursor.where == where
         tokens.append((kind, value, where))
         if kind == "end":
@@ -131,6 +134,18 @@ def test_random_texts_scan_like_the_reference():
             _check_model_tokens(text)
         else:
             _check_ground_tokens(text)
+
+
+def test_the_first_of_many_distinct_stray_characters_is_found_in_one_pass():
+    # looking each distinct bad value up on its own took seconds here
+    text = "x = 1;\n" * 5000 + " ".join(chr(0x4E00 + i) for i in range(20000))
+    for make, message in [(lambda t: _Parser(t, "f"), "f:5001:1: "),
+                          (_GroundReader, "line 5001: ")]:
+        start = time.perf_counter()
+        with pytest.raises(BfaspError) as err:
+            make(text)
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == message + "unexpected character '\u4e00'"
 
 
 # -- pinned parse results -------------------------------------------------------
