@@ -102,12 +102,16 @@ class ShapeForm(NamedTuple):
     """A rule's substitution plan by member position, so that it holds for
     every rule of the rule's shape.  Each atom is a triple: its kept term
     positions, the head's excluded; its substituted term positions; and
-    the head's coefficient, or None when the head is not in it."""
+    the head's coefficient, or None when the head is not in it.  The
+    reduct keeps the head in place, so it reads the kept positions with
+    the head's included: ``reduct_lits``, and ``reduct_terms`` per atom."""
 
     substituted_lits: tuple  # literal positions
     kept_lits: tuple  # literal positions, the head's excluded
     atoms: tuple
     complementary: bool  # kept literals, so that no reduct keeps the rule
+    reduct_lits: tuple  # literal positions, the head's included
+    reduct_terms: tuple  # per atom, term positions, the head's included
 
 
 def shape_form(rule: Rule, variables) -> ShapeForm:
@@ -116,18 +120,22 @@ def shape_form(rule: Rule, variables) -> ShapeForm:
     substituted = {lit.var for lit in plan.substituted_lits}
     substituted.update(var for ap in plan.atoms for _, var in ap.substituted)
     head = rule.head
-    atoms = tuple(
-        (tuple(i for i, (_, v) in enumerate(atom.terms)
-               if v != head and v not in substituted),
-         tuple(i for i, (_, v) in enumerate(atom.terms) if v in substituted),
-         next((c for c, v in atom.terms if v == head), None))
-        for atom in rule.clause.atoms)
+    atoms = rule.clause.atoms
     lits = rule.clause.lits
     return ShapeForm(
         tuple(i for i, lit in enumerate(lits) if lit.var in substituted),
         tuple(i for i, lit in enumerate(lits)
               if lit.var != head and lit.var not in substituted),
-        atoms, is_tautology(Clause(plan.kept_lits), ()))
+        tuple((tuple(i for i, (_, v) in enumerate(atom.terms)
+                     if v != head and v not in substituted),
+               tuple(i for i, (_, v) in enumerate(atom.terms)
+                     if v in substituted),
+               next((c for c, v in atom.terms if v == head), None))
+              for atom in atoms),
+        is_tautology(Clause(plan.kept_lits), ()),
+        tuple(i for i, lit in enumerate(lits) if lit.var not in substituted),
+        tuple(tuple(i for i, (_, v) in enumerate(atom.terms)
+                    if v not in substituted) for atom in atoms))
 
 
 def shape_forms(program: Program) -> list[ShapeForm]:
@@ -222,7 +230,6 @@ class _AtomPlan:
     kept: tuple[tuple[int, int], ...]
     substituted: tuple[tuple[int, int], ...]
     bound: int
-    has_head: bool
 
 
 @dataclass(frozen=True)
@@ -258,25 +265,31 @@ def substitution_plan(rule: Rule, variables) -> _RulePlan:
                      if v == rule.head or not substitute[v])
         subbed = tuple((c, v) for c, v in atom.terms
                        if v != rule.head and substitute[v])
-        has_head = any(v == rule.head for _, v in atom.terms)
-        atom_plans.append(_AtomPlan(kept, subbed, atom.bound, has_head))
+        atom_plans.append(_AtomPlan(kept, subbed, atom.bound))
     return _RulePlan(rule.head, kept_lits, sub_lits, tuple(atom_plans))
 
 
 class ReductBuilder:
-    """Precomputed substitution plans for building reducts of one program.
+    """Builds explicit reducts of one program: the spec path, which
+    ``check_stable`` runs and which search's leaf evaluation
+    (``fixpoint.LeafEvaluator``) is tested against.
 
-    The plan partition depends only on the program (which occurrences are
-    standard or non-decreasing), so one builder serves every valuation.
-    Search evaluates its leaves from the same plans without building a
-    reduct (``fixpoint.LeafEvaluator``); the explicit reduct is the
-    reference for that path and for ``check_stable``.
+    The substitution plan depends only on the program (which occurrences
+    are standard or non-decreasing), so one builder serves every valuation.
+    It is made once per rule shape (``shape_forms``); each rule then folds
+    the valuation into its own members by position.
+
+    A reduct clause's *folded form* is its rule's shape number and the
+    positions of the atoms that survive the fold.  ``validate_positive_cp``
+    reads only what the form fixes (signs, coefficients, which members
+    share a variable, kinds), so after each ``build``, ``firsts`` gives the
+    index of each form's first clause in the reduct, in order.
     """
 
     def __init__(self, program: Program):
         self.program = program
-        self._plans = [substitution_plan(rule, program.variables)
-                       for rule in program.rules]
+        self._forms = shape_forms(program)
+        self.firsts: tuple[int, ...] = ()
 
     def build(self, valuation) -> PositiveCP:
         """Fold ``valuation`` into every rule and collect the surviving clauses.
@@ -291,37 +304,63 @@ class ReductBuilder:
             raise ValueError(f"reduct needs a value for '{name}'") from None
 
     def _fold(self, valuation):
-        variables = self.program.variables
+        program = self.program
+        variables = program.variables
+        forms = self._forms
         out_rules = []
         origins = []
-        for index, plan in enumerate(self._plans):
+        firsts = {}  # folded form -> index of its first reduct clause
+        for index, (rule, number) in enumerate(zip(program.rules,
+                                                   program.shapes)):
+            form = forms[number]
+            clause = rule.clause
+            lits = clause.lits
             satisfied = False
-            for lit in plan.substituted_lits:
-                if valuation[lit.var] == lit.positive:
+            for i in form.substituted_lits:
+                if valuation[lits[i].var] == lits[i].positive:
                     satisfied = True
                     break
             atoms = []
+            survivors = 0  # a bit per surviving atom position
+            rebuilt = False  # an atom lost an occurrence to the fold
             if not satisfied:
-                for ap in plan.atoms:
-                    # Substituted occurrences are standard (finite) or
-                    # increasing, so a bottom value among them makes the
-                    # folded bound POS_INF.
-                    bound = ap.bound - linear_sum(ap.substituted, valuation)
-                    if not ap.kept:
+                for position, ((_, substituted, head_coeff), held, atom) in \
+                        enumerate(zip(form.atoms, form.reduct_terms,
+                                      clause.atoms)):
+                    terms, bound = atom.terms, atom.bound
+                    if substituted:
+                        # Substituted occurrences are standard (finite) or
+                        # increasing, so a bottom value among them makes
+                        # the folded bound POS_INF.
+                        bound -= linear_sum([terms[i] for i in substituted],
+                                            valuation)
+                    if not held:
                         if bound <= 0:
                             satisfied = True
                             break
                         continue
-                    if bound == POS_INF and not ap.has_head:
+                    if bound == POS_INF and head_coeff is None:
                         continue  # unsatisfiable member, deleted
-                    atoms.append(LinearAtom(ap.kept, bound))
+                    if len(held) < len(terms):
+                        atom = LinearAtom(tuple([terms[i] for i in held]),
+                                          bound)
+                        rebuilt = True
+                    atoms.append(atom)
+                    survivors |= 1 << position
             if satisfied:
                 continue
-            clause = Clause(plan.kept_lits, tuple(atoms))
-            if is_tautology(clause, variables):
+            kept = form.reduct_lits
+            if (rebuilt or len(atoms) < len(clause.atoms)
+                    or len(kept) < len(lits)):
+                rule = Rule(Clause(tuple([lits[i] for i in kept]),
+                                   tuple(atoms)), rule.head)
+            # else the fold left the rule as it is
+            if is_tautology(rule.clause, variables):
                 continue
-            out_rules.append(Rule(clause, plan.head))
+            firsts.setdefault((number, survivors), len(out_rules))
+            out_rules.append(rule)
             origins.append(index)
+        self.firsts = tuple(firsts.values())
         return PositiveCP(variables, tuple(out_rules), tuple(origins))
 
 

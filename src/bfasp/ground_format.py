@@ -280,8 +280,7 @@ class _GroundReader(Cursor):
         clause = self._clause()
         self.expect("head")
         name = self.name("head variable")
-        # an unknown head is reported on the line of the token after it
-        head = self._lookup(name, self._at)
+        head = self._lookup(name, self._at - 1)
         self.expect(";")
         self.rules.append(Rule(clause, head))
 

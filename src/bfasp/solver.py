@@ -13,7 +13,7 @@ import time
 import warnings
 from dataclasses import dataclass
 
-from .analysis import ReductBuilder, guess_set, validate_positive_cp
+from .analysis import PositiveCP, ReductBuilder, guess_set, validate_positive_cp
 from .errors import SolveError
 from .fixpoint import DeadlinePassed, LeafEvaluator, minimal_model
 from .program import (
@@ -87,10 +87,16 @@ def check_stable(program: Program, valuation, *,
                   if verdict is Truth.UNDEFINED
                   else StabilityReason.CONSTRAINT_VIOLATED)
         return StabilityVerdict(False, reason, clause_index=index)
-    reduct = ReductBuilder(program).build(valuation)
-    shape_issues = validate_positive_cp(reduct)
-    if shape_issues:  # guards the folding logic; never expected to fire
-        raise AssertionError("reduct is not positive: " + "; ".join(shape_issues))
+    builder = ReductBuilder(program)
+    reduct = builder.build(valuation)
+    # Guards the folding logic; never expected to fire.  A folded form
+    # decides the verdict, so the first clause of each stands for the rest;
+    # a failure is reported over the whole reduct, by its clause numbers.
+    sample = PositiveCP(reduct.variables,
+                        tuple([reduct.rules[i] for i in builder.firsts]))
+    if validate_positive_cp(sample):
+        raise AssertionError("reduct is not positive: "
+                             + "; ".join(validate_positive_cp(reduct)))
     result = minimal_model(reduct, on_update=on_update)
     if not result.ok:
         return StabilityVerdict(

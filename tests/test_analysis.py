@@ -10,6 +10,7 @@ from bfasp import (
     LinearAtom,
     Literal,
     Monotonicity,
+    PositiveCP,
     Program,
     ReductBuilder,
     Rule,
@@ -19,12 +20,17 @@ from bfasp import (
     VarKind,
     Variable,
     build_reduct,
+    check_stable,
+    format_assignment,
+    format_program,
     ground,
     guess_set,
     is_tautology,
     minimal_model,
     monotonicity,
+    parse_assignment,
     parse_data,
+    parse_ground_program,
     parse_model,
     validate_positive_cp,
     validate_program,
@@ -32,7 +38,11 @@ from bfasp import (
 )
 
 from conftest import THETA, THETA_PRIME, build_example_one, valuation_of
-from oracles import random_mixed_program, random_positive_cp
+from oracles import (
+    random_mixed_program,
+    random_positive_cp,
+    random_shaped_program,
+)
 from test_ground_output import GOLDEN_CASES, ROOT
 
 
@@ -135,9 +145,11 @@ def test_guess_set_includes_standard_and_substituted_founded():
 
 
 def test_rules_are_analysed_once_per_shape(monkeypatch):
-    """Grounding and validating check each rule shape once, and setting up
-    a search plans it twice (the leaf evaluator and the guess set): no
-    count grows with the rules of a shape."""
+    """Grounding and validating check each rule shape once, setting up a
+    search plans it twice (the leaf evaluator and the guess set), and a
+    stability check of the printed program plans it once and validates its
+    reduct once per folded form: no count grows with the rules of a
+    shape."""
     calls = dict.fromkeys(("substitution_plan", "validate_rule"), 0)
     for name in calls:
         original = getattr(bfasp.analysis, name)
@@ -157,9 +169,20 @@ def test_rules_are_analysed_once_per_shape(monkeypatch):
     assert calls == {"substitution_plan": 0, "validate_rule": shapes}
     assert validate_program(program).ok
     assert calls == {"substitution_plan": 0, "validate_rule": 2 * shapes}
-    Search(program)
+    model = list(Search(program).models())[-1]
     assert calls == {"substitution_plan": 2 * shapes,
                      "validate_rule": 2 * shapes}
+    reread = parse_ground_program(format_program(program))
+    valuation = parse_assignment(format_assignment(program, model), reread)
+    reduct = build_reduct(reread, valuation)
+    # every rule here has one atom, which holds the head and so survives
+    # the fold: a reduct clause's folded form is its rule's shape
+    forms = {reread.shapes[origin] for origin in reduct.origins}
+    assert len(forms) == 2 and len(reduct.rules) > 2 * len(forms)
+    before = dict(calls)
+    assert check_stable(reread, valuation).stable
+    assert calls["substitution_plan"] - before["substitution_plan"] == shapes
+    assert calls["validate_rule"] - before["validate_rule"] == len(forms)
 
 
 # -- tautology detection ------------------------------------------------------------
@@ -299,3 +322,177 @@ def test_every_reduct_is_a_positive_program(rng):
 def test_random_positive_cps_validate(rng):
     for _ in range(50):
         assert validate_positive_cp(random_positive_cp(rng)) == []
+
+
+# -- reducts against the per-rule reference ----------------------------------------
+
+
+def random_valuation(rand, program, keep=1.0):
+    """A random in-domain value for each variable, each kept with
+    probability ``keep``; founded integers are often at the bottom."""
+    valuation = {}
+    for var, info in enumerate(program.variables):
+        if rand.random() >= keep:
+            continue
+        if info.sort is Sort.BOOL:
+            valuation[var] = rand.random() < 0.5
+        elif info.is_founded and rand.random() < 0.3:
+            valuation[var] = NEG_INF
+        else:
+            valuation[var] = rand.randint(info.lo, info.hi)
+    return valuation
+
+
+def per_rule_reduct(program: Program, valuation) -> PositiveCP:
+    """The reduct of ``program`` under ``valuation``, rule by rule.
+
+    A non-head variable is substituted when it is standard or some
+    occurrence is not decreasing (a positive literal or coefficient).  A
+    substituted literal that holds drops the rule.  An atom's substituted
+    terms fold into its bound; an atom left without terms drops the rule
+    when its bound is at most 0 and is deleted otherwise, and an atom
+    without the head is deleted at an infinite bound.  What remains keeps
+    its members in order, unless ``is_tautology`` drops it.  A missing value
+    raises KeyError with the variable's index.
+    """
+    variables = program.variables
+    rules, origins = [], []
+    for index, rule in enumerate(program.rules):
+        head, clause = rule.head, rule.clause
+        rising = {lit.var for lit in clause.lits if lit.positive}
+        rising |= {v for atom in clause.atoms for c, v in atom.terms if c > 0}
+
+        def substituted(var, head=head, rising=rising):
+            return var != head and (
+                variables[var].kind is VarKind.STANDARD or var in rising)
+        if any(valuation[lit.var] == lit.positive
+               for lit in clause.lits if substituted(lit.var)):
+            continue
+        atoms, dropped = [], False
+        for atom in clause.atoms:
+            bound = atom.bound - sum(c * valuation[v] for c, v in atom.terms
+                                     if substituted(v))
+            kept = tuple((c, v) for c, v in atom.terms if not substituted(v))
+            if not kept:
+                if bound <= 0:
+                    dropped = True
+                    break
+            elif bound != POS_INF or any(v == head for _, v in kept):
+                atoms.append(LinearAtom(kept, bound))
+        if dropped:
+            continue
+        lits = tuple(lit for lit in clause.lits if not substituted(lit.var))
+        folded = Clause(lits, tuple(atoms))
+        if not is_tautology(folded, variables):
+            rules.append(Rule(folded, head))
+            origins.append(index)
+    return PositiveCP(variables, tuple(rules), tuple(origins))
+
+
+def assert_reducts_match(program, valuations):
+    """Every reduct, member order and origins included, is the per-rule
+    reference's (by ``repr``, which tells ``nan`` bounds equal), and a
+    missing value is named as the reference misses it; returns the reducts
+    built."""
+    builder = ReductBuilder(program)
+    built = []
+    for valuation in valuations:
+        try:
+            reduct = builder.build(valuation)
+        except ValueError as err:
+            with pytest.raises(KeyError) as missing:
+                per_rule_reduct(program, valuation)
+            name = program.name(missing.value.args[0])
+            assert str(err) == f"reduct needs a value for '{name}'"
+            continue
+        assert repr(reduct) == repr(per_rule_reduct(program, valuation))
+        built.append(reduct)
+    return built
+
+
+def test_reducts_of_shaped_programs_match_the_per_rule_reference(rng):
+    kept = rules = rebuilt = dropped_atoms = missing = 0
+    for _ in range(300):
+        program = random_shaped_program(rng)
+        valuations = [random_valuation(rng, program) for _ in range(6)]
+        valuations.append(random_valuation(rng, program, keep=0.7))
+        built = assert_reducts_match(program, valuations)
+        missing += len(valuations) - len(built)
+        for reduct in built:
+            rules += len(program.rules)
+            kept += len(reduct.rules)
+            for rule, origin in zip(reduct.rules, reduct.origins):
+                source = program.rules[origin]
+                rebuilt += rule is not source
+                dropped_atoms += (len(rule.clause.atoms)
+                                  < len(source.clause.atoms))
+    # the comparison covers dropped, kept, rebuilt, unchanged and thinned
+    # rules, and partial valuations that miss a value
+    assert 0.2 * rules < kept < 0.8 * rules
+    assert rebuilt > 2000 and kept - rebuilt > 2000
+    assert dropped_atoms > 1000 and missing > 100
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_reducts_of_golden_programs_match_the_per_rule_reference(name, rng):
+    path, data, founded_default = GOLDEN_CASES[name]
+    program = ground(parse_model((ROOT / path).read_text(), path),
+                     parse_data(data) if data else (),
+                     founded_default=founded_default)
+    built = assert_reducts_match(
+        program, [random_valuation(rng, program) for _ in range(20)])
+    assert len(built) == 20
+
+
+def test_the_positive_cp_guard_fires_on_a_kept_substituted_occurrence(
+        monkeypatch):
+    """A shape form that keeps a substituted, non-decreasing occurrence
+    yields a reduct that is not positive, and check_stable says so."""
+    p, q, h, x = (Variable("p", VarKind.FOUNDED, Sort.BOOL),
+                  Variable("q", VarKind.FOUNDED, Sort.BOOL),
+                  Variable("h", VarKind.FOUNDED, Sort.INT, 0, 5),
+                  Variable("x", VarKind.STANDARD, Sort.INT, 0, 5))
+    program = Program((p, q, h, x), rules=(
+        Rule(Clause(lits=(Literal(0), Literal(1))), 0),  # p <- ~q
+        Rule(Clause(atoms=(LinearAtom(((1, 2), (1, 3)), 3),)), 2),  # h+x >= 3
+    ))
+    valuation = {0: True, 1: False, 2: 3, 3: 0}
+    assert check_stable(program, valuation).stable
+    forms = bfasp.analysis.shape_forms(program)
+    (_, substituted, head_coeff), = forms[1].atoms
+    assert forms[0].substituted_lits == (1,) and substituted == (1,)
+    corrupt = [forms[0]._replace(substituted_lits=(), kept_lits=(1,),
+                                 reduct_lits=(0, 1)),
+               forms[1]._replace(atoms=(((1,), (), head_coeff),),
+                                 reduct_terms=((0, 1),))]
+    monkeypatch.setattr(bfasp.analysis, "shape_forms", lambda _: corrupt)
+    with pytest.raises(AssertionError) as raised:
+        check_stable(program, valuation)
+    assert str(raised.value) == (
+        "reduct is not positive: clause 0: not decreasing in 'q'; "
+        "clause 1: not decreasing in 'x'")
+
+
+def test_the_guard_checks_each_folded_form_of_a_shape(monkeypatch):
+    """Two rules of one shape fold to two forms when a bottom value deletes
+    an atom of the first only; the guard checks the second form too."""
+    names = ("h1", "z1", "y1", "w1", "h2", "z2", "y2", "w2")
+    variables = tuple(Variable(name, VarKind.FOUNDED, Sort.INT, 0, 5)
+                      for name in names)
+
+    def rule(h, z, y, w):  # h >= 1 | -z + y + w >= 0
+        return Rule(Clause(atoms=(LinearAtom(((1, h),), 1),
+                                  LinearAtom(((-1, z), (1, y), (1, w)), 0))),
+                    h)
+    program = Program(variables, rules=(rule(0, 1, 2, 3), rule(4, 5, 6, 7)))
+    assert program.shapes == (0, 0)
+    valuation = dict.fromkeys(range(8), NEG_INF) | {0: 1, 7: 0}
+    (form,) = bfasp.analysis.shape_forms(program)
+    assert form.atoms[1][:2] == ((0,), (1, 2))
+    corrupt = form._replace(atoms=(form.atoms[0], ((0, 1), (2,), None)),
+                            reduct_terms=((0,), (0, 1)))
+    monkeypatch.setattr(bfasp.analysis, "shape_forms", lambda _: [corrupt])
+    with pytest.raises(AssertionError) as raised:
+        check_stable(program, valuation)
+    assert str(raised.value) == (
+        "reduct is not positive: clause 1: not decreasing in 'y2'")

@@ -1,6 +1,7 @@
 """End-to-end command line behavior, run in process."""
 
 import types
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,8 @@ from bfasp.errors import WatchdogError
 
 from conftest import MODELS
 from test_ground_format import EX1_TEXT
+
+REDUCTS = Path(__file__).resolve().parent / "reducts"
 
 EX1 = str(MODELS / "ex1.bfz")
 MCDS = str(MODELS / "mcds.bfz")
@@ -145,6 +148,20 @@ def test_check_can_dump_the_reduct(capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert out == REDUCT_DUMP + "NOT STABLE: a = 17 but minimal model gives 3\n"
+
+
+@pytest.mark.parametrize("name, code", [("mcds_core_path4", 0),
+                                        ("mcds_core_path4_all", 1)])
+def test_check_dumps_the_pinned_reduct_of_a_many_rule_model(name, code,
+                                                           capsys):
+    """``tests/reducts/<name>.reduct`` is the pinned output for the
+    assignment ``<name>.bfa``: the solved model, then every ``dom`` true."""
+    assert run(["check", str(MODELS / "mcds_core.bfz"),
+                "--data", str(MODELS / "path4.bfd"),
+                "--founded-default=-200..0",
+                "--assign", str(REDUCTS / f"{name}.bfa"),
+                "--dump-reduct"]) == code
+    assert capsys.readouterr().out == (REDUCTS / f"{name}.reduct").read_text()
 
 
 def test_fixpoint_trace_goes_to_stderr(capsys):
