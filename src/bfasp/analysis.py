@@ -99,12 +99,13 @@ def rule_verdict(rule: Rule, variables) -> tuple:
 
 
 class ShapeForm(NamedTuple):
-    """A rule's substitution plan by member position, so that it holds for
-    every rule of the rule's shape.  Each atom is a triple: its kept term
-    positions, the head's excluded; its substituted term positions; and
-    the head's coefficient, or None when the head is not in it.  The
-    reduct keeps the head in place, so it reads the kept positions with
-    the head's included: ``reduct_lits``, and ``reduct_terms`` per atom."""
+    """A rule's split into substituted and kept occurrences, by member
+    position, so that it holds for every rule of the rule's shape.  Each
+    atom is a triple: its kept term positions, the head's excluded; its
+    substituted term positions; and the head's coefficient, or None when
+    the head is not in it.  The reduct keeps the head in place, so it reads
+    the kept positions with the head's included: ``reduct_lits``, and
+    ``reduct_terms`` per atom."""
 
     substituted_lits: tuple  # literal positions
     kept_lits: tuple  # literal positions, the head's excluded
@@ -115,27 +116,31 @@ class ShapeForm(NamedTuple):
 
 
 def shape_form(rule: Rule, variables) -> ShapeForm:
-    """``substitution_plan(rule, variables)`` by member position."""
-    plan = substitution_plan(rule, variables)
-    substituted = {lit.var for lit in plan.substituted_lits}
-    substituted.update(var for ap in plan.atoms for _, var in ap.substituted)
-    head = rule.head
-    atoms = rule.clause.atoms
-    lits = rule.clause.lits
+    """Split the rule's members into substituted and kept occurrences.
+
+    An occurrence is substituted when it is not the head and its variable is
+    standard or not decreasing in the clause.  The split depends only on the
+    program, so one form serves every valuation.
+    """
+    clause, head = rule.clause, rule.head
+    substituted = {var for var in set(clause.variables()) if var != head and (
+        variables[var].kind is VarKind.STANDARD
+        or monotonicity(clause, var) is not Monotonicity.DECREASING)}
+    lits, atoms = clause.lits, clause.atoms
+    reduct_lits = tuple(i for i, lit in enumerate(lits)
+                        if lit.var not in substituted)
+    reduct_terms = tuple(tuple(i for i, (_, v) in enumerate(atom.terms)
+                               if v not in substituted) for atom in atoms)
     return ShapeForm(
         tuple(i for i, lit in enumerate(lits) if lit.var in substituted),
-        tuple(i for i, lit in enumerate(lits)
-              if lit.var != head and lit.var not in substituted),
-        tuple((tuple(i for i, (_, v) in enumerate(atom.terms)
-                     if v != head and v not in substituted),
+        tuple(i for i in reduct_lits if lits[i].var != head),
+        tuple((tuple(i for i in held if atom.terms[i][1] != head),
                tuple(i for i, (_, v) in enumerate(atom.terms)
                      if v in substituted),
                next((c for c, v in atom.terms if v == head), None))
-              for atom in atoms),
-        is_tautology(Clause(plan.kept_lits), ()),
-        tuple(i for i, lit in enumerate(lits) if lit.var not in substituted),
-        tuple(tuple(i for i, (_, v) in enumerate(atom.terms)
-                    if v not in substituted) for atom in atoms))
+              for atom, held in zip(atoms, reduct_terms)),
+        is_tautology(Clause(tuple([lits[i] for i in reduct_lits])), ()),
+        reduct_lits, reduct_terms)
 
 
 def shape_forms(program: Program) -> list[ShapeForm]:
@@ -173,22 +178,28 @@ def is_tautology(clause: Clause, variables) -> bool:
     """Conservatively decide whether every in-domain valuation satisfies ``clause``.
 
     True when the clause holds a complementary literal pair, or an atom whose
-    left side cannot drop below its bound (computed from domain extremes;
-    founded integers bottom out at -inf, so any positive term on a founded
-    variable blocks that argument).  Pre: clause is constant-folded.
+    terms' least products (``least_products``) sum to at least its bound;
+    any positive term on a founded integer, which bottoms out at -inf,
+    blocks that argument.  Pre: clause is constant-folded.
     """
     positive = {lit.var for lit in clause.lits if lit.positive}
     negative = {lit.var for lit in clause.lits if not lit.positive}
     if positive & negative:
         return True
     for atom in clause.atoms:
-        # At -inf a negative coefficient pushes the sum up, so the minimum
-        # over the extended domain sits at hi.
-        lowest = {var: variables[var].least_value() if coeff > 0
-                  else variables[var].hi for coeff, var in atom.terms}
-        if linear_sum(atom.terms, lowest) >= atom.bound:
+        if sum(least_products(atom.terms, variables)) >= atom.bound:
             return True
     return False
+
+
+def least_products(terms, variables) -> tuple:
+    """Each term's least ``coeff * value`` over its variable's domain.
+
+    Founded integers bottom out at -inf, where a negative coefficient
+    pushes the product up, so such a term's least product sits at ``hi``.
+    """
+    return tuple(c * (variables[v].least_value() if c > 0 else variables[v].hi)
+                 for c, v in terms)
 
 
 @dataclass(frozen=True)
@@ -225,71 +236,30 @@ def validate_positive_cp(pcp: PositiveCP) -> list[str]:
     return issues
 
 
-@dataclass(frozen=True)
-class _AtomPlan:
-    kept: tuple[tuple[int, int], ...]
-    substituted: tuple[tuple[int, int], ...]
-    bound: int
-
-
-@dataclass(frozen=True)
-class _RulePlan:
-    head: int
-    kept_lits: tuple
-    substituted_lits: tuple
-    atoms: tuple
-
-
-def substitution_plan(rule: Rule, variables) -> _RulePlan:
-    """Split the rule's members into substituted and kept occurrences.
-
-    An occurrence is substituted when it is not the head and its variable is
-    standard or not decreasing in the clause.  The split depends only on the
-    program, so one plan serves every valuation.
-    """
-    substitute = {}
-    for var in set(rule.clause.variables()):
-        if var == rule.head:
-            continue
-        info = variables[var]
-        mono = monotonicity(rule.clause, var)
-        substitute[var] = (info.kind is VarKind.STANDARD
-                           or mono is not Monotonicity.DECREASING)
-    kept_lits = tuple(l for l in rule.clause.lits
-                      if l.var == rule.head or not substitute[l.var])
-    sub_lits = tuple(l for l in rule.clause.lits
-                     if l.var != rule.head and substitute[l.var])
-    atom_plans = []
-    for atom in rule.clause.atoms:
-        kept = tuple((c, v) for c, v in atom.terms
-                     if v == rule.head or not substitute[v])
-        subbed = tuple((c, v) for c, v in atom.terms
-                       if v != rule.head and substitute[v])
-        atom_plans.append(_AtomPlan(kept, subbed, atom.bound))
-    return _RulePlan(rule.head, kept_lits, sub_lits, tuple(atom_plans))
-
-
 class ReductBuilder:
     """Builds explicit reducts of one program: the spec path, which
     ``check_stable`` runs and which search's leaf evaluation
     (``fixpoint.LeafEvaluator``) is tested against.
 
-    The substitution plan depends only on the program (which occurrences
-    are standard or non-decreasing), so one builder serves every valuation.
-    It is made once per rule shape (``shape_forms``); each rule then folds
-    the valuation into its own members by position.
+    Which occurrences are substituted depends only on the program, so one
+    builder serves every valuation.  The split is made once per rule shape
+    (``shape_forms``); each rule then folds the valuation into its own
+    members by position.
 
-    A reduct clause's *folded form* is its rule's shape number and the
-    positions of the atoms that survive the fold.  ``validate_positive_cp``
-    reads only what the form fixes (signs, coefficients, which members
-    share a variable, kinds), so after each ``build``, ``firsts`` gives the
-    index of each form's first clause in the reduct, in order.
+    A reduct clause keeps some of its shape's kept members, the head among
+    them, and the fold changes only their atoms' bounds.  ``shape_clauses``
+    holds, as clause ``i``, shape ``i``'s first rule with all of its kept
+    members: when it is a positive program (``validate_positive_cp``), so
+    is every reduct.
     """
 
     def __init__(self, program: Program):
         self.program = program
-        self._forms = shape_forms(program)
-        self.firsts: tuple[int, ...] = ()
+        self._forms = forms = shape_forms(program)
+        shapes = program.shapes
+        self.shape_clauses = PositiveCP(program.variables, tuple(
+            _kept_members(form, program.rules[shapes.index(number)])
+            for number, form in enumerate(forms)))
 
     def build(self, valuation) -> PositiveCP:
         """Fold ``valuation`` into every rule and collect the surviving clauses.
@@ -309,7 +279,6 @@ class ReductBuilder:
         forms = self._forms
         out_rules = []
         origins = []
-        firsts = {}  # folded form -> index of its first reduct clause
         for index, (rule, number) in enumerate(zip(program.rules,
                                                    program.shapes)):
             form = forms[number]
@@ -321,12 +290,10 @@ class ReductBuilder:
                     satisfied = True
                     break
             atoms = []
-            survivors = 0  # a bit per surviving atom position
             rebuilt = False  # an atom lost an occurrence to the fold
             if not satisfied:
-                for position, ((_, substituted, head_coeff), held, atom) in \
-                        enumerate(zip(form.atoms, form.reduct_terms,
-                                      clause.atoms)):
+                for (_, substituted, head_coeff), held, atom in zip(
+                        form.atoms, form.reduct_terms, clause.atoms):
                     terms, bound = atom.terms, atom.bound
                     if substituted:
                         # Substituted occurrences are standard (finite) or
@@ -346,7 +313,6 @@ class ReductBuilder:
                                           bound)
                         rebuilt = True
                     atoms.append(atom)
-                    survivors |= 1 << position
             if satisfied:
                 continue
             kept = form.reduct_lits
@@ -357,11 +323,19 @@ class ReductBuilder:
             # else the fold left the rule as it is
             if is_tautology(rule.clause, variables):
                 continue
-            firsts.setdefault((number, survivors), len(out_rules))
             out_rules.append(rule)
             origins.append(index)
-        self.firsts = tuple(firsts.values())
         return PositiveCP(variables, tuple(out_rules), tuple(origins))
+
+
+def _kept_members(form: ShapeForm, rule: Rule) -> Rule:
+    """``rule`` with its substituted occurrences left out, bounds as they
+    are; an atom without a kept term goes too."""
+    lits = rule.clause.lits
+    return Rule(Clause(tuple([lits[i] for i in form.reduct_lits]), tuple(
+        LinearAtom(tuple([atom.terms[i] for i in held]), atom.bound)
+        for held, atom in zip(form.reduct_terms, rule.clause.atoms) if held)),
+        rule.head)
 
 
 def build_reduct(program: Program, valuation) -> PositiveCP:

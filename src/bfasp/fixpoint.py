@@ -13,12 +13,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .analysis import PositiveCP, is_tautology, shape_forms
+from .analysis import PositiveCP, least_products, shape_forms
 from .errors import WatchdogError
 from .program import (
     NEG_INF,
     POS_INF,
-    Clause,
     Program,
     Rule,
     Sort,
@@ -191,14 +190,14 @@ class LeafEvaluator:
 
     ``minimal_model(valuation)`` gives the same result as
     ``minimal_model(build_reduct(program, valuation))`` without building the
-    reduct: every rule keeps its substitution plan, and each call folds the
-    valuation into the plans and runs the same bounds-raising fixpoint over
-    the rules the fold leaves active.  Rule indices, in ``on_update`` and in
-    ``unsat_index``, are source rule indices: the reduct's ``origin_of``
-    mapping, applied.  The plan is analysed once per rule shape, as its
-    ``analysis.shape_form``; each rule of the shape then fills in its own
-    variables and atom bounds, by position, and its head's and terms'
-    domains.
+    reduct: every rule keeps its split into substituted and kept
+    occurrences, and each call folds the valuation into the rules and runs
+    the same bounds-raising fixpoint over the rules the fold leaves active.
+    Rule indices, in ``on_update`` and in ``unsat_index``, are source rule
+    indices: the reduct's ``origin_of`` mapping, applied.  The split is
+    analysed once per rule shape, as its ``analysis.shape_form``; each rule
+    of the shape then fills in its own variables and atom bounds, by
+    position, and its head's and terms' domains.
 
     Kept occurrences other than the head are founded and decreasing, so
     their literals are negative and their coefficients negative.  A rule
@@ -385,36 +384,6 @@ class LeafEvaluator:
         return bounds, None
 
 
-def _compile_rule(plan, variables) -> _LeafRule | None:
-    """The leaf form of one rule plan, or None when no reduct keeps it.
-
-    ``LeafEvaluator`` instantiates each rule from its shape's
-    ``analysis.shape_form`` instead (``_instance``); this compile of a
-    single plan is the reference that path is tested against.
-    """
-    head = plan.head
-    if is_tautology(Clause(plan.kept_lits), variables):
-        return None  # complementary kept literals
-    atoms = tuple(
-        _LeafAtom(tuple((c, v) for c, v in ap.kept if v != head),
-                  ap.substituted, _least_products(ap.substituted, variables),
-                  ap.bound,
-                  next((c for c, v in ap.kept if v == head), None))
-        for ap in plan.atoms)
-    fixed_fold = None
-    if not any(atom.substituted for atom in atoms):
-        fixed_fold = _fold_atoms(atoms, {})
-        if fixed_fold is None:
-            return None  # a constant member satisfies it
-        fixed_fold = tuple(fixed_fold)
-    info = variables[head]
-    return _LeafRule(
-        head, info.lo, info.hi,
-        tuple((l.var, l.positive) for l in plan.substituted_lits),
-        tuple((l.var, l.positive) for l in plan.kept_lits if l.var != head),
-        atoms, fixed_fold)
-
-
 def _instance(form, rule: Rule, variables) -> _LeafRule | None:
     """``rule``'s leaf form, from the ``analysis.shape_form`` of its shape;
     None when a constant atom satisfies it, so that no reduct keeps it.
@@ -434,7 +403,7 @@ def _instance(form, rule: Rule, variables) -> _LeafRule | None:
         if substituted:
             fixed = False
             substituted = tuple([terms[i] for i in substituted])
-            least = _least_products(substituted, variables)
+            least = least_products(substituted, variables)
         atoms.append(_new(_LeafAtom, (kept, substituted, least, source.bound,
                                       head_coeff)))
     fixed_fold = None
@@ -454,14 +423,6 @@ def _instance(form, rule: Rule, variables) -> _LeafRule | None:
     info = variables[rule.head]
     return _new(_LeafRule, (rule.head, info.lo, info.hi, substituted_lits,
                             kept_lits, tuple(atoms), fixed_fold))
-
-
-def _least_products(terms, variables) -> tuple:
-    """Each term's least ``coeff * value`` over its variable's domain."""
-    if not terms:  # most atoms: skipping the generator keeps setup cheap
-        return ()
-    return tuple(c * (variables[v].least_value() if c > 0 else variables[v].hi)
-                 for c, v in terms)
 
 
 def _fold_rule(rule: _LeafRule, valuation):

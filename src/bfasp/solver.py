@@ -13,7 +13,7 @@ import time
 import warnings
 from dataclasses import dataclass
 
-from .analysis import PositiveCP, ReductBuilder, guess_set, validate_positive_cp
+from .analysis import ReductBuilder, guess_set, validate_positive_cp
 from .errors import SolveError
 from .fixpoint import DeadlinePassed, LeafEvaluator, minimal_model
 from .program import (
@@ -89,14 +89,15 @@ def check_stable(program: Program, valuation, *,
         return StabilityVerdict(False, reason, clause_index=index)
     builder = ReductBuilder(program)
     reduct = builder.build(valuation)
-    # Guards the folding logic; never expected to fire.  A folded form
-    # decides the verdict, so the first clause of each stands for the rest;
-    # a failure is reported over the whole reduct, by its clause numbers.
-    sample = PositiveCP(reduct.variables,
-                        tuple([reduct.rules[i] for i in builder.firsts]))
-    if validate_positive_cp(sample):
-        raise AssertionError("reduct is not positive: "
-                             + "; ".join(validate_positive_cp(reduct)))
+    # Guards the folding logic; never expected to fire.  A reduct clause
+    # keeps a subset of its shape's kept members, so the shapes stand for
+    # every clause.  A failure is reported over the whole reduct, by its
+    # clause numbers, or by shape when the reduct shows no issue.
+    issues = validate_positive_cp(builder.shape_clauses)
+    if issues:
+        raise AssertionError("reduct is not positive: " + "; ".join(
+            validate_positive_cp(reduct)
+            or [issue.replace("clause", "shape", 1) for issue in issues]))
     result = minimal_model(reduct, on_update=on_update)
     if not result.ok:
         return StabilityVerdict(

@@ -146,11 +146,10 @@ def test_guess_set_includes_standard_and_substituted_founded():
 
 def test_rules_are_analysed_once_per_shape(monkeypatch):
     """Grounding and validating check each rule shape once, setting up a
-    search plans it twice (the leaf evaluator and the guess set), and a
-    stability check of the printed program plans it once and validates its
-    reduct once per folded form: no count grows with the rules of a
-    shape."""
-    calls = dict.fromkeys(("substitution_plan", "validate_rule"), 0)
+    search splits it twice (the leaf evaluator and the guess set), and a
+    stability check of the printed program splits it once and validates
+    its reduct once per shape: no count grows with the rules of a shape."""
+    calls = dict.fromkeys(("shape_form", "validate_rule"), 0)
     for name in calls:
         original = getattr(bfasp.analysis, name)
 
@@ -166,23 +165,22 @@ def test_rules_are_analysed_once_per_shape(monkeypatch):
                      parse_data(data), founded_default=founded_default)
     shapes = len(set(program.shapes))
     assert len(program.rules) > 2 * shapes
-    assert calls == {"substitution_plan": 0, "validate_rule": shapes}
+    assert calls == {"shape_form": 0, "validate_rule": shapes}
     assert validate_program(program).ok
-    assert calls == {"substitution_plan": 0, "validate_rule": 2 * shapes}
+    assert calls == {"shape_form": 0, "validate_rule": 2 * shapes}
     model = list(Search(program).models())[-1]
-    assert calls == {"substitution_plan": 2 * shapes,
-                     "validate_rule": 2 * shapes}
+    assert calls == {"shape_form": 2 * shapes, "validate_rule": 2 * shapes}
     reread = parse_ground_program(format_program(program))
     valuation = parse_assignment(format_assignment(program, model), reread)
+    # the reduct keeps many clauses per shape, so a count that grew with
+    # them would show
     reduct = build_reduct(reread, valuation)
-    # every rule here has one atom, which holds the head and so survives
-    # the fold: a reduct clause's folded form is its rule's shape
-    forms = {reread.shapes[origin] for origin in reduct.origins}
-    assert len(forms) == 2 and len(reduct.rules) > 2 * len(forms)
+    assert len(set(reread.shapes)) == shapes
+    assert len(reduct.rules) > 2 * shapes
     before = dict(calls)
     assert check_stable(reread, valuation).stable
-    assert calls["substitution_plan"] - before["substitution_plan"] == shapes
-    assert calls["validate_rule"] - before["validate_rule"] == len(forms)
+    assert calls["shape_form"] - before["shape_form"] == shapes
+    assert calls["validate_rule"] - before["validate_rule"] == shapes
 
 
 # -- tautology detection ------------------------------------------------------------
@@ -209,6 +207,16 @@ def test_is_tautology_on_unbeatable_atoms():
     assert is_tautology(Clause(atoms=(LinearAtom(((-1, 1),), -9),)),
                         variables)
     assert is_tautology(Clause(atoms=(LinearAtom(((1, 0),), NEG_INF),)),
+                        variables)
+
+
+def test_is_tautology_sums_each_term_of_a_repeated_variable():
+    """Each term takes its own least product: -2*x + x >= 0 fails at x = 1,
+    though x's last term alone would take x at its lowest."""
+    variables = (Variable("x", VarKind.STANDARD, Sort.INT, 0, 1),)
+    clause = Clause(atoms=(LinearAtom(((-2, 0), (1, 0)), 0),))
+    assert not is_tautology(clause, variables)
+    assert is_tautology(Clause(atoms=(LinearAtom(((-2, 0), (1, 0)), -2),)),
                         variables)
 
 
@@ -474,8 +482,9 @@ def test_the_positive_cp_guard_fires_on_a_kept_substituted_occurrence(
 
 
 def test_the_guard_checks_each_folded_form_of_a_shape(monkeypatch):
-    """Two rules of one shape fold to two forms when a bottom value deletes
-    an atom of the first only; the guard checks the second form too."""
+    """Two rules of one shape fold differently when a bottom value deletes
+    an atom of the first only; the guard reports the clause of the second
+    that keeps the corrupt occurrence."""
     names = ("h1", "z1", "y1", "w1", "h2", "z2", "y2", "w2")
     variables = tuple(Variable(name, VarKind.FOUNDED, Sort.INT, 0, 5)
                       for name in names)
@@ -496,3 +505,32 @@ def test_the_guard_checks_each_folded_form_of_a_shape(monkeypatch):
         check_stable(program, valuation)
     assert str(raised.value) == (
         "reduct is not positive: clause 1: not decreasing in 'y2'")
+
+
+def test_the_guard_fires_for_a_corrupt_form_the_fold_hides(monkeypatch):
+    """A corrupt form whose kept, non-decreasing occurrence sits in an atom
+    that the valuation deletes from every rule still fires the guard: the
+    reduct shows no issue, so the message names the shape's."""
+    names = ("h1", "z1", "y1", "w1", "h2", "z2", "y2", "w2")
+    variables = tuple(Variable(name, VarKind.FOUNDED, Sort.INT, 0, 5)
+                      for name in names)
+
+    def rule(h, z, y, w):  # h >= 1 | -z + y + w >= 0
+        return Rule(Clause(atoms=(LinearAtom(((1, h),), 1),
+                                  LinearAtom(((-1, z), (1, y), (1, w)), 0))),
+                    h)
+    program = Program(variables, rules=(rule(0, 1, 2, 3), rule(4, 5, 6, 7)))
+    # w at the bottom deletes the second atom of both rules
+    valuation = dict.fromkeys(range(8), NEG_INF) | {0: 1, 4: 1}
+    assert check_stable(program, valuation).stable
+    (form,) = bfasp.analysis.shape_forms(program)
+    corrupt = form._replace(atoms=(form.atoms[0], ((0, 1), (2,), None)),
+                            reduct_terms=((0,), (0, 1)))
+    monkeypatch.setattr(bfasp.analysis, "shape_forms", lambda _: [corrupt])
+    reduct = build_reduct(program, valuation)
+    assert [len(rule.clause.atoms) for rule in reduct.rules] == [1, 1]
+    assert validate_positive_cp(reduct) == []
+    with pytest.raises(AssertionError) as raised:
+        check_stable(program, valuation)
+    assert str(raised.value) == (
+        "reduct is not positive: shape 0: not decreasing in 'y1'")

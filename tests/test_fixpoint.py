@@ -29,8 +29,13 @@ from bfasp import (
     validate_positive_cp,
     validate_program,
 )
-from bfasp.analysis import substitution_plan
-from bfasp.fixpoint import LeafEvaluator, _compile_rule, _leaf_requirement
+from bfasp.fixpoint import (
+    LeafEvaluator,
+    _fold_atoms,
+    _LeafAtom,
+    _leaf_requirement,
+    _LeafRule,
+)
 
 from conftest import THETA_PRIME, build_example_one, valuation_of
 from oracles import (
@@ -353,14 +358,53 @@ def test_leaf_evaluator_matches_the_explicit_reduct(rng):
     assert leaves > 6000 and unsat > 500
 
 
+def per_rule_compile(rule: Rule, variables):
+    """One rule's leaf form, with its variables classified on their own, or
+    None when no reduct keeps it.
+
+    A non-head variable is substituted when it is standard or the clause is
+    not decreasing in it.  Complementary kept literals, or constant atoms
+    that satisfy the rule, keep it out of every reduct.
+    """
+    head, clause = rule.head, rule.clause
+    substituted = {var for var in set(clause.variables()) if var != head and (
+        variables[var].kind is VarKind.STANDARD
+        or monotonicity(clause, var) is not Monotonicity.DECREASING)}
+    lits = [(lit.var, lit.positive) for lit in clause.lits]
+    kept_lits = [lit for lit in lits if lit[0] not in substituted]
+    if len({var for var, _ in kept_lits}) < len(set(kept_lits)):
+        return None  # complementary kept literals
+    atoms = []
+    for atom in clause.atoms:
+        folded = tuple((c, v) for c, v in atom.terms if v in substituted)
+        atoms.append(_LeafAtom(
+            tuple((c, v) for c, v in atom.terms
+                  if v != head and v not in substituted),
+            folded,
+            tuple(c * (variables[v].least_value() if c > 0
+                       else variables[v].hi) for c, v in folded),
+            atom.bound,
+            next((c for c, v in atom.terms if v == head), None)))
+    fixed_fold = None
+    if not any(atom.substituted for atom in atoms):
+        fixed_fold = _fold_atoms(atoms, {})
+        if fixed_fold is None:
+            return None  # a constant member satisfies it
+        fixed_fold = tuple(fixed_fold)
+    info = variables[head]
+    return _LeafRule(head, info.lo, info.hi,
+                     tuple(lit for lit in lits if lit[0] in substituted),
+                     tuple(lit for lit in kept_lits if lit[0] != head),
+                     tuple(atoms), fixed_fold)
+
+
 def per_rule_state(program: Program):
     """The evaluator's compiled state, from a compile of each rule on its
     own: the leaf forms, the idle marks, the watch lists and the rules by
     head."""
     variables = program.variables
     bottom = [v.least_value() if v.is_founded else None for v in variables]
-    rules = [_compile_rule(substitution_plan(rule, variables), variables)
-             for rule in program.rules]
+    rules = [per_rule_compile(rule, variables) for rule in program.rules]
     watchers = [[] for _ in variables]
     by_head = [[] for _ in variables]
     for index, rule in enumerate(rules):
