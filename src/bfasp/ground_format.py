@@ -52,15 +52,25 @@ def _format_terms(terms) -> str:
 
 
 def format_atom(atom: LinearAtom, program: Program) -> str:
-    named = [(c, program.name(v)) for c, v in atom.terms]
+    return _atom_text(atom, program.name)
+
+
+def _atom_text(atom: LinearAtom, name) -> str:
+    """``atom`` with each variable written as ``name(var)``."""
+    named = [(c, name(v)) for c, v in atom.terms]
     lhs = _format_terms(named) if named else "0"
     return f"{lhs} >= {format_value(atom.bound)}"
 
 
 def format_clause(clause: Clause, program: Program) -> str:
-    members = [(program.name(l.var) if l.positive else "~" + program.name(l.var))
+    return _clause_text(clause, program.name)
+
+
+def _clause_text(clause: Clause, name) -> str:
+    """``clause`` with each variable written as ``name(var)``."""
+    members = [(name(l.var) if l.positive else "~" + name(l.var))
                for l in clause.lits]
-    members.extend(format_atom(a, program) for a in clause.atoms)
+    members.extend(_atom_text(a, name) for a in clause.atoms)
     return " | ".join(members) if members else "false"
 
 
@@ -78,6 +88,8 @@ def format_linexpr(expr: LinearExpr, program: Program) -> str:
 
 def format_program(program: Program) -> str:
     lines = []
+    names = [info.name for info in program.variables]
+    name = names.__getitem__  # one list lookup per variable written
     for info in program.variables:
         if info.sort is Sort.BOOL:
             sort = "bool"
@@ -85,10 +97,10 @@ def format_program(program: Program) -> str:
             sort = f"int {info.lo}..{info.hi}"
         lines.append(f"var {sort} {info.kind.value} {info.name};")
     for clause in program.constraints:
-        lines.append(f"constraint {format_clause(clause, program)};")
+        lines.append(f"constraint {_clause_text(clause, name)};")
     for rule in program.rules:
-        lines.append(f"rule {format_clause(rule.clause, program)} "
-                     f"head {program.name(rule.head)};")
+        lines.append(f"rule {_clause_text(rule.clause, name)} "
+                     f"head {names[rule.head]};")
     if program.objective is not None:
         lines.append(f"minimize {format_linexpr(program.objective, program)};")
     return "\n".join(lines) + "\n"

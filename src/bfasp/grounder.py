@@ -228,7 +228,7 @@ class _Grounder:
                 raise GroundingError(
                     f"'{decl.name}' is a scalar, not an array", value.span)
             bound = self._value(value)
-            self._elem_check(decl.name, bound, elem_range, decl.span)
+            self._elem_check(decl.name, (bound,), elem_range, decl.span)
             self.params[decl.name] = bound
             return
         if not isinstance(value, ArrayLit):
@@ -242,17 +242,20 @@ class _Grounder:
             raise GroundingError(
                 f"'{decl.name}' needs {size} element(s), "
                 f"{len(value.elements)} given", value.span)
-        cells = [self._value(e) for e in value.elements]
-        for cell in cells:
-            self._elem_check(decl.name, cell, elem_range, value.span)
+        # a literal element is read as it is; only others are compiled
+        cells = [e.value if type(e) is IntLit else self._value(e)
+                 for e in value.elements]
+        self._elem_check(decl.name, cells, elem_range, value.span)
         self.params[decl.name] = _ParamArray(ranges, cells)
 
-    def _elem_check(self, name, value, elem_range, span):
+    def _elem_check(self, name, values, elem_range, span):
         if elem_range is not None:
             lo, hi = elem_range
-            if not lo <= value <= hi:
-                raise GroundingError(
-                    f"value {value} for '{name}' is outside {lo}..{hi}", span)
+            for value in values:
+                if not lo <= value <= hi:
+                    raise GroundingError(
+                        f"value {value} for '{name}' is outside {lo}..{hi}",
+                        span)
 
     # -- variables ------------------------------------------------------------
 
@@ -384,6 +387,16 @@ class _Grounder:
         def outside(index, lo, hi, env):
             return GroundingError(f"index {index} is outside {lo}..{hi} in "
                                   f"'{name}'{_note(scope, env)}", span)
+        if len(indices) == len(ranges) == 1:  # one check, one lookup
+            (index,), ((lo, hi),) = indices, ranges
+
+            def element(env):
+                i = index(env)
+                if not lo <= i <= hi:
+                    raise outside(i, lo, hi, env)
+                return values[i - lo]
+            return element
+
         def cell(env):
             picked = [index(env) for index in indices]
             offset = 0

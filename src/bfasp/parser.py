@@ -324,10 +324,16 @@ class _Parser(Cursor):
 
     def _array_lit(self) -> ArrayLit:
         """A ``[...]`` list; an integer followed by ``,`` or ``]`` is read
-        straight off the token values, anything else as an expression."""
-        span = self.where
+        straight off the token values, anything else as an expression.
+
+        The integers' spans are made in one forward pass: their offsets
+        only grow, so their line index only moves forward.
+        """
+        span = self.where  # also makes the token offsets and line starts
         self.expect("[")
-        values = self._values
+        values, offsets = self._values, self._offsets
+        starts = self._line_starts
+        where, line, last = self._where, span.line, len(starts)
         elements = []
         if not self.peek("]"):
             while True:
@@ -335,7 +341,11 @@ class _Parser(Cursor):
                 value = values[at]
                 if value[:1] in _DIGITS and values[at + 1] in (",", "]"):
                     self._at = at + 1
-                    elements.append(IntLit(int(value), self.location(at)))
+                    offset = offsets[at]
+                    while line < last and starts[line] <= offset:
+                        line += 1
+                    elements.append(IntLit(int(value), where(
+                        line, offset - starts[line - 1] + 1)))
                 else:
                     elements.append(self._expr(_ARITH))
                 if not self.take(","):

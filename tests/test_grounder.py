@@ -1,5 +1,6 @@
 """Instantiation: parameter binding, expansion, normalization, rule checks."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -16,7 +17,7 @@ from bfasp import (
     parse_model,
     validate_program,
 )
-from bfasp.model_ast import Not
+from bfasp.model_ast import Not, Span
 
 from conftest import MODELS, build_example_one
 
@@ -144,6 +145,84 @@ def test_index_errors_carry_the_binding_note():
 def test_more_than_two_dimensions_are_rejected():
     with pytest.raises(GroundingError, match="1- and 2-dimensional"):
         g("array[1..2, 1..2, 1..2] of var bool: c;\n")
+
+
+MIXED = "[1, 2+3, -4, N]"
+
+
+@pytest.mark.parametrize("in_data", [False, True])
+def test_literal_and_computed_elements_bind_alike(in_data):
+    # literal elements are read as they are, the others evaluated
+    decl = "array[1..4] of int: a" + ("" if in_data else f" = {MIXED}")
+    program = g(f"int: N = 7;\n{decl};\nvar -9..9: x;\n"
+                "constraint forall (i in 1..4) (x >= a[i]);\n",
+                data=f"a = {MIXED};" if in_data else "")
+    assert [c.atoms[0].bound for c in program.constraints] == [1, 5, -4, 7]
+
+
+@pytest.mark.parametrize("elements,elem_range,model,data", [
+    (MIXED, "-4..4", "<model>:2:27: value 5 for 'a' is outside -4..4",
+     "<data>:1:5: value 5 for 'a' is outside -4..4"),
+    ("[5, 2+3, -4, N]", "0..4", "<model>:2:26: value 5 for 'a' is outside "
+     "0..4", "<data>:1:5: value 5 for 'a' is outside 0..4"),
+])
+def test_an_element_outside_its_range_is_reported_at_the_array(
+        elements, elem_range, model, data):
+    decl = f"int: N = 7;\narray[1..4] of {elem_range}: a"
+    for text, assigns, expected in [
+            (f"{decl} = {elements};\nvar bool: p;\n", "", model),
+            (f"{decl};\nvar bool: p;\n", f"a = {elements};", data)]:
+        with pytest.raises(GroundingError) as caught:
+            g(text, data=assigns)
+        assert str(caught.value) == expected
+
+
+def weighted_graph_model(rows: bool) -> str:
+    """The shortest-path model over 1-D arrays, or over one-row 2-D arrays
+    (``rows``), whose accesses take the generic path; row-major layout
+    gives both the same cells in the same order."""
+    dims, at = ("1..1, ", "1, ") if rows else ("", "")
+    return ("int: N;\nint: E;\nint: S;\n"
+            f"array[{dims}1..E] of 1..N: from;\n"
+            f"array[{dims}1..E] of int: to;\n"
+            f"array[{dims}1..E] of int: weight;\n"
+            f"array[{dims}1..N] of var int: d :: founded;\n"
+            f"rule (d[{at}S] >= 0 :: head(d[{at}S]));\n"
+            "rule (forall (e in 1..E)\n"
+            f"    (d[{at}to[{at}e]] >= d[{at}from[{at}e]] - weight[{at}e] "
+            f":: head(d[{at}to[{at}e]])));\n")
+
+
+def weighted_graph_data(rand, n: int, e: int) -> str:
+    edges = [(rand.randint(1, n), rand.randint(1, n), rand.randint(0, 9))
+             for _ in range(e)]  # self-loops and repeated edges included
+    return (f"N = {n}; E = {e}; S = {rand.randint(1, n)};\n"
+            + "".join(f"{name} = {[edge[k] for edge in edges]};\n"
+                      for k, name in enumerate(["from", "to", "weight"])))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_index_access_grounds_like_the_generic_path(seed):
+    rand = random.Random(seed)
+    data = weighted_graph_data(rand, rand.randint(1, 12), rand.randint(0, 40))
+    flat, rows = (g(weighted_graph_model(r), data, founded_default=(-99, 0))
+                  for r in (False, True))
+    assert flat.rules == rows.rules
+    assert flat.shapes == rows.shapes
+    assert [replace(v, name="") for v in flat.variables] == \
+        [replace(v, name="") for v in rows.variables]
+    assert format_program(flat).replace("d[", "d[1,") == format_program(rows)
+
+
+def test_an_index_outside_a_variable_array_keeps_its_text_and_span():
+    data = "N = 3; E = 3; S = 1;\nfrom = [1, 2, 3];\nto = [2, 7, 1];\n" \
+           "weight = [1, 2, 3];\n"
+    for rows, col in [(False, 49), (True, 64)]:
+        with pytest.raises(GroundingError) as caught:
+            g(weighted_graph_model(rows), data, founded_default=(-9, 0))
+        assert str(caught.value) == \
+            f"<model>:10:{col}: index 7 is outside 1..3 in 'd' (e=2)"
+        assert caught.value.span == Span("<model>", 10, col)
 
 
 # -- variable intervals ----------------------------------------------------------------

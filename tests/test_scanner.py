@@ -25,7 +25,7 @@ from bfasp import (
     parse_model,
 )
 from bfasp.ground_format import _GroundReader
-from bfasp.model_ast import Span
+from bfasp.model_ast import ArrayLit, IntLit, Span
 from bfasp.parser import _Parser
 
 import oracles
@@ -395,3 +395,93 @@ def _lines_end_at_newline(text: str) -> bool:
     return (not any(c in text for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
             and "\r" not in text.replace("\r\n", "")
             and not text.endswith(("\n", "\r")))
+
+
+# -- integer list spans ------------------------------------------------------------
+
+# skipped text between list tokens: comments (holding digits, so a span
+# found by searching the text would land in them), blank lines and tabs
+_LIST_SKIP = ["", " ", " ", "\t", "\n", "\n\n", "\n\t", " % 12, 3\n",
+              "% [4]\n\n"]
+# elements that are not one integer token; each is read as an expression
+_NON_LITERAL = ["-3", "2+1", "N", "- 40", "7 *N"]
+
+
+def _list_literal(rand, elements: int, skip) -> str:
+    tokens = ["["]
+    for at in range(elements):
+        if at:
+            tokens.append(",")
+        if rand.random() < 0.2:
+            tokens.append(rand.choice(_NON_LITERAL))
+        else:
+            tokens.append(str(rand.choice([0, 5, 12, rand.randint(0, 9999)])))
+    tokens.append("]")
+    return "".join(token + skip() for token in tokens)
+
+
+def _list_data_text(rand) -> str:
+    """Scalars and several integer lists, one of them spread over many
+    lines, with skipped text of every kind between any two tokens."""
+    items = []
+    for name in rand.sample(["n", "m", "w", "e", "d", "f"], rand.randint(2, 5)):
+        if rand.random() < 0.25:
+            items.append(f"{name} = {rand.randint(0, 99)};")
+        elif rand.random() < 0.3:  # one element a line, often at column 1
+            items.append(f"{name} = " + _list_literal(
+                rand, rand.randint(5, 40), lambda: rand.choice(["\n", "\n\t"])
+            ) + ";")
+        else:
+            items.append(f"{name} = " + _list_literal(
+                rand, rand.randint(0, 25), lambda: rand.choice(_LIST_SKIP))
+                + ";")
+    return rand.choice(["\n", "\n\n", " % items\n", "\t"]).join(items)
+
+
+def _element_spans(lists) -> list:
+    """Per list, per element: an integer element's span, else None."""
+    return [[e.span if isinstance(e, IntLit) else None for e in elements]
+            for elements in lists]
+
+
+def _reference_element_spans(text: str) -> list:
+    """What ``_element_spans`` should give, from the reference tokens: the
+    location of each element that is one integer token, else None.  A list
+    is a ``[`` that follows ``=``; its elements are split at the commas
+    outside brackets."""
+    lists, depth, previous, element = [], 0, None, []
+    for kind, value, line, col in oracles.reference_scan(oracles.MODEL_TOKENS,
+                                                         text):
+        if depth == 0:
+            if value == "[" and previous == "=":
+                lists.append([])
+                depth, element = 1, []
+        elif depth == 1 and value in (",", "]"):
+            if element:
+                (kind, line, col), *rest = element
+                one_int = kind == "int" and not rest
+                lists[-1].append(Span("f", line, col) if one_int else None)
+            element = []
+            depth -= value == "]"
+        else:
+            depth += (value in ("(", "[")) - (value in (")", "]"))
+            element.append((kind, line, col))
+        previous = value
+    return lists
+
+
+def test_integer_list_spans_equal_the_reference_token_locations():
+    rand = random.Random(0x5BA)
+    for _ in range(40):
+        text = _list_data_text(rand)
+        lists = [a.value.elements for a in parse_data(text, "f")
+                 if isinstance(a.value, ArrayLit)]
+        assert _element_spans(lists) == _reference_element_spans(text), text
+        # the same list as a model parameter array's value
+        size = rand.randint(1, 30)
+        body = _list_literal(rand, size, lambda: rand.choice(_LIST_SKIP))
+        text = (f"int: N = 2;\n\n% the array\narray[1..{size}] of int:\ta ="
+                f"{rand.choice(_LIST_SKIP)}{body};\n")
+        (decl,) = [p for p in parse_model(text, "f").params if p.dims]
+        assert _element_spans([decl.value.elements]) == \
+            _reference_element_spans(text), text
