@@ -8,6 +8,8 @@ exists.  A requirement above a variable's domain ceiling witnesses
 unsatisfiability.
 """
 
+import functools
+import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -28,9 +30,6 @@ from .program import (
 
 
 _WATCHDOG_MESSAGE = "fixpoint watchdog: bound raises exceeded the lattice budget"
-
-_new = tuple.__new__
-
 
 class DeadlinePassed(Exception):
     """A leaf or upper-bound run went past the deadline it was given."""
@@ -159,30 +158,13 @@ def minimal_model(pcp: PositiveCP, *, on_update=None) -> FixpointResult:
     return FixpointResult(bounds)
 
 
-class _LeafAtom(NamedTuple):
-    kept: tuple  # (coeff, var) of kept occurrences other than the head
-    substituted: tuple  # (coeff, var) read from the valuation
-    least: tuple  # each substituted term's least coeff * value
-    bound: int
-    head_coeff: int | None  # the head's coefficient, when the head is here
-
-
-class _LeafRule(NamedTuple):
-    head: int
-    lo: int | None  # integer head domain; None for a Boolean head
-    hi: int | None
-    substituted_lits: tuple  # (var, positive)
-    kept_lits: tuple  # (var, positive), the head literal excluded
-    atoms: tuple  # _LeafAtom
-    # The atoms' fold, when no atom has a substituted term to fold.
-    fixed_fold: tuple | None
-
-
 class Cone(NamedTuple):
     """The rules an upper-bound run needs to bound ``targets``."""
 
     targets: tuple  # founded variables
     rules: tuple  # rule indices, in program order
+    # per rule shape among them: its fold kernel and its rules here
+    batches: tuple
 
 
 class LeafEvaluator:
@@ -194,10 +176,16 @@ class LeafEvaluator:
     occurrences, and each call folds the valuation into the rules and runs
     the same bounds-raising fixpoint over the rules the fold leaves active.
     Rule indices, in ``on_update`` and in ``unsat_index``, are source rule
-    indices: the reduct's ``origin_of`` mapping, applied.  The split is
-    analysed once per rule shape, as its ``analysis.shape_form``; each rule
-    of the shape then fills in its own variables and atom bounds, by
-    position, and its head's and terms' domains.
+    indices: the reduct's ``origin_of`` mapping, applied.
+
+    The split is analysed once per rule shape, as its
+    ``analysis.shape_form``, and each shape gets two generated kernels, with
+    its layout unrolled and its signs and coefficients written in: a fold,
+    which folds the valuation into every rule of the shape that a run
+    holds, and a requirement, which is ``clause_requirement`` of one folded
+    rule.  Each rule keeps only a plain tuple of its own variables, atom
+    bounds, least products, head domain and fixed fold, read by position
+    (``_instance``).  No function object is made per rule.
 
     Kept occurrences other than the head are founded and decreasing, so
     their literals are negative and their coefficients negative.  A rule
@@ -224,9 +212,15 @@ class LeafEvaluator:
             info = variables[var]
             budget += 2 if info.sort is Sort.BOOL else info.hi - info.lo + 2
         self._budget = budget
-        # None for a rule that no reduct keeps, whatever the valuation:
-        # complementary kept literals, or constant atoms that satisfy it.
-        self._rules: list[_LeafRule | None] = []
+        # Per rule, its plain tuple (``_instance``), or None for a rule that
+        # no reduct keeps, whatever the valuation: complementary kept
+        # literals, or constant atoms that satisfy it.
+        self._rules = []
+        self._shapes = program.shapes
+        # Per shape, its ``_kernels``; None when no reduct keeps its rules.
+        self._kernels = []
+        # Per rule, its shape's requirement kernel.
+        self._requirement_of = []
         # var -> (rule index, atom index or None for a literal) for every
         # kept non-head occurrence, in rule order.
         self._watchers = [[] for _ in variables]
@@ -236,28 +230,33 @@ class LeafEvaluator:
         self._idle = []
         rules, watchers, by_head, idle = (self._rules, self._watchers,
                                           self._by_head, self._idle)
+        kernels, requirement_of = self._kernels, self._requirement_of
         template = self._template
         forms = shape_forms(program)
         for index, (rule, number) in enumerate(zip(program.rules,
-                                                   program.shapes)):
+                                                   self._shapes)):
             form = forms[number]
-            compiled = None if form.complementary else _instance(form, rule,
-                                                                 variables)
+            if number == len(kernels):  # shapes are numbered as first met
+                kernels.append(None if form.complementary else _kernels(
+                    form, rule, variables[rule.head].sort is Sort.BOOL))
+            kernel = kernels[number]
+            compiled = kernel and _instance(form, rule, variables, kernel[0])
             rules.append(compiled)
             if compiled is None:
+                requirement_of.append(None)
                 idle.append(False)
                 continue
-            by_head[compiled.head].append(index)
-            for var, _ in compiled.kept_lits:
-                watchers[var].append((index, None))
-            for slot, atom in enumerate(compiled.atoms):
-                for _, var in atom.kept:
-                    watchers[var].append((index, slot))
-            idle.append(compiled.fixed_fold is not None and _leaf_requirement(
-                compiled.kept_lits, compiled.atoms, compiled.fixed_fold,
-                template, compiled.lo is None) is None)
-        self._all = tuple(i for i, rule in enumerate(rules)
-                          if rule is not None)
+            _, requirement, slots = kernel
+            requirement_of.append(requirement)
+            by_head[rule.head].append(index)
+            for var, slot in zip(compiled[_KEPT:_KEPT + len(slots)], slots):
+                watchers[var].append((index, slot))
+            fixed = compiled[3]
+            idle.append(fixed is not None and requirement(
+                compiled, fixed, template) is None)
+        # the cone of every founded variable: each rule some reduct keeps
+        self._whole = self._cone(self._founded, [
+            i for i, rule in enumerate(rules) if rule is not None])
 
     def minimal_model(self, valuation, *, on_update=None,
                       deadline=None) -> FixpointResult:
@@ -268,8 +267,8 @@ class LeafEvaluator:
         ``time.monotonic()`` value ``deadline``, a bound raise raises
         ``DeadlinePassed``.
         """
-        bounds, unsat_index = self._fixpoint(self._all, valuation, on_update,
-                                             False, deadline)
+        bounds, unsat_index = self._fixpoint(self._whole, valuation,
+                                             on_update, False, deadline)
         if unsat_index is not None:
             return FixpointResult(None, unsat_index)
         return FixpointResult({var: bounds[var] for var in self._founded})
@@ -278,21 +277,30 @@ class LeafEvaluator:
         """The rules that can raise a variable of ``targets``: the backward
         closure from the targets over each rule's head and kept
         occurrences."""
-        rules = self._rules
+        rules, shapes, kernels = self._rules, self._shapes, self._kernels
         seen = set(targets)
         pending = list(seen)
         chosen = []
         while pending:
             for index in self._by_head[pending.pop()]:
                 chosen.append(index)
-                rule = rules[index]
-                kept = [var for var, _ in rule.kept_lits]
-                kept += [var for atom in rule.atoms for _, var in atom.kept]
-                for var in kept:
+                kept = _KEPT + len(kernels[shapes[index]][2])
+                for var in rules[index][_KEPT:kept]:
                     if var not in seen:
                         seen.add(var)
                         pending.append(var)
-        return Cone(tuple(targets), tuple(sorted(chosen)))
+        return self._cone(targets, sorted(chosen))
+
+    def _cone(self, targets, rules) -> Cone:
+        """The Cone of ``rules``, in program order, with them batched by
+        shape for the fold kernels."""
+        shapes, kernels = self._shapes, self._kernels
+        batches = {}
+        for index in rules:
+            batches.setdefault(shapes[index], []).append(index)
+        return Cone(tuple(targets), tuple(rules), tuple(
+            (kernels[number][0], tuple(indices))
+            for number, indices in batches.items()))
 
     def upper_bounds(self, partial, cone: Cone | None = None, *,
                      deadline=None) -> dict:
@@ -310,12 +318,12 @@ class LeafEvaluator:
         ``minimal_model``.
         """
         if cone is None:
-            cone = Cone(self._founded, self._all)
-        bounds, _ = self._fixpoint(cone.rules, partial, None, True, deadline)
+            cone = self._whole
+        bounds, _ = self._fixpoint(cone, partial, None, True, deadline)
         return {var: bounds[var] for var in cone.targets}
 
-    def _fixpoint(self, order, valuation, on_update, clamp, deadline):
-        """Raise bounds from the bottom under the rules ``order`` lists.
+    def _fixpoint(self, cone, valuation, on_update, clamp, deadline):
+        """Raise bounds from the bottom under the rules of ``cone``.
 
         Each rule is first folded under ``valuation``: an unassigned
         substituted occurrence takes its least satisfying value, a literal
@@ -328,14 +336,15 @@ class LeafEvaluator:
         """
         rules = self._rules
         watchers = self._watchers
-        # None for a rule outside ``order`` or one the reduct drops
+        requirement_of = self._requirement_of
+        # None for a rule outside the cone or one the reduct drops
         folds = [None] * len(rules)
-        for index in order:
-            folds[index] = _fold_rule(rules[index], valuation)
+        for fold, indices in cone.batches:
+            fold(indices, rules, valuation, folds)
         bounds = self._template.copy()
         budget = self._budget
         raises = 0
-        queue = deque([i for i in order if folds[i] is not None])
+        queue = deque([i for i in cone.rules if folds[i] is not None])
         # Inactive rules are never popped, so they stay marked and never
         # join the queue.
         queued = [True] * len(rules)
@@ -348,11 +357,11 @@ class LeafEvaluator:
             if idle[index]:
                 idle[index] = False
                 continue
-            head, lo, hi, _, kept_lits, atoms, _ = rules[index]
-            required = _leaf_requirement(kept_lits, atoms, folds[index],
-                                         bounds, lo is None)
+            rule = rules[index]
+            required = requirement_of[index](rule, folds[index], bounds)
             if required is None:
                 continue
+            head, lo, hi = rule[0], rule[1], rule[2]
             current = bounds[head]
             if lo is None:
                 if current:
@@ -384,113 +393,157 @@ class LeafEvaluator:
         return bounds, None
 
 
-def _instance(form, rule: Rule, variables) -> _LeafRule | None:
-    """``rule``'s leaf form, from the ``analysis.shape_form`` of its shape;
-    None when a constant atom satisfies it, so that no reduct keeps it.
+# A rule's plain tuple, read by its shape's kernels at fixed positions:
+#   0 head, 1 and 2 the head's lo and hi (None for a Boolean head),
+#   3 the fixed fold, or None when an atom has a substituted term;
+#   from 4, the kept non-head variables: the literals', then each atom's
+#   terms', in member order ("the kept block", watched and followed by
+#   ``cone``); then the substituted literals' variables; then per atom its
+#   bound, then each substituted term's variable and least coeff * value.
+_KEPT = 4
 
-    This runs once per rule, so it takes the terms' tuples from the rule
-    itself and builds the rest with ``tuple.__new__``: a NamedTuple's own
-    constructor is a Python function call, and every object that outlives
-    the call adds to the garbage collector's work.
-    """
-    atoms = []
-    fixed = True  # no atom has a substituted term
-    for (kept, substituted, head_coeff), source in zip(form.atoms,
-                                                      rule.clause.atoms):
-        terms, least = source.terms, ()
+
+def _instance(form, rule: Rule, variables, fold) -> tuple | None:
+    """``rule``'s plain tuple, laid out as above from its shape's form;
+    None when a constant atom satisfies it, so that no reduct keeps it.
+    ``fold`` is the shape's fold kernel, which gives the fixed fold."""
+    lits, atoms = rule.clause.lits, rule.clause.atoms
+    info = variables[rule.head]
+    row = [rule.head, info.lo, info.hi, None]
+    row += [lits[i].var for i in form.kept_lits]
+    for (kept, _, _), atom in zip(form.atoms, atoms):
         if kept:
-            kept = tuple([terms[i] for i in kept])
+            terms = atom.terms
+            row += [terms[i][1] for i in kept]
+    row += [lits[i].var for i in form.substituted_lits]
+    fixed = True  # no atom has a substituted term
+    for (_, substituted, _), atom in zip(form.atoms, atoms):
+        row.append(atom.bound)
         if substituted:
             fixed = False
-            substituted = tuple([terms[i] for i in substituted])
-            least = least_products(substituted, variables)
-        atoms.append(_new(_LeafAtom, (kept, substituted, least, source.bound,
-                                      head_coeff)))
-    fixed_fold = None
+            terms = [atom.terms[i] for i in substituted]
+            for (_, var), least in zip(terms,
+                                       least_products(terms, variables)):
+                row += (var, least)
     if fixed:
-        fixed_fold = _fold_atoms(atoms, {})
-        if fixed_fold is None:
+        out = [None]  # the fold of ``row`` alone, as rule 0 of a batch
+        fold((0,), (row,), {}, out)
+        row[3] = out[0]
+        if row[3] is None:
             return None  # a constant member satisfies it
-        fixed_fold = tuple(fixed_fold)
-    lits = rule.clause.lits
-    substituted_lits, kept_lits = form.substituted_lits, form.kept_lits
+    return tuple(row)
+
+
+def _kernels(form, rule: Rule, boolean_head: bool) -> tuple:
+    """The fold and requirement kernels of ``rule``'s shape, generated for
+    the shape's layout from its ``form``, with the signs and coefficients
+    that every rule of the shape shares written in; and the watch slot of
+    each kept variable (an atom index, or None for a literal).
+
+    ``fold(indices, rules, valuation, folds)`` sets ``folds[i]``, for each
+    listed rule of the shape, to the folded bound of each of its atoms; it
+    leaves None there when the reduct drops the rule.  As in
+    ``ReductBuilder.build``, a satisfied member drops the rule and a
+    falsified member is deleted (None in its slot); an unassigned
+    substituted occurrence takes its least satisfying value, a literal
+    counting as false and a term adding its least ``coeff * value``.  A
+    rule the reduct drops as a tautology stays: one of its members holds at
+    every bound, so it never raises its head.  A ``nan`` bound, from
+    infinities of both signs, holds for no sum, so such a member counts as
+    falsified.  When the shape's atoms have no substituted term, the fold
+    is the rule's fixed fold, made once by ``_instance``.
+
+    ``requirement(r, fold, bounds)`` is ``clause_requirement`` of the folded
+    rule, or None when it owes nothing.  An integer requirement is returned
+    unclamped; POS_INF means that no head value satisfies the rule.  A kept
+    non-head term at -inf has a negative coefficient, so its sum is +inf
+    and satisfies its atom.
+    """
+    lits, atoms = rule.clause.lits, rule.clause.atoms
+    place = itertools.count(_KEPT)
+    kept_lits = [(next(place), lits[i].positive) for i in form.kept_lits]
+    kept_terms = [[(atom.terms[i][0], next(place)) for i in kept]
+                  for (kept, _, _), atom in zip(form.atoms, atoms)]
+    slots = [None] * len(kept_lits)
+    for slot, terms in enumerate(kept_terms):
+        slots += [slot] * len(terms)
+    substituted_lits = [(next(place), lits[i].positive)
+                        for i in form.substituted_lits]
+    substituted_terms = []  # per atom: its bound's place and its terms
+    for (_, substituted, _), atom in zip(form.atoms, atoms):
+        bound = next(place)
+        substituted_terms.append((bound, [
+            (atom.terms[i][0], next(place), next(place))
+            for i in substituted]))
+
+    fold = ["def fold(indices, rules, valuation, folds):"]
     if substituted_lits:
-        substituted_lits = tuple([(lits[i].var, lits[i].positive)
-                                  for i in substituted_lits])
-    if kept_lits:
-        kept_lits = tuple([(lits[i].var, lits[i].positive)
-                           for i in kept_lits])
-    info = variables[rule.head]
-    return _new(_LeafRule, (rule.head, info.lo, info.hi, substituted_lits,
-                            kept_lits, tuple(atoms), fixed_fold))
-
-
-def _fold_rule(rule: _LeafRule, valuation):
-    """Folded atom bounds of one rule, or None when the reduct drops it."""
-    for var, positive in rule.substituted_lits:
-        if valuation.get(var) == positive:  # unassigned counts as false
-            return None
-    if rule.fixed_fold is not None:
-        return rule.fixed_fold
-    return _fold_atoms(rule.atoms, valuation)
-
-
-def _fold_atoms(atoms, valuation):
-    """Folded bounds of a rule's atoms, or None when the reduct drops it.
-
-    As in ReductBuilder.build, a satisfied member drops the rule and a
-    falsified member is deleted (None in its slot).  A rule the reduct drops
-    as a tautology stays: one of its members holds at every bound, so it
-    never raises its head.  A ``nan`` bound, from infinities of both signs,
-    holds for no sum, so such a member counts as falsified.
-    """
-    fold = []
-    for kept, substituted, least, bound, head_coeff in atoms:
-        total = 0  # an unassigned term adds its least value
-        for (coeff, var), low in zip(substituted, least):
-            total += coeff * valuation[var] if var in valuation else low
-        # Substituted occurrences are standard (finite) or increasing, so a
-        # bottom value among them makes the folded bound POS_INF.
-        folded = bound - total
+        fold.append("    get = valuation.get")
+    fold += ["    for i in indices:", "        r = rules[i]"]
+    for at, positive in substituted_lits:  # unassigned counts as false
+        fold.append(f"        if get(r[{at}]) == {positive}: continue")
+    if not any(terms for _, terms in substituted_terms):
+        fold += ["        fixed = r[3]",
+                 "        if fixed is not None:",
+                 "            folds[i] = fixed",
+                 "            continue"]
+    folded = []
+    for j, ((kept, _, head_coeff), (bound, terms)) in enumerate(
+            zip(form.atoms, substituted_terms)):
+        # Substituted occurrences are standard (finite) or increasing, so
+        # a bottom value among them makes the folded bound POS_INF.
+        total = " + ".join(
+            f"({coeff} * valuation[v] if (v := r[{at}]) in valuation "
+            f"else r[{least}])" for coeff, at, least in terms)
+        fold.append(f"        f{j} = r[{bound}]" + (f" - ({total})" if total
+                                                     else ""))
         if not kept and head_coeff is None:
-            if folded <= 0:
-                return None
-            fold.append(None)
-        elif folded == POS_INF and head_coeff is None:
-            fold.append(None)
+            fold.append(f"        if f{j} <= 0: continue")
+            folded.append("None")
+        elif head_coeff is None:
+            folded.append(f"None if f{j} == inf else f{j}")
         else:
-            fold.append(folded)
-    return fold
+            folded.append(f"f{j}")
+    folded = "".join(slot + ", " for slot in folded)
+    fold.append(f"        folds[i] = ({folded})")
 
-
-def _leaf_requirement(kept_lits, atoms, fold, bounds, boolean_head):
-    """clause_requirement of one folded rule, None when it owes nothing.
-
-    An integer requirement is returned unclamped; POS_INF means that no
-    head value satisfies the rule.  A kept non-head term at -inf has a
-    negative coefficient, so its sum is +inf and satisfies its atom.
-    """
-    for var, positive in kept_lits:
-        if bounds[var] == positive:
-            return None
+    requirement = ["def requirement(r, fold, bounds):"]
+    for at, positive in kept_lits:
+        requirement.append(f"    if bounds[r[{at}]] == {positive}: "
+                           "return None")
     head_atom = None
-    for atom, bound in zip(atoms, fold):
-        if bound is None:
-            continue
-        if atom.head_coeff is not None:
-            head_atom = atom, bound
-            continue
-        if linear_sum(atom.kept, bounds) >= bound:
-            return None
+    for j, ((kept, _, head_coeff), terms) in enumerate(zip(form.atoms,
+                                                          kept_terms)):
+        total = " + ".join(f"{coeff} * bounds[r[{at}]]"
+                           for coeff, at in terms)
+        if head_coeff is not None:
+            head_atom = j, head_coeff, total
+        elif kept:
+            requirement.append(f"    if (b := fold[{j}]) is not None and "
+                               f"{total} >= b: return None")
     if boolean_head:
-        return True
-    if head_atom is None:
-        return POS_INF
-    atom, bound = head_atom
-    residual = bound - linear_sum(atom.kept, bounds)
-    if isinstance(residual, int):
-        return _ceil_div(residual, atom.head_coeff)
-    return None if residual == NEG_INF else POS_INF  # as in clause_requirement
+        requirement.append("    return True")
+    elif head_atom is None:
+        requirement.append("    return inf")
+    else:
+        j, head_coeff, total = head_atom
+        requirement += [
+            f"    residual = fold[{j}]" + (f" - ({total})" if total else ""),
+            "    if isinstance(residual, int):",
+            "        return residual" if head_coeff == 1 else
+            f"        return -(-residual // {head_coeff})",  # the ceiling
+            # as in clause_requirement
+            "    return None if residual == -inf else inf"]
+    namespace = {"inf": POS_INF}
+    exec(_compiled("\n".join(fold + requirement)), namespace)
+    return namespace["fold"], namespace["requirement"], tuple(slots)
+
+
+@functools.lru_cache(maxsize=1024)
+def _compiled(source: str):
+    """``source`` compiled; the same layouts recur from program to program,
+    and compiling takes far longer than running the code once."""
+    return compile(source, "<rule kernels>", "exec")
 
 
 def satisfied_at(rule: Rule, valuation, variables) -> bool:

@@ -307,6 +307,20 @@ def test_incomplete_assignments_exit_three(tmp_path, capsys):
     assert "missing assignments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("prop", ["leaf", "clause"])
+@pytest.mark.parametrize("text, got", [
+    ("var int -5..0 founded b;\nminimize -1*b;\n", "inf"),
+    ("var int -5..0 founded a;\nvar int -5..0 founded b;\n"
+     "minimize 1*a - 1*b;\n", "undefined"),
+])
+def test_non_finite_objectives_exit_three(tmp_path, capsys, prop, text, got):
+    program = tmp_path / "objective.bfg"
+    program.write_text(text)
+    assert run(["solve", str(program), "--prop", prop]) == 3
+    assert capsys.readouterr().err == ("error: objective has no finite "
+                                       f"value on a stable model (got {got})\n")
+
+
 def test_deep_nesting_exits_three_without_a_traceback(tmp_path, capsys):
     deep = tmp_path / "deep.bfz"
     deep.write_text("var bool: p;\nconstraint " + "(" * 3000 + "p"

@@ -28,14 +28,9 @@ from bfasp import (
     satisfied_at,
     validate_positive_cp,
     validate_program,
+    validate_rule,
 )
-from bfasp.fixpoint import (
-    LeafEvaluator,
-    _fold_atoms,
-    _LeafAtom,
-    _leaf_requirement,
-    _LeafRule,
-)
+from bfasp.fixpoint import LeafEvaluator
 
 from conftest import THETA_PRIME, build_example_one, valuation_of
 from oracles import (
@@ -358,69 +353,99 @@ def test_leaf_evaluator_matches_the_explicit_reduct(rng):
     assert leaves > 6000 and unsat > 500
 
 
-def per_rule_compile(rule: Rule, variables):
-    """One rule's leaf form, with its variables classified on their own, or
-    None when no reduct keeps it.
-
-    A non-head variable is substituted when it is standard or the clause is
-    not decreasing in it.  Complementary kept literals, or constant atoms
-    that satisfy the rule, keep it out of every reduct.
-    """
-    head, clause = rule.head, rule.clause
-    substituted = {var for var in set(clause.variables()) if var != head and (
+def substituted_by_rule(rule: Rule, variables) -> set:
+    """The rule's substituted variables, classified on their own: each
+    non-head variable that is standard or not decreasing in the clause."""
+    clause = rule.clause
+    return {var for var in set(clause.variables()) if var != rule.head and (
         variables[var].kind is VarKind.STANDARD
         or monotonicity(clause, var) is not Monotonicity.DECREASING)}
-    lits = [(lit.var, lit.positive) for lit in clause.lits]
-    kept_lits = [lit for lit in lits if lit[0] not in substituted]
-    if len({var for var, _ in kept_lits}) < len(set(kept_lits)):
+
+
+def per_rule_compile(rule: Rule, variables):
+    """One rule's plain tuple, with its variables classified on their own,
+    or None when no reduct keeps it.
+
+    Complementary kept literals, or constant atoms that satisfy the rule,
+    keep it out of every reduct.  The layout is the evaluator's: head, lo,
+    hi, the fixed fold (when no atom has a substituted term), the kept
+    non-head variables of the literals and then of each atom, the
+    substituted literals' variables, and per atom its bound followed by
+    each substituted term's variable and least ``coeff * value``.
+    """
+    head, clause = rule.head, rule.clause
+    substituted = substituted_by_rule(rule, variables)
+    kept_lits = {(lit.var, lit.positive) for lit in clause.lits
+                 if lit.var not in substituted}
+    if len({var for var, _ in kept_lits}) < len(kept_lits):
         return None  # complementary kept literals
-    atoms = []
-    for atom in clause.atoms:
-        folded = tuple((c, v) for c, v in atom.terms if v in substituted)
-        atoms.append(_LeafAtom(
-            tuple((c, v) for c, v in atom.terms
-                  if v != head and v not in substituted),
-            folded,
-            tuple(c * (variables[v].least_value() if c > 0
-                       else variables[v].hi) for c, v in folded),
-            atom.bound,
-            next((c for c, v in atom.terms if v == head), None)))
-    fixed_fold = None
-    if not any(atom.substituted for atom in atoms):
-        fixed_fold = _fold_atoms(atoms, {})
-        if fixed_fold is None:
-            return None  # a constant member satisfies it
-        fixed_fold = tuple(fixed_fold)
     info = variables[head]
-    return _LeafRule(head, info.lo, info.hi,
-                     tuple(lit for lit in lits if lit[0] in substituted),
-                     tuple(lit for lit in kept_lits if lit[0] != head),
-                     tuple(atoms), fixed_fold)
+    row = [head, info.lo, info.hi, None]
+    row += [var for var, _ in kept_occurrences(rule, substituted)]
+    row += [lit.var for lit in clause.lits if lit.var in substituted]
+    for atom in clause.atoms:
+        row.append(atom.bound)
+        for c, v in atom.terms:
+            if v in substituted:
+                row += (v, c * (variables[v].least_value() if c > 0
+                                else variables[v].hi))
+    if not any(v in substituted for atom in clause.atoms
+               for _, v in atom.terms):
+        fold = []
+        for atom in clause.atoms:
+            if not atom.terms:
+                if atom.bound <= 0:
+                    return None  # a constant member satisfies it
+                fold.append(None)
+            elif atom.bound == POS_INF and all(v != head
+                                               for _, v in atom.terms):
+                fold.append(None)  # falsified and deleted
+            else:
+                fold.append(atom.bound)
+        row[3] = tuple(fold)
+    return tuple(row)
+
+
+def kept_occurrences(rule: Rule, substituted) -> list:
+    """(variable, watch slot) of each kept non-head occurrence: the
+    literals' first, with slot None, then each atom's, with its index."""
+    head, clause = rule.head, rule.clause
+    kept = [(lit.var, None) for lit in clause.lits
+            if lit.var != head and lit.var not in substituted]
+    for slot, atom in enumerate(clause.atoms):
+        kept += [(v, slot) for _, v in atom.terms
+                 if v != head and v not in substituted]
+    return kept
 
 
 def per_rule_state(program: Program):
     """The evaluator's compiled state, from a compile of each rule on its
-    own: the leaf forms, the idle marks, the watch lists and the rules by
-    head."""
+    own: the plain tuples, the idle marks, the watch lists and the rules by
+    head.  A rule with a fixed fold is idle when its reduct's
+    clause_requirement asks nothing with every variable at the bottom."""
     variables = program.variables
     bottom = [v.least_value() if v.is_founded else None for v in variables]
     rules = [per_rule_compile(rule, variables) for rule in program.rules]
     watchers = [[] for _ in variables]
     by_head = [[] for _ in variables]
-    for index, rule in enumerate(rules):
-        if rule is None:
+    idle = []
+    for index, (rule, compiled) in enumerate(zip(program.rules, rules)):
+        idle.append(False)
+        if compiled is None:
             continue
         by_head[rule.head].append(index)
-        for var, _ in rule.kept_lits:
-            watchers[var].append((index, None))
-        for slot, atom in enumerate(rule.atoms):
-            for _, var in atom.kept:
-                watchers[var].append((index, slot))
-    idle = [rule is not None and rule.fixed_fold is not None
-            and _leaf_requirement(rule.kept_lits, rule.atoms,
-                                  rule.fixed_fold, bottom,
-                                  rule.lo is None) is None
-            for rule in rules]
+        substituted = substituted_by_rule(rule, variables)
+        for var, slot in kept_occurrences(rule, substituted):
+            watchers[var].append((index, slot))
+        if compiled[3] is not None:
+            lits = rule.clause.lits
+            reduct = Rule(Clause(
+                tuple(lit for lit in lits if lit.var not in substituted),
+                tuple(atom for atom, bound in zip(rule.clause.atoms,
+                                                  compiled[3])
+                      if bound is not None)), rule.head)
+            required = clause_requirement(reduct, bottom, variables)
+            idle[-1] = required is False or required == NEG_INF
     return rules, idle, watchers, by_head
 
 
@@ -466,8 +491,7 @@ def test_shape_compiled_state_equals_a_per_rule_compile(rng):
         for number, compiled in zip(numbers, evaluator._rules):
             drops.setdefault(number, set()).add(compiled is None)
             if compiled is not None:
-                domains.setdefault(number, set()).add(
-                    (compiled.lo, compiled.hi))
+                domains.setdefault(number, set()).add(compiled[1:3])
         kept_apart += sum(len(seen) > 1 for seen in drops.values())
         domains_apart += sum(len(seen) > 1 for seen in domains.values())
         guessed += sum(program.variables[var].is_founded
@@ -477,6 +501,138 @@ def test_shape_compiled_state_equals_a_per_rule_compile(rng):
     assert self_loops > 500 and complementary > 200
     assert dropped > 200 and kept_apart > 30 and domains_apart > 100
     assert guessed > 300
+
+
+def with_infinite_bounds(rand, program: Program) -> Program:
+    """``program`` with about one atom bound in three at POS_INF or
+    NEG_INF; mostly NEG_INF where a term rises, so that a founded term at
+    the bottom folds the bound to nan.  Bounds are not part of a shape, so
+    the shapes stay."""
+    def infinite(atom):
+        if any(c > 0 for c, _ in atom.terms) and rand.random() < 0.75:
+            return NEG_INF
+        return rand.choice((POS_INF, NEG_INF))
+
+    rules = tuple(Rule(Clause(rule.clause.lits, tuple(
+        LinearAtom(atom.terms, infinite(atom)) if rand.random() < 1 / 3
+        else atom for atom in rule.clause.atoms)), rule.head)
+        for rule in program.rules)
+    return Program(program.variables, rules=rules)
+
+
+def kernel_programs(rng):
+    """Shaped programs (kept literals, Boolean heads, multi-term atoms,
+    self-loops) and positive ones with substituted terms and heads with
+    coefficient 2, each also with infinite atom bounds."""
+    for _ in range(100):
+        for program in (random_shaped_program(rng), with_substituted_terms(
+                rng, random_positive_cp(rng))):
+            yield program
+            yield with_infinite_bounds(rng, program)
+
+
+def random_value(rand, info):
+    """A value of ``info``'s domain; a founded integer's bottom one time
+    in three, since infinite bounds and nan folds start there."""
+    if info.sort is Sort.BOOL:
+        return rand.random() < 0.5
+    if info.is_founded and rand.random() < 1 / 3:
+        return NEG_INF
+    return rand.randint(info.lo, info.hi)
+
+
+def least_completion(rule: Rule, partial, variables, substituted):
+    """``partial`` completed for ``rule``: each unassigned substituted
+    variable at the value that puts its occurrences at their least, as
+    the fold takes them (a literal false, a term at its least
+    ``coeff * value``).  None when such a variable occurs with both
+    signs, so that no one value does."""
+    signs = {}
+    for lit in rule.clause.lits:
+        signs.setdefault(lit.var, set()).add(lit.positive)
+    for atom in rule.clause.atoms:
+        for coeff, var in atom.terms:
+            signs.setdefault(var, set()).add(coeff > 0)
+    completion = dict(partial)
+    for var in substituted - set(partial):
+        if len(signs[var]) > 1:
+            return None
+        up = signs[var].pop()
+        info = variables[var]
+        if info.sort is Sort.BOOL:
+            completion[var] = not up
+        else:
+            completion[var] = info.least_value() if up else info.hi
+    return completion
+
+
+def test_every_kernel_equals_clause_requirement_on_the_reduct(rng):
+    """Each shape's generated fold, on total and partial valuations,
+    against the rule that build_reduct makes (its atoms' bounds, nan
+    included); and its requirement, under random bounds, against
+    clause_requirement of that rule, which owes nothing when it returns
+    False or NEG_INF.  A rule the reduct drops as a tautology must owe
+    nothing at every bound.  The kernels are shared within a shape."""
+    compared = partial_folds = nan_folds = dropped = tautologies = 0
+    outcomes = {}
+    for program in kernel_programs(rng):
+        variables = program.variables
+        evaluator = LeafEvaluator(program)
+        kernels = {id(f) for f in evaluator._requirement_of if f}
+        assert len(kernels) <= len(set(program.shapes))
+        valuations = [{var: random_value(rng, info)
+                       for var, info in enumerate(variables)}
+                      for _ in range(4)]
+        valuations += [{var: value for var, value in valuation.items()
+                        if rng.random() < 0.5} for valuation in valuations]
+        for valuation in valuations:
+            folds = [None] * len(program.rules)
+            for fold, indices in evaluator._whole.batches:
+                fold(indices, evaluator._rules, valuation, folds)
+            for index, rule in enumerate(program.rules):
+                compiled = evaluator._rules[index]
+                if validate_rule(rule, variables) is not None:
+                    continue
+                completion = least_completion(
+                    rule, valuation, variables,
+                    substituted_by_rule(rule, variables))
+                if completion is None:
+                    continue
+                partial_folds += len(completion) > len(valuation)
+                reduct = build_reduct(Program(variables, rules=(rule,)),
+                                      completion).rules
+                if compiled is None or folds[index] is None:
+                    assert not reduct
+                    dropped += 1
+                    continue
+                fold = folds[index]
+                nan_folds += any(b != b for b in fold if b is not None)
+                if reduct:
+                    assert repr([b for b in fold if b is not None]) == \
+                        repr([atom.bound for atom in reduct[0].clause.atoms])
+                else:
+                    tautologies += 1
+                for _ in range(3):
+                    bounds = [random_value(rng, info)
+                              for info in variables]
+                    got = evaluator._requirement_of[index](compiled, fold,
+                                                           bounds)
+                    if reduct:
+                        want = clause_requirement(reduct[0], bounds,
+                                                  variables)
+                        if want is False or want == NEG_INF:
+                            want = None
+                    else:
+                        want = None
+                    assert repr(got) == repr(want)
+                    outcomes[type(got), got == POS_INF] = \
+                        outcomes.get((type(got), got == POS_INF), 0) + 1
+                    compared += 1
+    # every kind of answer, and every kind of fold, many times over
+    assert compared > 20000 and partial_folds > 1000 and nan_folds > 20
+    assert dropped > 2000 and tautologies > 500
+    assert all(outcomes.get(key, 0) > 500 for key in (
+        (type(None), False), (bool, False), (int, False), (float, True)))
 
 
 def bound_programs(rng):

@@ -497,3 +497,26 @@ def test_unbounded_objective_values_are_an_error():
                        match=r"objective has no finite value on a stable "
                              r"model \(got -inf\)"):
         optimize(program)
+
+
+@pytest.mark.parametrize("level", PropagationLevel)
+@pytest.mark.parametrize("terms, rules, got", [
+    # -1 * b with b at the bottom
+    (((-1, 1),), (), "inf"),
+    # 1 * a - 1 * b with a raised to 0 and b at the bottom
+    (((1, 0), (-1, 1)),
+     (Rule(Clause(atoms=(LinearAtom(((1, 0),), 0),)), 0),), "inf"),
+    # 1 * a - 1 * b with both at the bottom: -inf + inf
+    (((1, 0), (-1, 1)), (), "undefined"),
+])
+def test_infinite_and_undefined_objective_values_are_errors(level, terms,
+                                                            rules, got):
+    program = Program(
+        variables=(founded_int("a", -5, 0), founded_int("b", -5, 0)),
+        constraints=(),
+        rules=rules,
+        objective=LinearExpr(terms, 0))
+    with pytest.raises(SolveError,
+                       match=r"objective has no finite value on a stable "
+                             rf"model \(got {got}\)"):
+        optimize(program, SearchConfig(propagation=level))
