@@ -188,6 +188,9 @@ ERROR_CASES = [
      "array[1..12000] of var bool: p :: founded;\nvar bool: q;\nvar bool: r;\n"
      "rule (forall (i in 1..12000) (p[i] <- q /\\ r :: head(p[i])));\n", None,
      "<model>:4:1: flattening needs more than 20000 clauses; rewrite the item"),
+    ("budget-counts-tautologies",
+     "var bool: p;\nconstraint exists (i in 1..5001) (p /\\ not p);\n", None,
+     "<model>:2:1: flattening needs more than 20000 clauses; rewrite the item"),
     ("sum-as-condition",
      "array[1..2] of int: w = [1, 2];\nvar bool: p;\n"
      "constraint forall (i in 1..2) (exists (j in 1..2) "

@@ -1,11 +1,13 @@
 """Instantiation: parameter binding, expansion, normalization, rule checks."""
 
+import hashlib
 import random
 from dataclasses import replace
 
 import pytest
 
 from bfasp import (
+    BfaspError,
     GroundingError,
     LinearAtom,
     LinearExpr,
@@ -350,6 +352,13 @@ def test_expansion_budget_is_enforced():
              "constraint exists (i in 1..15) (u[i] /\\ v[i]);\n"]
     with pytest.raises(GroundingError, match="flattening needs more than"):
         g("".join(lines))
+    # every pair tried counts, tautologies too: 2 + 4 * 4999 pairs fit the
+    # 20,000 cap, and one more instance (ERROR_CASES in
+    # test_ground_output.py) does not
+    program = g("var bool: p;\n"
+                "constraint exists (i in 1..5000) (p /\\ not p);\n")
+    assert format_program(program).splitlines()[-2:] == \
+        ["constraint p;", "constraint ~p;"]
 
 
 def test_duplicate_members_collapse():
@@ -475,3 +484,123 @@ def test_sum_objective_merges_terms():
     program = g("array[1..3] of var 0..5: c;\n"
                 "solve minimize sum (i in 1..3) (2 * c[i]);\n")
     assert program.objective == LinearExpr(((2, 0), (2, 1), (2, 2)), 0)
+
+
+# -- pinned flattening ----------------------------------------------------------------
+
+# Every random model declares these names; ``w`` is a parameter array, ``a``
+# the founded array that rules raise.
+_HEADER = ("array[1..3] of int: w = [{}, {}, {}];\n"
+           "var bool: p;\nvar bool: q;\nvar bool: r;\n"
+           "array[1..3] of var bool: b;\n"
+           "var 0..3: n;\nvar 0..3: m;\n"
+           "array[1..3] of var 0..3: x;\n"
+           "array[1..3] of var 0..5: a :: founded;\n")
+_GENERATOR_NAMES = ("i", "j", "k")
+
+# The digest of the outcomes of test_random_model_flattening_is_pinned.
+FLATTENING_DIGEST = "4d7e3cef15b05a74"
+
+
+def _index(rand, scope) -> str:
+    choices = ["1", "2", "3"] + list(scope)
+    if scope and rand.random() < 0.1:
+        choices.append(f"{scope[0]} + 1")  # outside 1..3 for one binding
+    return rand.choice(choices)
+
+
+def _term(rand, scope) -> str:
+    pick = rand.randrange(8)
+    if pick == 0:
+        return str(rand.randint(-2, 3))
+    if pick == 1 and scope:
+        return rand.choice(scope)
+    if pick == 2:
+        return f"w[{_index(rand, scope)}]"
+    if pick == 3:
+        return f"x[{_index(rand, scope)}]"
+    if pick == 4:
+        name = next((g for g in _GENERATOR_NAMES if g not in scope), None)
+        if name is not None:
+            return f"sum ({name} in 1..2) (x[{name}])"
+    if pick == 5:
+        return f"{rand.randint(-2, 2)} * {rand.choice(['n', 'm'])}"
+    return rand.choice(["n", "m"])
+
+
+def _int_expr(rand, scope) -> str:
+    text = _term(rand, scope)
+    for _ in range(rand.randrange(3)):
+        text += f" {rand.choice('+-')} {_term(rand, scope)}"
+    return text
+
+
+def _comparison(rand, scope) -> str:
+    op = rand.choice(["=", "!=", "<", "<=", ">", ">="])
+    if rand.random() < 0.2:  # folds to a constant, or cancels its terms
+        side = rand.choice(["n", "x[1]", "2"])
+        return f"{side} {op} {side} + {rand.randint(-1, 1)}"
+    return f"{_int_expr(rand, scope)} {op} {_int_expr(rand, scope)}"
+
+
+def _condition(rand, scope, depth: int) -> str:
+    pick = rand.randrange(10) if depth > 0 else rand.randrange(3)
+    if pick == 0:
+        return rand.choice(["p", "q", "r", "not p", "not q"])
+    if pick == 1:
+        return f"b[{_index(rand, scope)}]"
+    if pick == 2:
+        return _comparison(rand, scope)
+    if pick == 3:
+        return f"not ({_condition(rand, scope, depth - 1)})"
+    if pick in (4, 5, 6, 7):
+        op = ["\\/", "/\\", "->", "<-"][pick - 4]
+        left = _condition(rand, scope, depth - 1)
+        if rand.random() < 0.2:  # the same member again, or its negation
+            right = rand.choice([left, f"not ({left})"])
+        else:
+            right = _condition(rand, scope, depth - 1)
+        return f"({left}) {op} ({right})"
+    name = next((g for g in _GENERATOR_NAMES if g not in scope), None)
+    if name is None:
+        return _condition(rand, scope, depth - 1)
+    kind = rand.choice(["exists", "forall"])
+    where = ""
+    if rand.random() < 0.5:
+        other = rand.choice(list(scope) + ["2"])
+        where = f" where {name} {rand.choice(['=', '!=', '<'])} {other}"
+    body = _condition(rand, scope + (name,), depth - 1)
+    return f"{kind} ({name} in 1..{rand.randint(0, 3)}{where}) ({body})"
+
+
+def _random_models(rand) -> list:
+    """One random model of constraints and, at random, one of a rule, each
+    under a random header: a faulty rule must not hide the constraints."""
+    header = _HEADER.format(*(rand.randint(0, 3) for _ in range(3)))
+    constraints = "".join(f"constraint {_condition(rand, (), 3)};\n"
+                          for _ in range(rand.randint(1, 3)))
+    models = [header + constraints]
+    if rand.random() < 0.5:
+        body = _condition(rand, ("i",), 2)
+        head = f"a[i] >= {_int_expr(rand, ('i',))}"
+        op = rand.choice(["<-", "\\/"])
+        models.append(f"{header}rule (forall (i in 1..3) ({head} {op} "
+                      f"({body}) :: head(a[i])));\n")
+    return models
+
+
+def _flattened(text: str) -> str:
+    try:
+        return format_program(ground(parse_model(text)))
+    except BfaspError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def test_random_model_flattening_is_pinned():
+    # A digest of the printed ground program, or the error text, of each
+    # model; it changes exactly when some flattening changes.
+    rand = random.Random(20261019)
+    outcomes = [_flattened(text) for _ in range(200)
+                for text in _random_models(rand)]
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()[:16]
+    assert digest == FLATTENING_DIGEST
