@@ -51,10 +51,6 @@ def _format_terms(terms) -> str:
     return "".join(parts)
 
 
-def format_atom(atom: LinearAtom, program: Program) -> str:
-    return _atom_text(atom, program.name)
-
-
 def _atom_text(atom: LinearAtom, name) -> str:
     """``atom`` with each variable written as ``name(var)``."""
     named = [(c, name(v)) for c, v in atom.terms]

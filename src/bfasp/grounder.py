@@ -6,6 +6,12 @@ flattens each constraint to conjunctive normal form.  Every rule instance
 must flatten to a single clause containing its head; violations are reported
 with the generator bindings that produced them.
 
+Flattening builds ``Clause`` values directly: a disjunction merges each pair
+of clauses from its two sides, and a clause that holds a literal and its
+complement, or a constant atom that holds, is dropped where it arises.  The
+cap of 20,000 clauses per item counts every pair a disjunction tries,
+tautologies included.
+
 Each item (constraint, rule, objective) is compiled once into a template of
 closures: names are resolved to generator slots, parameters and variables,
 and each integer expression becomes a flat list of parts (a variable slot
@@ -91,45 +97,27 @@ def _cell_name(name, indices) -> str:
     return f"{name}[{','.join(str(i) for i in indices)}]"
 
 
-class _Draft:
-    """A clause under construction: deduplicated members, tautology mark."""
-
-    __slots__ = ("lits", "atoms", "true")
-
-    def __init__(self):
-        self.lits: dict[int, bool] = {}
-        self.atoms: dict[tuple, LinearAtom] = {}
-        self.true = False
-
-    def add_lit(self, var: int, positive: bool):
-        held = self.lits.get(var)
-        if held is None:
-            self.lits[var] = positive
-        elif held != positive:
-            self.true = True
-
-    def add_atom(self, terms: tuple, bound: int):
-        self.atoms.setdefault((terms, bound), LinearAtom(terms, bound))
-
-    def merge(self, other: "_Draft") -> "_Draft":
-        out = _Draft()
-        out.lits = dict(self.lits)
-        out.atoms = dict(self.atoms)
-        out.true = self.true or other.true
-        if not out.true:
-            for var, positive in other.lits.items():
-                out.add_lit(var, positive)
-            out.atoms.update(other.atoms)
-        return out
-
-    def to_clause(self) -> Clause:
-        lits = tuple(Literal(var, pos) for var, pos in self.lits.items())
-        return Clause(lits, tuple(self.atoms.values()))
-
-
-def _static(value: bool) -> list:
-    """A conjunction that is constantly true ([]) or false ([empty draft])."""
-    return [] if value else [_Draft()]
+def _disjoin(left: Clause, right: Clause):
+    """``left \\/ right``, members in first-appearance order and each once,
+    or None when it holds a literal and its complement."""
+    lits, atoms = left.lits, left.atoms
+    if right.lits:
+        held = {lit.var: lit.positive for lit in lits}
+        extra = []
+        for lit in right.lits:
+            positive = held.get(lit.var)
+            if positive is None:
+                extra.append(lit)
+            elif positive != lit.positive:
+                return None
+        lits += tuple(extra)
+    if right.atoms:
+        # keyed on plain tuples: hashing the LinearAtom dataclass is slower
+        seen = {(atom.terms, atom.bound) for atom in atoms}
+        extra = [atom for atom in right.atoms
+                 if (atom.terms, atom.bound) not in seen]
+        atoms += tuple(extra)
+    return Clause(lits, atoms)
 
 
 class _Grounder:
@@ -151,10 +139,7 @@ class _Grounder:
         constraints = []
         for item in self.model.constraints:
             self.budget = 0
-            flatten = self._cnf(item.expr, (), False, item.span)
-            for draft in flatten(()):
-                if not draft.true:
-                    constraints.append(draft.to_clause())
+            constraints.extend(self._cnf(item.expr, (), False, item.span)(()))
         rules = []
         shapes = RuleShapes(self.variables)
         for item in self.model.rules:
@@ -289,24 +274,10 @@ class _Grounder:
                 self.variables.append(Variable(_cell_name(decl.name, indices),
                                                kind, decl.sort, lo, hi))
 
-    def _is_var_ref(self, expr, scope) -> bool:
-        if isinstance(expr, Ident):
-            return expr.name not in scope and expr.name in self.scalars
-        if isinstance(expr, ArrayAccess):
-            return expr.name in self.arrays
-        return False
-
-    def _declared(self, expr) -> Variable:
-        """The declaration, kind and sort, of the variables a reference
-        names."""
-        if isinstance(expr, Ident):
-            return self.variables[self.scalars[expr.name]]
-        return self.arrays[expr.name][2]
-
     # -- compiling parameter expressions -----------------------------------
     #
-    # Every ``_int``/``_cond``/``_var``/``_cnf`` closure takes ``env``, the
-    # tuple of generator values whose names are ``scope``.  A fault found
+    # Every ``_int``/``_cond``/``_variable``/``_cnf`` closure takes ``env``,
+    # the tuple of generator values whose names are ``scope``.  A fault found
     # while compiling becomes a closure that raises it, so that it surfaces
     # in evaluation order, for the binding that reaches it, or not at all.
 
@@ -433,24 +404,32 @@ class _Grounder:
             return envs
         return bind, scope
 
-    def _var(self, expr, scope):
-        """A closure giving the ground variable id an Ident or ArrayAccess
-        names."""
+    def _variable(self, expr, scope):
+        """For a reference to a variable or a variable array's cell, a
+        closure giving its ground id and the declaration, kind and sort, of
+        what it names; None for anything else."""
         if isinstance(expr, Ident):
-            var = self.scalars.get(expr.name)
+            var = None if expr.name in scope else self.scalars.get(expr.name)
             if var is None:
-                return _fail(f"'{expr.name}' is not a variable", expr.span,
-                             scope)
-            return lambda env: var
-        array = self.arrays.get(expr.name)
-        if array is None:
-            return _fail(f"'{expr.name}' is not a variable array", expr.span,
-                         scope)
-        ranges, base = array[:2]
+                return None
+            return (lambda env: var), self.variables[var]
+        if not isinstance(expr, ArrayAccess) or expr.name not in self.arrays:
+            return None
+        ranges, base, declared = self.arrays[expr.name]
         size = 1
         for lo, hi in ranges:
             size *= max(0, hi - lo + 1)
-        return self._cell(expr, ranges, range(base, base + size), scope)
+        return (self._cell(expr, ranges, range(base, base + size), scope),
+                declared)
+
+    def _head(self, target, scope):
+        """A closure giving the ground id of the variable a rule's head
+        names."""
+        found = self._variable(target, scope)
+        if found is not None:
+            return found[0]
+        what = "variable" if isinstance(target, Ident) else "variable array"
+        return _fail(f"'{target.name}' is not a {what}", target.span, scope)
 
     def _var_fault(self, var, message: str, span, scope):
         """A closure that resolves ``var`` and raises ``message``, formatted
@@ -464,8 +443,8 @@ class _Grounder:
     # -- compiling conditions to clauses -----------------------------------
 
     def _cnf(self, expr, scope, neg: bool, span):
-        """Compile a condition: ``fn(env)`` flattens it to a conjunction of
-        drafts."""
+        """Compile a condition: ``fn(env)`` flattens it to a conjunction, a
+        list of clauses with no tautology among them."""
         if isinstance(expr, Not):
             return self._cnf(expr.operand, scope, not neg, span)
         join = self._join
@@ -498,25 +477,22 @@ class _Grounder:
             body = self._cnf(expr.body, inner, neg, span)
 
             def aggregate(env):
-                parts = _static(conj)  # identity: true for and, false for or
+                # and starts true (no clause), or false (the empty clause)
+                parts = [] if conj else [Clause()]
                 for sub in bind(env):
                     parts = join(parts, body(sub), conj, span)
                 return parts
             return aggregate
         if isinstance(expr, Comparison):
             return self._compare(expr, scope, neg)
-        if self._is_var_ref(expr, scope):
-            var = self._var(expr, scope)
-            if self._declared(expr).sort is not Sort.BOOL:
+        found = self._variable(expr, scope)
+        if found is not None:
+            var, declared = found
+            if declared.sort is not Sort.BOOL:
                 return self._var_fault(var, "'{}' is an integer, not a "
                                        "condition", expr.span, scope)
             positive = not neg
-
-            def literal(env):
-                draft = _Draft()
-                draft.lits[var(env)] = positive
-                return [draft]
-            return literal
+            return lambda env: [Clause((Literal(var(env), positive),))]
         if isinstance(expr, HeadAnn):
             return _fail("misplaced head annotation", expr.span, scope)
         return _fail("expected a condition", _span_of(expr), scope)
@@ -525,22 +501,18 @@ class _Grounder:
         if conjoin:  # every conjunction list is fresh, so extend in place
             left.extend(right)
             return left
-        out = []
-        for a in left:
-            if a.true:
-                continue
-            for b in right:
-                if b.true:
-                    continue
-                out.append(a.merge(b))
-        self.budget += len(out)
+        # every pair tried counts, those that make a tautology too
+        self.budget += len(left) * len(right)
         if self.budget > _EXPANSION_LIMIT:
             raise GroundingError(
                 f"flattening needs more than {_EXPANSION_LIMIT} clauses; "
                 f"rewrite the item", span)
-        if not out:
-            # one side constantly true, or every pair was a tautology
-            return _static(True)
+        out = []
+        for a in left:
+            for b in right:
+                merged = _disjoin(a, b)
+                if merged is not None:
+                    out.append(merged)
         return out
 
     def _compare(self, cmp: Comparison, scope, neg: bool):
@@ -561,18 +533,19 @@ class _Grounder:
             members.append(member)
 
         def compare(env):
-            drafts = []
+            clauses = []
             for member in members:
-                draft = _Draft()
+                atoms = []
+                holds = False  # a constant atom that holds
                 for parts, base in member:
                     folded, bound = _atom(parts, base, env)
-                    if not folded:
-                        if 0 >= bound:
-                            draft.true = True
-                        continue
-                    draft.add_atom(folded, bound)
-                drafts.append(draft)
-            return [d for d in drafts if not d.true]
+                    if folded:
+                        atoms.append(LinearAtom(folded, bound))
+                    elif 0 >= bound:
+                        holds = True
+                if not holds:
+                    clauses.append(Clause((), tuple(atoms)))
+            return clauses
         return compare
 
     # -- compiling integer expressions --------------------------------------
@@ -584,14 +557,15 @@ class _Grounder:
         if isinstance(expr, IntLit):
             return [], expr.value
         if isinstance(expr, (Ident, ArrayAccess)):
-            if not self._is_var_ref(expr, scope):
+            found = self._variable(expr, scope)
+            if found is None:
                 value = None if expr.name in scope else \
                     self.params.get(expr.name)
                 if isinstance(value, int):  # the same in every binding
                     return [], value
                 return [(1, _INT, self._int(expr, scope))], 0
-            var = self._var(expr, scope)
-            if self._declared(expr).sort is Sort.BOOL:
+            var, declared = found
+            if declared.sort is Sort.BOOL:
                 return [(1, _INT, self._var_fault(
                     var, "'{}' is Boolean; it cannot appear in arithmetic",
                     expr.span, scope))], 0
@@ -600,17 +574,17 @@ class _Grounder:
             parts, constant = self._linear(expr.operand, scope, allow_b2i)
             return _scaled(parts, -1), -constant
         if isinstance(expr, Bool2Int):
+            found = self._variable(expr.operand, scope)
             if not allow_b2i:
                 fault = _fail("bool2int is only allowed in the objective",
                               expr.span, scope)
-            elif not self._is_var_ref(expr.operand, scope):
+            elif found is None:
                 fault = _fail("bool2int needs a Boolean variable", expr.span,
                               scope)
+            elif found[1].sort is Sort.BOOL:
+                return [(1, _VAR, found[0])], 0
             else:
-                var = self._var(expr.operand, scope)
-                if self._declared(expr.operand).sort is Sort.BOOL:
-                    return [(1, _VAR, var)], 0
-                fault = self._var_fault(var, "bool2int needs a Boolean "
+                fault = self._var_fault(found[0], "bool2int needs a Boolean "
                                         "variable", expr.span, scope)
             return [(1, _INT, fault)], 0
         if isinstance(expr, Agg) and expr.kind == "sum":
@@ -652,7 +626,7 @@ class _Grounder:
             bind, scope = self._bindings(node, scope)
             levels.append(bind)
             node = node.body
-        head_of = self._var(node.target, scope)
+        head_of = self._head(node.target, scope)
         body = self._cnf(node.body, scope, False, item.span)
         envs = [()]
         for bind in levels:
@@ -660,14 +634,14 @@ class _Grounder:
         rules = []
         for env in envs:
             head = head_of(env)
-            drafts = [d for d in body(env) if not d.true]
-            if not drafts:
+            clauses = body(env)
+            if not clauses:
                 continue  # a trivially true clause never forces its head
-            if len(drafts) > 1:
+            if len(clauses) > 1:
                 raise GroundingError(
                     f"a rule must flatten to a single clause, this one "
-                    f"needs {len(drafts)}{_note(scope, env)}", item.span)
-            rule = Rule(drafts[0].to_clause(), head)
+                    f"needs {len(clauses)}{_note(scope, env)}", item.span)
+            rule = Rule(clauses[0], head)
             if shapes.add(rule):
                 fault = _rule_fault(rule, self.variables)
                 if fault is not None:

@@ -186,9 +186,11 @@ class Search:
     objective mode each yielded model strictly improves on the previous one.
     ``status`` reports, after the generator finishes, whether the space was
     exhausted or a limit cut the run short, and ``stats`` counts the work
-    done so far (see ``SearchStats``).  A time budget is checked at every
-    node, every value tried and every bound raise of a leaf or upper-bound
-    fixpoint, so a long fixpoint stops at the budget too.
+    done so far (see ``SearchStats``).  ``objective_value`` is the objective
+    value of the last model the current run yielded, None before one.  A
+    time budget is checked at every node, every value tried and every bound
+    raise of a leaf or upper-bound fixpoint, so a long fixpoint stops at the
+    budget too.
 
     Guess variables are branched on in index order.  A clause over guess
     variables only is checked once, at the guess that decides it (the last
@@ -221,6 +223,7 @@ class Search:
         self.config = config or SearchConfig()
         self.status: SearchStatus | None = None
         self.stats = SearchStats()
+        self.objective_value: int | None = None
         self._on_update = on_update
         self._evaluator = LeafEvaluator(program)
         self._guess = self._order_guesses()
@@ -376,6 +379,7 @@ class Search:
         cfg = self.config
         self.status = None
         self.stats = SearchStats()
+        self.objective_value = None
         self._emitted = 0
         self._bound = None
         if cfg.time_budget is not None:

@@ -373,6 +373,28 @@ def test_time_budget_covers_values_refused_without_a_node(monkeypatch):
     assert search.status is SearchStatus.TIME_LIMIT
 
 
+def test_objective_value_is_none_until_a_run_yields_a_model(monkeypatch):
+    program = ground(parse_model("var 0..9: n;\nsolve minimize n;\n"))
+    monkeypatch.setattr(bfasp.solver.time, "monotonic", lambda: 0.0)
+    search = Search(program, SearchConfig(time_budget=1))
+    assert search.objective_value is None
+    assert list(search.models()) == [{0: 0}]
+    assert search.objective_value == 0
+    # a second run whose budget is spent before its first model
+    reads = iter([0.0])
+    monkeypatch.setattr(bfasp.solver.time, "monotonic",
+                        lambda: next(reads, 2.0))
+    assert list(search.models()) == []
+    assert search.status is SearchStatus.TIME_LIMIT
+    assert search.objective_value is None
+    # an optimizing run without a model
+    search = Search(ground(parse_model(
+        "var 0..9: n;\nconstraint n > 9;\nsolve minimize n;\n")))
+    assert list(search.models()) == []
+    assert search.status is SearchStatus.EXHAUSTED
+    assert search.objective_value is None
+
+
 def an_hour_ahead_in_the_fixpoint(monkeypatch):
     """Move the clock an hour ahead for the fixpoint's reads only: the
     search's own checks see the real time, far from its budget."""
