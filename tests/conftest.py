@@ -15,8 +15,17 @@ from bfasp import (
     VarKind,
     Variable,
 )
+from bfasp.program import RuleShapes
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+def keyed_shapes(program: Program) -> tuple:
+    """The shape numbers of ``program``'s rules, keyed rule by rule."""
+    shapes = RuleShapes(program.variables)
+    for rule in program.rules:
+        shapes.add(rule)
+    return shapes.numbered()
 
 
 def build_example_one() -> Program:

@@ -13,6 +13,8 @@ import pytest
 from bfasp import GroundingError, format_program, ground, parse_data, parse_model
 from bfasp.model_ast import ArrayAccess, Ident
 
+from conftest import keyed_shapes
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -55,6 +57,8 @@ def test_ground_output_is_byte_identical_to_the_golden(name):
     program = ground(model, parse_data(data) if data else (),
                      founded_default=founded_default)
     assert format_program(program) == (GOLDEN / f"{name}.bfg").read_text()
+    # the grounder hands its own shape numbers on to the program
+    assert vars(program)["shapes"] == keyed_shapes(program)
 
 
 def _renamed(node, old: str, new: str):

@@ -21,7 +21,7 @@ from bfasp import (
 )
 from bfasp.model_ast import Not, Span
 
-from conftest import MODELS, build_example_one
+from conftest import MODELS, build_example_one, keyed_shapes
 
 
 def g(text: str, data: str = "", founded_default=None):
@@ -591,9 +591,12 @@ def _random_models(rand) -> list:
 
 def _flattened(text: str) -> str:
     try:
-        return format_program(ground(parse_model(text)))
+        program = ground(parse_model(text))
     except BfaspError as err:
         return f"{type(err).__name__}: {err}"
+    # the grounder hands its own shape numbers on to the program
+    assert vars(program)["shapes"] == keyed_shapes(program)
+    return format_program(program)
 
 
 def test_random_model_flattening_is_pinned():
@@ -604,3 +607,168 @@ def test_random_model_flattening_is_pinned():
                 for text in _random_models(rand)]
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()[:16]
     assert digest == FLATTENING_DIGEST
+
+
+# Random models over 2-D arrays whose cells are picked by parameter
+# accesses (``y[w[i], j]``, ``b[w[i]]``), with repeated index expressions,
+# ``where`` guards that read parameter arrays, and nested indices that fall
+# outside their arrays for some bindings: ``w`` and ``t`` hold 0..4, and
+# their arrays' ranges are 1..3.
+_NESTED_HEADER = ("array[1..3] of int: w = [{}, {}, {}];\n"
+                  "array[1..2, 1..3] of int: t = [{}, {}, {}, {}, {}, {}];\n"
+                  "var bool: p;\nvar bool: q;\n"
+                  "array[1..3] of var bool: b;\n"
+                  "array[1..3, 1..3] of var bool: c;\n"
+                  "var 0..3: n;\n"
+                  "array[1..3] of var 0..3: x;\n"
+                  "array[1..3, 1..3] of var 0..3: y;\n"
+                  "array[1..3, 1..3] of var 0..5: a :: founded;\n")
+
+# The digest of the outcomes of test_random_nested_index_grounding_is_pinned.
+NESTED_INDEX_DIGEST = "220096471438981b"
+
+
+class _NestedModel:
+    """One random model: index expressions already made are reused, so
+    that the same access recurs within an item."""
+
+    def __init__(self, rand):
+        self.rand = rand
+        self.made = []
+
+    def index(self, scope, depth=2) -> str:
+        rand = self.rand
+        reuse = [i for i in self.made if all(
+            name in scope for name in _GENERATOR_NAMES if name in i)]
+        if reuse and rand.random() < 0.35:
+            return rand.choice(reuse)
+        pick = rand.randrange(6) if depth > 0 else rand.randrange(2)
+        if pick == 0 or not scope and pick == 1:
+            text = rand.choice(["1", "2", "3"])
+        elif pick == 1:
+            text = rand.choice(scope)
+        elif pick == 2:
+            text = f"w[{self.index(scope, depth - 1)}]"
+        elif pick == 3:
+            text = (f"t[{rand.choice(['1', '2'])}, "
+                    f"{self.index(scope, depth - 1)}]")
+        elif pick == 4 and scope and rand.random() < 0.3:
+            text = f"{rand.choice(scope)} + {rand.choice(['1', 'w[1]'])}"
+        else:
+            text = f"4 - {self.index(scope, depth - 1)}"
+        if "w[" in text or "t[" in text:
+            self.made.append(text)
+        return text
+
+    def cell(self, scope, one: str, two: str) -> str:
+        if self.rand.random() < 0.5:
+            return f"{one}[{self.index(scope)}]"
+        return f"{two}[{self.index(scope)}, {self.index(scope)}]"
+
+    def term(self, scope) -> str:
+        rand = self.rand
+        pick = rand.randrange(8)
+        if pick == 0:
+            return str(rand.randint(-2, 3))
+        if pick == 1 and scope:
+            return rand.choice(scope)
+        if pick == 2:
+            return f"w[{self.index(scope)}]"
+        if pick == 3:
+            return f"t[2, {self.index(scope)}]"
+        if pick == 4:
+            return f"w[{self.index(scope)}] * {self.cell(scope, 'x', 'y')}"
+        if pick == 5:
+            name = next((g for g in _GENERATOR_NAMES if g not in scope), None)
+            if name is not None:
+                return (f"sum ({name} in 1..w[{self.index(scope)}]) "
+                        f"({self.cell(scope + (name,), 'x', 'y')})")
+        if pick == 6:
+            return "n"
+        return self.cell(scope, "x", "y")
+
+    def int_expr(self, scope) -> str:
+        text = self.term(scope)
+        for _ in range(self.rand.randrange(3)):
+            text += f" {self.rand.choice('+-')} {self.term(scope)}"
+        return text
+
+    def comparison(self, scope) -> str:
+        op = self.rand.choice(["=", "!=", "<", "<=", ">", ">="])
+        return f"{self.int_expr(scope)} {op} {self.int_expr(scope)}"
+
+    def where(self, scope) -> str:
+        rand = self.rand
+        guard = (f"{self.index(scope)} {rand.choice(['=', '!=', '<'])} "
+                 f"{self.index(scope)}")
+        if rand.random() < 0.3:
+            connective = rand.choice(["/\\", "\\/"])
+            guard += f" {connective} w[{self.index(scope)}] > 1"
+        return guard
+
+    def condition(self, scope, depth: int) -> str:
+        rand = self.rand
+        pick = rand.randrange(9) if depth > 0 else rand.randrange(3)
+        if pick == 0:
+            return rand.choice(["p", "q", "not p"])
+        if pick == 1:
+            return self.cell(scope, "b", "c")
+        if pick == 2:
+            return self.comparison(scope)
+        if pick == 3:
+            return f"not ({self.condition(scope, depth - 1)})"
+        if pick in (4, 5, 6):
+            op = ["\\/", "/\\", "->"][pick - 4]
+            return (f"({self.condition(scope, depth - 1)}) {op} "
+                    f"({self.condition(scope, depth - 1)})")
+        name = next((g for g in _GENERATOR_NAMES if g not in scope), None)
+        if name is None:
+            return self.condition(scope, depth - 1)
+        inner = scope + (name,)
+        where = f" where {self.where(inner)}" if rand.random() < 0.6 else ""
+        return (f"{rand.choice(['exists', 'forall'])} ({name} in "
+                f"1..{rand.randint(0, 3)}{where}) "
+                f"({self.condition(inner, depth - 1)})")
+
+    def rule(self) -> str:
+        rand = self.rand
+        scope = ("i", "j")
+        head = f"a[{self.index(scope)}, {self.index(scope)}]"
+        where = f" where {self.where(scope)}" if rand.random() < 0.5 else ""
+        if rand.random() < 0.5:  # the shape of an edge relaxation
+            body = (f"{head} >= a[{self.index(scope)}, j] - "
+                    f"w[{self.index(scope)}] <- b[{self.index(scope)}] /\\ "
+                    f"b[{self.index(scope)}]")
+        else:
+            op = rand.choice(["<-", "\\/"])
+            body = (f"{head} >= {self.int_expr(scope)} {op} "
+                    f"({self.condition(scope, 1)})")
+        return (f"rule (forall (i in 1..3, j in 1..2{where}) "
+                f"({body} :: head({head})));\n")
+
+
+def _nested_models(rand) -> list:
+    """A random model of constraints (and at times an objective), and at
+    random one of rules, under one random header."""
+    header = _NESTED_HEADER.format(*(rand.choice([0, 4] + [1, 2, 3] * 6)
+                                     for _ in range(9)))
+    make = _NestedModel(rand)
+    text = "".join(f"constraint {make.condition((), 3)};\n"
+                   for _ in range(rand.randint(1, 3)))
+    if rand.random() < 0.3:
+        text += (f"solve minimize sum (i in 1..3) "
+                 f"({make.cell(('i',), 'x', 'y')});\n")
+    models = [header + text]
+    if rand.random() < 0.6:
+        models.append(header + "".join(make.rule()
+                                       for _ in range(rand.randint(1, 2))))
+    return models
+
+
+def test_random_nested_index_grounding_is_pinned():
+    # as test_random_model_flattening_is_pinned, over the models above
+    rand = random.Random(20261020)
+    outcomes = [_flattened(text) for _ in range(300)
+                for text in _nested_models(rand)]
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()[:16]
+    assert digest == NESTED_INDEX_DIGEST
