@@ -6,30 +6,46 @@ flattens each constraint to conjunctive normal form.  Every rule instance
 must flatten to a single clause containing its head; violations are reported
 with the generator bindings that produced them.
 
+Each item (constraint, rule, objective), and each batch of parameter
+expressions in a declaration, is generated as the source of one Python
+function.  The function runs the item's binding loops and ``where`` guards,
+checks and computes every index, and builds the item's clauses.  The source
+holds the model's structure and, in items, its integer literals.  Parameter
+values, parameter arrays, variable ids and array ranges are passed in when
+it is called, as are the error texts and spans, so every instance of a model
+runs the same source, compiled once through ``fixpoint._compiled``.  The
+source is flat: each operation of an expression is one statement on
+temporaries, and an aggregate inside an item is a function of its own, so
+deep models never make deep source.  Generating it still recurses over the
+syntax tree, and an item nested past the recursion limit is refused.
+
+Generated code evaluates what a walk over the syntax tree, once per binding,
+would: an aggregate's bindings are made generator by generator, each over
+every binding of the ones before it, then filtered by the ``where`` guard,
+before any body is evaluated; an integer expression within one binding
+(an index, a cell, a sum of them) is computed once, where it first occurs,
+so a fault keeps the span and binding note of that occurrence.
+
 Flattening builds ``Clause`` values directly: a disjunction merges each pair
 of clauses from its two sides, and a clause that holds a literal and its
-complement, or a constant atom that holds, is dropped where it arises.  The
-cap of 20,000 clauses per item counts every pair a disjunction tries,
-tautologies included.
+complement, or a constant atom that holds, is dropped where it arises.  A
+disjunction of literals and one-clause comparisons is merged member by
+member without lists.  The cap of 20,000 clauses per item counts every pair
+a disjunction tries, tautologies included.
 
-Each item (constraint, rule, objective) is compiled once into a template of
-closures: names are resolved to generator slots, parameters and variables,
-and each integer expression becomes a flat list of parts (a variable slot
-with its coefficient, a parameter value, or a nested sum or product) plus
-the constant folded from its literals and scalar parameters.  The
-template is then instantiated once per generator binding, a tuple of
-values, without walking the syntax tree.  A rule instance is checked
-(``analysis.rule_verdict``) only when its shape (``program.RuleShapes``)
-is new, since a shape's instances are all valid or all faulty; the shapes
-are handed on to the ground program.  Binding notes are built only for
-an error.
+A rule instance is checked (``analysis.rule_verdict``) only when its shape
+(``program.RuleShapes``) is new, since a shape's instances are all valid or
+all faulty.  An instance whose members are all there and all on distinct
+variables has the shape of its template's first such instance with the head
+at the same place, so only that one is keyed.  The shapes are handed on to
+the ground program.
 """
 
 import itertools
-import operator
 
 from .analysis import rule_verdict
 from .errors import TOO_DEEP, GroundingError
+from .fixpoint import _compiled
 from .model_ast import (
     Agg,
     ArrayAccess,
@@ -64,8 +80,8 @@ _EXPANSION_LIMIT = 20000
 
 # The comparisons, by operator: each one's negation; its ``>=`` atoms as a
 # conjunction of clauses, each atom a ``(swap sides, gap)`` pair that reads
-# ``left - right >= gap`` (``right - left`` when swapped); and its truth on
-# fixed integers.
+# ``left - right >= gap`` (``right - left`` when swapped); and its Python
+# spelling on fixed integers.
 _NEGATED = {">=": "<", "<=": ">", ">": "<=", "<": ">=", "=": "!=", "!=": "="}
 _ATOMS = {
     ">=": (((False, 0),),),
@@ -75,16 +91,17 @@ _ATOMS = {
     "=": (((False, 0),), ((True, 0),)),
     "!=": (((False, 1), (True, 1)),),
 }
-_HOLDS = {">=": operator.ge, "<=": operator.le, ">": operator.gt,
-          "<": operator.lt, "=": operator.eq, "!=": operator.ne}
+_HOLDS = {">=": ">=", "<=": "<=", ">": ">", "<": "<", "=": "==", "!=": "!="}
 
 # Operators whose left-deep chains are folded in a loop, not recursion.
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_ARITH = ("+", "-", "*")
 _CONNECTIVES = ("/\\", "\\/")
 
-# The kinds of a linear part ``(coeff, kind, fn)``: ``fn(env)`` is a
-# variable id, a parameter value, or a ``(terms, constant)`` pair.
-_VAR, _INT, _SUB = range(3)
+# A disjunction is merged member by member up to this many members, and an
+# atom's terms are laid out without a dict up to this many; the distinct
+# checks between them grow with the square of the count.
+_MEMBERS = 8
+_TERMS = 4
 
 
 class _ParamArray:
@@ -95,6 +112,156 @@ class _ParamArray:
 
 def _cell_name(name, indices) -> str:
     return f"{name}[{','.join(str(i) for i in indices)}]"
+
+
+# -- what generated code calls --------------------------------------------------
+
+
+class _Literals(dict):
+    """The literals of one sign, made once per variable."""
+
+    def __init__(self, positive: bool):
+        super().__init__()
+        self.positive = positive
+
+    def __missing__(self, var):
+        literal = self[var] = Literal(var, self.positive)
+        return literal
+
+
+def _note(scope, env) -> str:
+    if not scope:
+        return ""
+    inner = ", ".join(f"{k}={v}" for k, v in zip(scope, env))
+    return f" ({inner})"
+
+
+def _fault(message: str, span, scope, env) -> GroundingError:
+    return GroundingError(message + _note(scope, env), span)
+
+
+def _outside(index, lo, hi, name, span, scope, env) -> GroundingError:
+    return _fault(f"index {index} is outside {lo}..{hi} in '{name}'", span,
+                  scope, env)
+
+
+def _var_fault(variables, var, message, span, scope, env) -> GroundingError:
+    return _fault(message.format(variables[var].name), span, scope, env)
+
+
+def _too_many(span) -> GroundingError:
+    return GroundingError(f"flattening needs more than {_EXPANSION_LIMIT} "
+                          f"clauses; rewrite the item", span)
+
+
+def _split(count, span, scope, env) -> GroundingError:
+    return _fault(f"a rule must flatten to a single clause, this one needs "
+                  f"{count}", span, scope, env)
+
+
+def _spread(base, values, count) -> list:
+    """``base`` extended by ``count`` generators over ``values``."""
+    out = [base]
+    for _ in range(count):
+        out = [env + (v,) for env in out for v in values]
+    return out
+
+
+def _extended(base, tails) -> list:
+    return [base + tail for tail in tails]
+
+
+def _collect(parts, terms: dict) -> int:
+    """Add the terms of ``parts``, ``(kind, coeff, value)`` triples (0 a
+    variable id, 1 an integer, 2 a ``(terms, constant)`` pair), into
+    ``terms`` and return their constant.  A variable keeps its first
+    position and its entry even when its coefficient sums to zero, as a
+    product's linearity check needs."""
+    constant = 0
+    for kind, coeff, value in parts:
+        if kind == 0:
+            terms[value] = terms.get(value, 0) + coeff
+        elif kind == 1:
+            constant += coeff * value
+        else:
+            sub_terms, sub_constant = value
+            for var, sub_coeff in sub_terms.items():
+                terms[var] = terms.get(var, 0) + coeff * sub_coeff
+            constant += coeff * sub_constant
+    return constant
+
+
+def _terms(pairs) -> tuple:
+    """``(coeff, var)`` pairs merged by variable in first-appearance order,
+    zero coefficients left out."""
+    terms = {}
+    for coeff, var in pairs:
+        terms[var] = terms.get(var, 0) + coeff
+    return tuple([(coeff, var) for var, coeff in terms.items() if coeff != 0])
+
+
+def _atom(parts, base: int) -> tuple:
+    """The terms, zero coefficients left out, and the bound of an atom
+    ``parts >= base``."""
+    terms = {}
+    bound = base - _collect(parts, terms)
+    return tuple([(coeff, var) for var, coeff in terms.items()
+                  if coeff != 0]), bound
+
+
+def _product(left, left_constant, right, right_constant, span, scope, env):
+    """``left * right`` as a ``(terms, constant)`` pair, refusing two sides
+    that both have terms."""
+    terms = {}
+    constant = _collect(left, terms) + left_constant
+    other = {}
+    factor = _collect(right, other) + right_constant
+    if terms and other:
+        raise _fault("non-linear product", span, scope, env)
+    if other:
+        terms, constant, factor = other, factor, constant
+    return {v: c * factor for v, c in terms.items()}, constant * factor
+
+
+def _objective(parts, constant) -> LinearExpr:
+    terms = {}
+    constant += _collect(parts, terms)
+    return LinearExpr(tuple((coeff, var) for var, coeff in terms.items()
+                            if coeff != 0), constant)
+
+
+def _compared(members) -> list:
+    """The clauses of a comparison's members, each a tuple of ``(terms,
+    bound)`` atoms: a constant atom that holds drops its member, and one
+    that fails is left out of it."""
+    clauses = []
+    for member in members:
+        atoms = []
+        for terms, bound in member:
+            if terms:
+                atoms.append(LinearAtom(terms, bound))
+            elif 0 >= bound:
+                break
+        else:
+            clauses.append(Clause((), tuple(atoms)))
+    return clauses
+
+
+def _clause(lits, atoms) -> Clause:
+    """The disjunction of ``(var, positive)`` literals and ``(terms,
+    bound)`` atoms, none complementary or constant and true, each kept
+    once in first-appearance order; constant atoms are left out."""
+    held = {}
+    for var, positive in lits:
+        held.setdefault(var, positive)
+    seen = set()
+    kept = []
+    for terms, bound in atoms:
+        if terms and (terms, bound) not in seen:
+            seen.add((terms, bound))
+            kept.append(LinearAtom(terms, bound))
+    return Clause(tuple(Literal(var, positive)
+                        for var, positive in held.items()), tuple(kept))
 
 
 def _disjoin(left: Clause, right: Clause):
@@ -120,6 +287,843 @@ def _disjoin(left: Clause, right: Clause):
     return Clause(lits, atoms)
 
 
+def _disjoined(left: list, right: list) -> list:
+    """Each pair of clauses from ``left`` and ``right`` merged, tautologies
+    left out."""
+    out = []
+    for a in left:
+        for b in right:
+            merged = _disjoin(a, b)
+            if merged is not None:
+                out.append(merged)
+    return out
+
+
+def _rule_fault(rule: Rule, variables):
+    """Why ``rule`` cannot be a rule, as the grounder reports it, or None."""
+    violation, non_monotone = rule_verdict(rule, variables)
+    if violation is not None:
+        return violation.describe(variables[rule.head].name)
+    for var in set(rule.clause.variables()):
+        if var in non_monotone:
+            return f"rule clause is non-monotone in '{variables[var].name}'"
+    return None
+
+
+def _check_rule(rule, variables, span, scope, env) -> None:
+    fault = _rule_fault(rule, variables)
+    if fault is not None:
+        raise _fault(fault, span, scope, env)
+
+
+# The names generated code reads besides its arguments.
+_RUNTIME = {
+    "Clause": Clause, "LinearAtom": LinearAtom, "Rule": Rule,
+    "_atom": _atom, "_check_rule": _check_rule, "_clause": _clause,
+    "_collect": _collect, "_compared": _compared, "_disjoined": _disjoined,
+    "_extended": _extended, "_fault": _fault, "_objective": _objective,
+    "_outside": _outside, "_product": _product, "_split": _split,
+    "_spread": _spread, "_terms": _terms, "_too_many": _too_many,
+    "_var_fault": _var_fault,
+}
+
+
+# -- generating an item's function ---------------------------------------------
+
+
+class _Atom:
+    """An atom of generated code: the temporaries of its terms and bound,
+    the code of its truth when it has no terms (``hold``) and of its terms
+    being exactly ``pairs`` (``distinct``), and ``pairs``, its static
+    ``(coeff, variable)`` layout, or None when it has none."""
+
+    def __init__(self, terms, bound, hold, distinct, pairs):
+        self.terms = terms
+        self.bound = bound
+        self.hold = hold
+        self.distinct = distinct
+        self.pairs = pairs
+
+
+class _Members:
+    """A disjunction of literals (``(variable, positive)``) and atoms, one
+    clause or none, merged member by member: ``alive`` is the code of its
+    being a clause, not a tautology.  Until it is built, equal members are
+    still there and literals may clash."""
+
+    def __init__(self, lits, atoms, alive):
+        self.lits = lits
+        self.atoms = atoms
+        self.alive = alive
+
+    @property
+    def size(self) -> int:
+        return len(self.lits) + len(self.atoms)
+
+
+class _Function:
+    """A generated function being written: its lines, the data slots it
+    unpacks, and the values computed so far, one table per open loop or
+    guarded region."""
+
+    def __init__(self, header):
+        self.header = header
+        self.lines = []
+        self.prologue = {}  # slot number -> its unpacking lines
+        self.tables = [{}]
+        self.indent = 1
+
+
+def _number(value) -> str:
+    return str(value) if value >= 0 else f"({value})"
+
+
+def _code(value) -> str:
+    """A static integer or the name holding a value, as code."""
+    return _number(value) if isinstance(value, int) else value
+
+
+class _Source:
+    """The generated source of one item, and what a call passes in.
+
+    Generator values live in locals named by their position in the scope
+    (``g0``, ``g1``...), data slots in ``p<n>`` (a scalar parameter or a
+    variable id) and ``a<n>`` (an array's values or ids) with its ranges,
+    and every other value in a fresh temporary ``t<n>``.  ``K`` holds the
+    error texts, spans and generator names.  ``literals`` writes integer
+    literals into the source; without it they are passed in ``K`` too.
+    """
+
+    def __init__(self, grounder, span=None, literals=True):
+        self.grounder = grounder
+        self.span = span  # the item's, for the flattening cap
+        self.literals = literals
+        self.slots: dict[str, int] = {}
+        self.data: list = []
+        self.consts: list = []
+        self.indices: dict = {}  # a constant's key -> its place in consts
+        self.functions: list[str] = []
+        self.names = itertools.count()
+        self.fn = None
+        self.scope = ()
+        self.guard = None  # the name of a guarded region's condition
+
+    # -- writing --------------------------------------------------------------
+
+    def begin(self, header: str):
+        outer = (self.fn, self.guard)
+        self.fn = _Function(header)
+        self.guard = None
+        return outer
+
+    def end(self, outer) -> None:
+        fn = self.fn
+        lines = [fn.header]
+        for unpack in fn.prologue.values():
+            lines += unpack
+        self.functions.append("\n".join(lines + fn.lines))
+        self.fn, self.guard = outer
+
+    def line(self, text: str) -> None:
+        prefix = f"if {self.guard}: " if self.guard else ""
+        self.fn.lines.append("    " * self.fn.indent + prefix + text)
+
+    def check(self, cond: str, error: str) -> None:
+        if self.guard:
+            cond = f"{self.guard} and ({cond})"
+        self.fn.lines.append(f"{'    ' * self.fn.indent}if {cond}: "
+                             f"raise {error}")
+
+    def open(self, header: str) -> None:
+        """Open a block; what is computed inside stays inside."""
+        self.line(header)
+        self.fn.indent += 1
+        self.fn.tables.append({})
+
+    def close(self) -> None:
+        self.fn.indent -= 1
+        self.fn.tables.pop()
+
+    def temp(self) -> str:
+        return f"t{next(self.names)}"
+
+    def assign(self, code: str) -> str:
+        name = self.temp()
+        self.line(f"{name} = {code}")
+        return name
+
+    def value(self, code: str) -> str:
+        """The name of ``code``'s value, computed here unless a statement
+        that this one follows computed it already; only for code whose
+        value depends on the binding alone."""
+        for table in reversed(self.fn.tables):
+            name = table.get(code)
+            if name is not None:
+                return name
+        name = self.fn.tables[-1][code] = self.assign(code)
+        return name
+
+    def const(self, value) -> str:
+        # texts by value, the rest (spans, names, numbers) by identity:
+        # each is kept in ``consts`` for the call, so its id stays its own
+        key = value if isinstance(value, str) else id(value)
+        index = self.indices.get(key)
+        if index is None:
+            index = self.indices[key] = len(self.consts)
+            self.consts.append(value)
+        return f"K[{index}]"
+
+    def env(self) -> str:
+        """The code of the tuple of the scope's generator values."""
+        return f"({self.locals(0, len(self.scope))})"
+
+    def fail(self, message: str, span) -> None:
+        self.line(f"raise _fault({self.const(message)}, {self.const(span)}, "
+                  f"{self.const(self.scope)}, {self.env()})")
+
+    def all_of(self, conds) -> str:
+        """The code of every condition in ``conds`` holding."""
+        conds = [c for c in conds if c != "True"]
+        if "False" in conds:
+            return "False"
+        if not conds:
+            return "True"
+        if len(conds) == 1 and conds[0].isidentifier():
+            return conds[0]
+        return self.value(" and ".join(f"({c})" for c in conds))
+
+    def text(self) -> str:
+        return "\n".join(self.functions) + "\n"
+
+    def call(self, *args):
+        """Compile the source and call its ``main`` with the data slots, the
+        constants, and ``args``."""
+        namespace = dict(_RUNTIME)
+        exec(_compiled(self.text()), namespace)
+        return namespace["main"](tuple(self.data), tuple(self.consts), *args)
+
+    # -- data -----------------------------------------------------------------
+
+    def slot(self, name: str, value) -> str:
+        """The local holding ``value``, passed in for ``name``: an integer,
+        or an array's ``(values, ranges)``, whose unpacking also names the
+        ranges (``<a>l<d>``, ``<a>h<d>``) and, for two dimensions, the
+        width and offset of the second (``<a>w``, ``<a>o``)."""
+        number = self.slots.get(name)
+        if number is None:
+            number = self.slots[name] = len(self.data)
+            self.data.append(value)
+        if not isinstance(value, tuple):
+            local = f"p{number}"
+            if number not in self.fn.prologue:
+                self.fn.prologue[number] = [f"    {local} = A[{number}]"]
+            return local
+        local = f"a{number}"
+        if number not in self.fn.prologue:
+            ranges = ", ".join(f"({local}l{d}, {local}h{d})"
+                               for d in range(len(value[1])))
+            unpack = [f"    {local}, ({ranges},) = A[{number}]"]
+            if len(value[1]) == 2:
+                unpack += [f"    {local}w = {local}h1 - {local}l1 + 1",
+                           f"    {local}o = {local}l0 * {local}w + {local}l1"]
+            self.fn.prologue[number] = unpack
+        return local
+
+    def number(self, value: int) -> str:
+        return _number(value) if self.literals else self.const(value)
+
+    # -- integer expressions --------------------------------------------------
+
+    def int_(self, expr) -> str:
+        """The code of a parameter expression's value."""
+        params = self.grounder.params
+        if isinstance(expr, IntLit):
+            return self.number(expr.value)
+        if isinstance(expr, Ident):
+            if expr.name in self.scope:
+                return f"g{self.scope.index(expr.name)}"
+            value = params.get(expr.name)
+            if isinstance(value, int):
+                return self.slot(expr.name, value)
+            self.fail(f"'{expr.name}' is not a fixed integer here", expr.span)
+            return "0"
+        if isinstance(expr, ArrayAccess):
+            array = params.get(expr.name)
+            if not isinstance(array, _ParamArray):
+                self.fail(f"'{expr.name}' is not a parameter array",
+                          expr.span)
+                return "0"
+            return self.cell(expr, (array.values, array.ranges))
+        if isinstance(expr, Neg):
+            return self.value(f"-{self.int_(expr.operand)}")
+        if isinstance(expr, BinOp) and expr.op in _ARITH:
+            first, links = _chain(expr, _ARITH)
+            value = self.int_(first)
+            for link in links:
+                value = self.value(f"{value} {link.op} "
+                                   f"{self.int_(link.right)}")
+            return value
+        self.fail("expected a parameter expression", _span_of(expr))
+        return "0"
+
+    def cell(self, access: ArrayAccess, array) -> str:
+        """The element of ``array``, ``(values, ranges)`` laid out row-major,
+        that ``access`` picks; every index is evaluated before any is
+        checked."""
+        indices = [self.int_(i) for i in access.indices]
+        a = self.slot(access.name, array)
+        picked = list(enumerate(indices[:len(array[1])]))
+        if len(picked) == 2:
+            offset = f"{indices[0]} * {a}w + {indices[1]} - {a}o"
+        elif picked:
+            offset = f"{indices[0]} - {a}l0"
+        else:
+            offset = "0"
+        code = f"{a}[{offset}]"
+        for table in reversed(self.fn.tables):
+            if code in table:
+                return table[code]
+        name, span = self.const(access.name), self.const(access.span)
+        for d, index in picked:
+            self.check(f"not {a}l{d} <= {index} <= {a}h{d}",
+                       f"_outside({index}, {a}l{d}, {a}h{d}, {name}, {span}, "
+                       f"{self.const(self.scope)}, {self.env()})")
+        return self.value(code)
+
+    def cond(self, expr) -> str:
+        """The code of a parameter condition's truth; a connective evaluates
+        its right side only when the left does not decide it."""
+        if isinstance(expr, Comparison):
+            left = self.int_(expr.left)
+            right = self.int_(expr.right)
+            return self.value(f"{left} {_HOLDS[expr.op]} {right}")
+        if isinstance(expr, Not):
+            return self.value(f"not {self.cond(expr.operand)}")
+        if isinstance(expr, BinOp):
+            if expr.op in _CONNECTIVES:
+                first, links = _chain(expr, _CONNECTIVES)
+                value = self.assign(self.cond(first))
+                for link in links:
+                    # the chain is decided unless its value is this link's
+                    # identity: true for /\, false for \/
+                    self.guarded(value if link.op == "/\\" else f"not {value}",
+                                 value, link.right, False)
+                return value
+            if expr.op == "->":
+                value = self.assign(f"not {self.cond(expr.left)}")
+                self.guarded(f"not {value}", value, expr.right, False)
+                return value
+            if expr.op == "<-":
+                # the right side first, and the left's negation when it fails
+                value = self.assign(self.cond(expr.right))
+                self.guarded(f"not {value}", value, expr.left, True)
+                return value
+        self.fail("expected a parameter condition", _span_of(expr))
+        return "False"
+
+    def guarded(self, when: str, value: str, expr, negate: bool) -> None:
+        """Set ``value`` to the truth of ``expr`` (negated when ``negate``),
+        evaluated only ``when`` holds."""
+        outer = self.guard
+        # made outside the outer guard, which it tests first, so that it is
+        # always set
+        self.guard = None
+        self.guard = self.assign(f"{outer} and ({when})" if outer else when)
+        self.fn.tables.append({})
+        result = self.cond(expr)
+        self.line(f"{value} = not {result}" if negate else
+                  f"{value} = {result}")
+        self.fn.tables.pop()
+        self.guard = outer
+
+    # -- variables ------------------------------------------------------------
+
+    def variable(self, expr):
+        """For a reference to a variable or a variable array's cell, the code
+        of its ground id and the declaration, kind and sort, of what it
+        names; None for anything else."""
+        grounder = self.grounder
+        if isinstance(expr, Ident):
+            var = None if expr.name in self.scope else \
+                grounder.scalars.get(expr.name)
+            if var is None:
+                return None
+            return self.slot(expr.name, var), grounder.variables[var]
+        if not isinstance(expr, ArrayAccess) or \
+                expr.name not in grounder.arrays:
+            return None
+        ranges, cells, declared = grounder.arrays[expr.name]
+        return self.cell(expr, (cells, ranges)), declared
+
+    def var_fault(self, var: str, message: str, span) -> None:
+        """Raise ``message``, formatted with the name of variable ``var``."""
+        self.line(f"raise _var_fault(V, {var}, {self.const(message)}, "
+                  f"{self.const(span)}, {self.const(self.scope)}, "
+                  f"{self.env()})")
+
+    # -- aggregates -----------------------------------------------------------
+
+    def bind(self, agg: Agg) -> str:
+        """The list of an aggregate's bindings, each a tuple of its own
+        generators' values, made generator by generator and filtered by its
+        guard.  A range may name an earlier generator."""
+        outer = self.scope
+        envs = None
+        names = ()
+        for gen in agg.gens:
+            if envs is None:
+                lo, hi = self.int_(gen.lo), self.int_(gen.hi)
+                envs = self.assign(f"_spread((), range({lo}, {hi} + 1), "
+                                   f"{len(gen.names)})")
+            else:
+                spread = self.assign("[]")
+                base = self.unpack(envs, outer, names)
+                lo, hi = self.int_(gen.lo), self.int_(gen.hi)
+                self.line(f"{spread} += _spread({base}, range({lo}, {hi} + 1)"
+                          f", {len(gen.names)})")
+                self.close()
+                envs = spread
+            names += tuple(gen.names)
+            self.scope = outer + names
+        if agg.where is not None:
+            kept = self.assign("[]")
+            base = self.unpack(envs, outer, names)
+            self.line(f"if {self.cond(agg.where)}: {kept}.append({base})")
+            self.close()
+            envs = kept
+        self.scope = outer
+        return envs
+
+    def unpack(self, envs: str, outer, names) -> str:
+        """Open a loop over ``envs`` that binds the generators ``names``,
+        after ``outer``, from each; returns the name of the binding."""
+        base = self.temp()
+        self.open(f"for {base} in {envs}:")
+        self.line(f"{self.locals(len(outer), len(names))} = {base}")
+        self.scope = outer + names
+        return base
+
+    def locals(self, first: int, count: int) -> str:
+        """``g<first>, ...,`` for ``count`` generators."""
+        return "".join(f"g{i}, " for i in range(first, first + count))[:-1]
+
+    def loop(self, envs: str, names) -> None:
+        """Open the loop over ``envs``, each binding the generators
+        ``names`` after the scope's."""
+        first = len(self.scope)
+        self.open(f"for {self.locals(first, len(names)) or '_'} in {envs}:")
+        self.scope += tuple(names)
+
+    def spill(self, agg: Agg, params: str, args: str, start, body) -> str:
+        """Write ``agg`` as a function of its own, which takes the data, the
+        constants, the variables, ``params`` and the outer generators, runs
+        the lines ``start`` and then its binding loop, whose body
+        ``body()`` writes and which returns what ``body()`` names.
+        Returns the call, with ``args`` for ``params``."""
+        name = f"f{next(self.names)}"
+        gens = self.locals(0, len(self.scope))
+        outer = self.begin(f"def {name}(A, K, V, {params}{gens}):")
+        envs = self.bind(agg)
+        for line in start:
+            self.line(line)
+        scope = self.scope
+        self.loop(envs, [n for gen in agg.gens for n in gen.names])
+        result = body()
+        self.close()
+        self.scope = scope
+        self.line(f"return {result}")
+        self.end(outer)
+        return f"{name}(A, K, V, {args}{gens})"
+
+    # -- conditions to clauses ------------------------------------------------
+
+    def into(self, expr, neg: bool, sink: str) -> None:
+        """Append the clauses of a condition to the list ``sink``."""
+        if isinstance(expr, Not):
+            return self.into(expr.operand, not neg, sink)
+        if isinstance(expr, BinOp) and expr.op in _CONNECTIVES:
+            first, links = _chain(expr, _CONNECTIVES)
+            if all((link.op == "/\\") != neg for link in links):
+                self.into(first, neg, sink)
+                for link in links:
+                    self.into(link.right, neg, sink)
+                return None
+        if isinstance(expr, Agg) and expr.kind != "sum" and \
+                (expr.kind == "forall") != neg:
+            self.line(f"bud = {self.forall(expr, neg, sink)}")
+            return None
+        result = self.cnf(expr, neg)
+        if not isinstance(result, _Members):
+            self.line(f"{sink}.extend({result})")
+        elif result.alive == "True":
+            self.line(f"{sink}.append({self.clause(result)})")
+        elif result.alive != "False":
+            self.line(f"if {result.alive}: "
+                      f"{sink}.append({self.clause(result)})")
+        return None
+
+    def forall(self, agg: Agg, neg: bool, sink: str) -> str:
+        """The call of a conjunctive aggregate's function, which appends
+        its clauses to ``sink`` and returns the budget used."""
+        def body():
+            self.into(agg.body, neg, "c")
+            return "bud"
+        return self.spill(agg, "LP, LN, bud, c, ", f"LP, LN, bud, {sink}, ",
+                          (), body)
+
+    def cnf(self, expr, neg: bool):
+        """Flatten a condition: the ``_Members`` of one clause or none, or
+        the name of a fresh list of clauses with no tautology among them."""
+        if isinstance(expr, Not):
+            return self.cnf(expr.operand, not neg)
+        if isinstance(expr, BinOp) and expr.op in _CONNECTIVES:
+            first, links = _chain(expr, _CONNECTIVES)
+            parts = self.cnf(first, neg)
+            for link in links:
+                parts = self.join(parts, self.cnf(link.right, neg),
+                                  (link.op == "/\\") != neg)
+            return parts
+        if isinstance(expr, BinOp) and expr.op in ("->", "<-"):
+            # an implication is a disjunction of ~left and right
+            if expr.op == "<-":
+                left, right = expr.right, expr.left
+            else:
+                left, right = expr.left, expr.right
+            left = self.cnf(left, not neg)
+            return self.join(left, self.cnf(right, neg), neg)
+        if isinstance(expr, Agg):
+            if expr.kind == "sum":
+                self.fail("sum is not a condition", expr.span)
+                return self.assign("[]")
+            if (expr.kind == "forall") != neg:
+                parts = self.assign("[]")
+                self.line(f"bud = {self.forall(expr, neg, parts)}")
+                return parts
+            return self.exists(expr, neg)
+        if isinstance(expr, Comparison):
+            return self.compare(expr, neg)
+        found = self.variable(expr)
+        if found is not None:
+            var, declared = found
+            if declared.sort is not Sort.BOOL:
+                self.var_fault(var, "'{}' is an integer, not a condition",
+                               expr.span)
+                return self.assign("[]")
+            return _Members([(var, not neg)], [], "True")
+        if isinstance(expr, HeadAnn):
+            self.fail("misplaced head annotation", expr.span)
+        else:
+            self.fail("expected a condition", _span_of(expr))
+        return self.assign("[]")
+
+    def exists(self, agg: Agg, neg: bool) -> str:
+        """A disjunctive aggregate: it starts false (the empty clause) and
+        each binding's clauses are joined to it."""
+        def body():
+            self.disjoin("c", self.listed(self.cnf(agg.body, neg)), "c")
+            return "c, bud"
+        result = self.temp()
+        call = self.spill(agg, "LP, LN, bud, ", "LP, LN, bud, ",
+                          ["c = [Clause()]"], body)
+        self.line(f"{result}, bud = {call}")
+        return result
+
+    def join(self, left, right, conjoin: bool):
+        if conjoin:  # every list here is fresh, so extend in place
+            left, right = self.listed(left), self.listed(right)
+            self.line(f"{left}.extend({right})")
+            return left
+        if isinstance(left, _Members) and isinstance(right, _Members) and \
+                left.size + right.size <= _MEMBERS:
+            return self.merge(left, right)
+        left, right = self.listed(left), self.listed(right)
+        out = self.temp()
+        self.disjoin(left, right, out)
+        return out
+
+    def disjoin(self, left: str, right: str, out: str) -> None:
+        # every pair tried counts, those that make a tautology too
+        self.line(f"bud += len({left}) * len({right})")
+        self.line(f"if bud > {_EXPANSION_LIMIT}: "
+                  f"raise _too_many({self.const(self.span)})")
+        self.line(f"{out} = _disjoined({left}, {right})")
+
+    def merge(self, left: _Members, right: _Members) -> _Members:
+        """The disjunction of two sides of one clause or none: the pair
+        counts when both are clauses, and a literal of one side whose
+        complement is in the other makes a tautology."""
+        both = self.all_of([left.alive, right.alive])
+        if both != "False":
+            self.line(f"bud += {1 if both == 'True' else both}")
+            self.line(f"if bud > {_EXPANSION_LIMIT}: "
+                      f"raise _too_many({self.const(self.span)})")
+        clashes = [f"{a} == {b}" for a, positive in left.lits
+                   for b, other in right.lits if positive != other]
+        if any(a == b for a, positive in left.lits
+               for b, other in right.lits if positive != other):
+            alive = "False"
+        elif clashes:
+            alive = self.all_of([both, f"not ({' or '.join(clashes)})"])
+        else:
+            alive = both
+        return _Members(left.lits + right.lits, left.atoms + right.atoms,
+                        alive)
+
+    def listed(self, parts) -> str:
+        """``parts`` as the name of a fresh list of clauses."""
+        if not isinstance(parts, _Members):
+            return parts
+        if parts.alive == "False":
+            return self.assign("[]")
+        clause = f"[{self.clause(parts)}]"
+        if parts.alive != "True":
+            clause += f" if {parts.alive} else []"
+        return self.assign(clause)
+
+    def plain(self, members: _Members):
+        """The code of every member being there and on its own variables,
+        so that the clause is laid out as the members are; None when that
+        can never be."""
+        atoms = members.atoms
+        if any(atom.pairs is None for atom in atoms):
+            return None
+        refs = [[var for var, _ in members.lits]]
+        refs += [[var for _, var in atom.pairs] for atom in atoms]
+        # literals among themselves, and each atom's terms against the
+        # terms of the atoms before it
+        pairs = list(itertools.combinations(refs[0], 2))
+        for i in range(2, len(refs)):
+            pairs += [(a, b) for before in refs[1:i] for a in before
+                      for b in refs[i]]
+        if len(pairs) > 2 * _MEMBERS or any(a == b for a, b in pairs):
+            return None
+        code = self.all_of([atom.distinct for atom in atoms]
+                           + [f"{a} != {b}" for a, b in pairs])
+        return None if code == "False" else code
+
+    def clause(self, members: _Members) -> str:
+        """The code of the clause ``members`` make, when they are alive."""
+        plain = self.plain(members)
+        if plain is None:
+            return self.general(members)
+        if plain == "True":
+            return self.laid_out(members)
+        return (f"({self.laid_out(members)} if {plain} else "
+                f"{self.general(members)})")
+
+    def general(self, members: _Members) -> str:
+        lits = "".join(f"({var}, {positive}), "
+                       for var, positive in members.lits)
+        atoms = "".join(f"({atom.terms}, {atom.bound}), "
+                        for atom in members.atoms)
+        return f"_clause(({lits}), ({atoms}))"
+
+    def laid_out(self, members: _Members) -> str:
+        """The code of the clause when every member is there, in order."""
+        lits = "".join(f"{'LP' if positive else 'LN'}[{var}], "
+                       for var, positive in members.lits)
+        atoms = "".join(f"LinearAtom({atom.terms}, {atom.bound}), "
+                        for atom in members.atoms)
+        return f"Clause(({lits}), ({atoms}))"
+
+    # -- comparisons ----------------------------------------------------------
+
+    def compare(self, cmp: Comparison, neg: bool):
+        """A comparison's ``>=`` atoms.  An atom reads ``big - small >=
+        gap``; its parts are ``big``'s followed by ``small``'s negated, so
+        one pass merges its terms in first-appearance order.  The side that
+        the first atom reads first is evaluated first."""
+        op = _NEGATED[cmp.op] if neg else cmp.op
+        members = _ATOMS[op]
+        if members[0][0][0]:
+            right = self.linear(cmp.right)
+            left = self.linear(cmp.left)
+        else:
+            left = self.linear(cmp.left)
+            right = self.linear(cmp.right)
+        sides = {False: left, True: right}
+        built = []
+        for atoms in members:
+            member = []
+            for swap, gap in atoms:
+                big, big_constant = sides[swap]
+                small, small_constant = sides[not swap]
+                base = self.add(self.add(gap, self.mul(big_constant, -1)),
+                                small_constant)
+                member.append(self.atom(big + self.scaled(small, -1), base))
+            built.append(member)
+        if len(built) == 1:
+            holds = [atom.hold for atom in built[0]]
+            alive = self.all_of([f"not {hold}" for hold in holds
+                                 if hold != "False"])
+            return _Members([], built[0], alive)
+        code = "".join("(" + "".join(f"({atom.terms}, {atom.bound}), "
+                                     for atom in member) + "), "
+                       for member in built)
+        return self.assign(f"_compared(({code}))")
+
+    def atom(self, parts, base) -> _Atom:
+        """The atom ``parts >= base``: its terms merged by variable, zero
+        coefficients left out."""
+        if any(kind == 2 for kind, _, _ in parts):
+            terms, bound = self.temp(), self.temp()
+            self.line(f"{terms}, {bound} = _atom({self.parts(parts)}, "
+                      f"{_code(base)})")
+            return _Atom(terms, bound, self.value(
+                f"not {terms} and 0 >= {bound}"), "False", None)
+        bound = self.bound(base, [(c, v) for kind, c, v in parts if kind == 1])
+        pairs = [(c, v) for kind, c, v in parts if kind == 0]
+        layout = "".join(f"({_code(c)}, {v}), " for c, v in pairs)
+        if not pairs:
+            return _Atom("()", bound, self.value(f"0 >= {bound}"), "False",
+                         None)
+        if len(pairs) > _TERMS or not all(
+                isinstance(c, int) and c != 0 for c, _ in pairs):
+            terms = self.assign(f"_terms(({layout}))")
+            return _Atom(terms, bound, self.value(
+                f"not {terms} and 0 >= {bound}"), "False", None)
+        refs = [v for _, v in pairs]
+        distinct = "False" if len(set(refs)) < len(refs) else self.all_of(
+            [f"{a} != {b}" for a, b in itertools.combinations(refs, 2)])
+        if distinct == "True":
+            return _Atom(self.assign(f"({layout})"), bound, "False", "True",
+                         pairs)
+        if distinct == "False":
+            terms = self.assign(f"_terms(({layout}))")
+            return _Atom(terms, bound, self.value(
+                f"not {terms} and 0 >= {bound}"), "False", None)
+        terms = self.assign(f"({layout}) if {distinct} else "
+                            f"_terms(({layout}))")
+        return _Atom(terms, bound, self.value(
+            f"not {terms} and 0 >= {bound}"), distinct, pairs)
+
+    def bound(self, base, ints) -> str:
+        """The code of ``base`` less each ``coeff * value`` of ``ints``."""
+        steps = []
+        for coeff, value in ints:
+            if coeff == 1:
+                steps.append(f" - {value}")
+            elif coeff == -1:
+                steps.append(f" + {value}")
+            else:
+                steps.append(f" - {_code(coeff)} * {value}")
+        if not steps:
+            return _code(base)
+        if len(steps) <= _TERMS:
+            return self.value(_code(base) + "".join(steps))
+        total = self.assign(_code(base))
+        for step in steps:
+            self.line(f"{total} = {total}{step}")
+        return total
+
+    # -- integer expressions as linear terms ------------------------------------
+
+    def linear(self, expr, allow_b2i: bool = False):
+        """An integer expression as ``(parts, constant)``: the parts ``(kind,
+        coeff, value)`` in evaluation order, as ``_collect`` reads them,
+        and the constant folded from literals and scalar parameters.  A
+        coefficient or the constant is an int, or the name of a value when
+        a scalar parameter is in it."""
+        if isinstance(expr, IntLit):
+            return [], expr.value
+        if isinstance(expr, (Ident, ArrayAccess)):
+            found = self.variable(expr)
+            if found is None:
+                value = None if expr.name in self.scope else \
+                    self.grounder.params.get(expr.name)
+                if isinstance(value, int):  # the same in every binding
+                    return [], self.slot(expr.name, value)
+                return [(1, 1, self.int_(expr))], 0
+            var, declared = found
+            if declared.sort is Sort.BOOL:
+                self.var_fault(var, "'{}' is Boolean; it cannot appear in "
+                               "arithmetic", expr.span)
+                return [], 0
+            return [(0, 1, var)], 0
+        if isinstance(expr, Neg):
+            parts, constant = self.linear(expr.operand, allow_b2i)
+            return self.scaled(parts, -1), self.mul(constant, -1)
+        if isinstance(expr, Bool2Int):
+            if not allow_b2i:
+                self.fail("bool2int is only allowed in the objective",
+                          expr.span)
+                return [], 0
+            found = self.variable(expr.operand)
+            if found is None:
+                self.fail("bool2int needs a Boolean variable", expr.span)
+            elif found[1].sort is Sort.BOOL:
+                return [(0, 1, found[0])], 0
+            else:
+                self.var_fault(found[0], "bool2int needs a Boolean variable",
+                               expr.span)
+            return [], 0
+        if isinstance(expr, Agg) and expr.kind == "sum":
+            def body():
+                parts, constant = self.linear(expr.body, allow_b2i)
+                self.line(f"s += _collect({self.parts(parts)}, T) + "
+                          f"{_code(constant)}")
+                return "T, s"
+            call = self.spill(expr, "", "", ["T = {}", "s = 0"], body)
+            return [(2, 1, self.assign(call))], 0
+        if isinstance(expr, BinOp) and expr.op in _ARITH:
+            first, links = _chain(expr, _ARITH)
+            parts, constant = self.linear(first, allow_b2i)
+            for link in links:
+                right, right_constant = self.linear(link.right, allow_b2i)
+                if link.op == "*":
+                    parts, constant = self.product(parts, constant, right,
+                                                   right_constant, link.span)
+                    continue
+                sign = 1 if link.op == "+" else -1
+                parts = parts + self.scaled(right, sign)
+                constant = self.add(constant, self.mul(right_constant, sign))
+            return parts, constant
+        self.fail("expected an integer expression", _span_of(expr))
+        return [], 0
+
+    def product(self, left, left_constant, right, right_constant, span):
+        """The parts of ``left * right``.  A fixed factor scales the other
+        side here; otherwise one part multiplies the two sides per
+        binding."""
+        if not right:
+            return (self.scaled(left, right_constant),
+                    self.mul(left_constant, right_constant))
+        if not left:
+            return (self.scaled(right, left_constant),
+                    self.mul(left_constant, right_constant))
+        total = self.assign(
+            f"_product({self.parts(left)}, {_code(left_constant)}, "
+            f"{self.parts(right)}, {_code(right_constant)}, "
+            f"{self.const(span)}, {self.const(self.scope)}, {self.env()})")
+        return [(2, 1, total)], 0
+
+    def parts(self, parts) -> str:
+        return "(" + "".join(f"({kind}, {_code(c)}, {v}), "
+                             for kind, c, v in parts) + ")"
+
+    def scaled(self, parts, factor) -> list:
+        return [(kind, self.mul(c, factor), v) for kind, c, v in parts]
+
+    def mul(self, a, b):
+        if isinstance(a, int) and isinstance(b, int):
+            return a * b
+        if a == 1 or b == 1:
+            return b if a == 1 else a
+        if b == -1:
+            return self.value(f"-{a}")
+        return self.value(f"{_code(a)} * {_code(b)}")
+
+    def add(self, a, b):
+        if isinstance(a, int) and isinstance(b, int):
+            return a + b
+        if a == 0 or b == 0:
+            return b if a == 0 else a
+        return self.value(f"{_code(a)} + {_code(b)}")
+
+
+# -- the grounder ----------------------------------------------------------------
+
+
 class _Grounder:
     def __init__(self, model: Model, data, founded_default):
         self.model = model
@@ -127,24 +1131,22 @@ class _Grounder:
         self.founded_default = founded_default
         self.params: dict[str, object] = {}
         self.variables: list[Variable] = []
-        # scalar vars: name -> id; array vars: name -> (ranges, base id,
-        # declaration as a Variable named like the array)
+        # scalar vars: name -> id; array vars: name -> (ranges, the range
+        # of the cells' ids, declaration as a Variable named like the array)
         self.scalars: dict[str, int] = {}
         self.arrays: dict[str, tuple] = {}
-        self.budget = 0
+        self.literals = (_Literals(True), _Literals(False))
 
     def run(self) -> Program:
         self._bind_params()
         self._declare_vars()
         constraints = []
         for item in self.model.constraints:
-            self.budget = 0
-            constraints.extend(self._cnf(item.expr, (), False, item.span)(()))
+            self._constraint(item, constraints)
         rules = []
         shapes = RuleShapes(self.variables)
         for item in self.model.rules:
-            self.budget = 0
-            rules.extend(self._ground_rule(item, shapes))
+            self._rule(item, shapes, rules)
         objective = None
         if self.model.solve is not None and \
                 self.model.solve.objective is not None:
@@ -190,13 +1192,22 @@ class _Grounder:
                 "parameters not fixed by the model or data: "
                 + ", ".join(missing))
 
-    def _value(self, expr) -> int:
-        """The value of a parameter expression outside any aggregate."""
-        return self._int(expr, ())(())
+    def _values(self, exprs) -> list:
+        """The values of parameter expressions outside any aggregate, in
+        order; a literal is read as it is."""
+        if all(type(e) is IntLit for e in exprs):
+            return [e.value for e in exprs]
+        source = _Source(self, literals=False)
+        outer = source.begin("def main(A, K):")
+        values = [source.int_(e) for e in exprs]
+        source.line(f"return [{', '.join(values)}]")
+        source.end(outer)
+        return source.call()
 
     def _dims(self, decl) -> list:
         """The declared index ranges of ``decl``, evaluated."""
-        ranges = [(self._value(lo), self._value(hi)) for lo, hi in decl.dims]
+        values = self._values([e for dim in decl.dims for e in dim])
+        ranges = list(zip(values[::2], values[1::2]))
         if len(ranges) > 2:
             raise GroundingError("only 1- and 2-dimensional arrays are "
                                  "supported", decl.span)
@@ -206,13 +1217,12 @@ class _Grounder:
         ranges = self._dims(decl)
         elem_range = None
         if decl.elem_range is not None:
-            elem_range = (self._value(decl.elem_range[0]),
-                          self._value(decl.elem_range[1]))
+            elem_range = tuple(self._values(decl.elem_range))
         if not decl.dims:
             if isinstance(value, ArrayLit):
                 raise GroundingError(
                     f"'{decl.name}' is a scalar, not an array", value.span)
-            bound = self._value(value)
+            (bound,) = self._values([value])
             self._elem_check(decl.name, (bound,), elem_range, decl.span)
             self.params[decl.name] = bound
             return
@@ -227,9 +1237,13 @@ class _Grounder:
             raise GroundingError(
                 f"'{decl.name}' needs {size} element(s), "
                 f"{len(value.elements)} given", value.span)
-        # a literal element is read as it is; only others are compiled
-        cells = [e.value if type(e) is IntLit else self._value(e)
+        # a literal element is read as it is; only others are generated
+        cells = [e.value if type(e) is IntLit else None
                  for e in value.elements]
+        if None in cells:
+            computed = iter(self._values([e for e in value.elements
+                                          if type(e) is not IntLit]))
+            cells = [next(computed) if c is None else c for c in cells]
         self._elem_check(decl.name, cells, elem_range, value.span)
         self.params[decl.name] = _ParamArray(ranges, cells)
 
@@ -251,8 +1265,7 @@ class _Grounder:
             if decl.sort is Sort.BOOL:
                 lo = hi = None
             elif decl.bounds is not None:
-                lo = self._value(decl.bounds[0])
-                hi = self._value(decl.bounds[1])
+                lo, hi = self._values(decl.bounds)
             elif decl.founded and self.founded_default is not None:
                 lo, hi = self.founded_default
             elif decl.founded:
@@ -267,470 +1280,132 @@ class _Grounder:
                 self.variables.append(Variable(decl.name, kind, decl.sort,
                                                lo, hi))
                 continue
-            self.arrays[decl.name] = (ranges, len(self.variables),
-                                      Variable(decl.name, kind, decl.sort))
+            base = len(self.variables)
             for indices in itertools.product(
                     *(range(first, last + 1) for first, last in ranges)):
                 self.variables.append(Variable(_cell_name(decl.name, indices),
                                                kind, decl.sort, lo, hi))
-
-    # -- compiling parameter expressions -----------------------------------
-    #
-    # Every ``_int``/``_cond``/``_variable``/``_cnf`` closure takes ``env``,
-    # the tuple of generator values whose names are ``scope``.  A fault found
-    # while compiling becomes a closure that raises it, so that it surfaces
-    # in evaluation order, for the binding that reaches it, or not at all.
-
-    def _int(self, expr, scope):
-        if isinstance(expr, IntLit):
-            value = expr.value
-            return lambda env: value
-        if isinstance(expr, Ident):
-            if expr.name in scope:
-                return operator.itemgetter(scope.index(expr.name))
-            value = self.params.get(expr.name)
-            if isinstance(value, int):
-                return lambda env: value
-            return _fail(f"'{expr.name}' is not a fixed integer here",
-                         expr.span, scope)
-        if isinstance(expr, ArrayAccess):
-            array = self.params.get(expr.name)
-            if not isinstance(array, _ParamArray):
-                return _fail(f"'{expr.name}' is not a parameter array",
-                             expr.span, scope)
-            return self._cell(expr, array.ranges, array.values, scope)
-        if isinstance(expr, Neg):
-            operand = self._int(expr.operand, scope)
-            return lambda env: -operand(env)
-        if isinstance(expr, BinOp) and expr.op in _ARITH:
-            first, links = _chain(expr, _ARITH)
-            start = self._int(first, scope)
-            steps = [(_ARITH[link.op], self._int(link.right, scope))
-                     for link in links]
-
-            def fold(env):
-                value = start(env)
-                for op, right in steps:
-                    value = op(value, right(env))
-                return value
-            return fold
-        return _fail("expected a parameter expression", _span_of(expr), scope)
-
-    def _cond(self, expr, scope):
-        if isinstance(expr, Comparison):
-            left = self._int(expr.left, scope)
-            right = self._int(expr.right, scope)
-            holds = _HOLDS[expr.op]
-            return lambda env: holds(left(env), right(env))
-        if isinstance(expr, Not):
-            operand = self._cond(expr.operand, scope)
-            return lambda env: not operand(env)
-        if isinstance(expr, BinOp):
-            if expr.op in _CONNECTIVES:
-                first, links = _chain(expr, _CONNECTIVES)
-                start = self._cond(first, scope)
-                steps = [(link.op == "/\\", self._cond(link.right, scope))
-                         for link in links]
-
-                def fold(env):
-                    value = start(env)
-                    for conjoin, right in steps:
-                        if value == conjoin:  # else the chain is decided
-                            value = right(env)
-                    return value
-                return fold
-            if expr.op in ("->", "<-"):
-                # an implication is a disjunction of ~left and right
-                left = self._cond(expr.left, scope)
-                right = self._cond(expr.right, scope)
-                if expr.op == "<-":
-                    return lambda env: right(env) or not left(env)
-                return lambda env: (not left(env)) or right(env)
-        return _fail("expected a parameter condition", _span_of(expr), scope)
-
-    def _cell(self, access: ArrayAccess, ranges, values, scope):
-        """A closure giving the element of ``values``, laid out row-major
-        over ``ranges``, that ``access`` picks; every index is evaluated
-        before any is checked."""
-        indices = [self._int(i, scope) for i in access.indices]
-        name, span = access.name, access.span
-
-        def outside(index, lo, hi, env):
-            return GroundingError(f"index {index} is outside {lo}..{hi} in "
-                                  f"'{name}'{_note(scope, env)}", span)
-        if len(indices) == len(ranges) == 1:  # one check, one lookup
-            (index,), ((lo, hi),) = indices, ranges
-
-            def element(env):
-                i = index(env)
-                if not lo <= i <= hi:
-                    raise outside(i, lo, hi, env)
-                return values[i - lo]
-            return element
-
-        def cell(env):
-            picked = [index(env) for index in indices]
-            offset = 0
-            for (lo, hi), i in zip(ranges, picked):
-                if not lo <= i <= hi:
-                    raise outside(i, lo, hi, env)
-                offset = offset * (hi - lo + 1) + (i - lo)
-            return values[offset]
-        return cell
-
-    def _bindings(self, agg: Agg, scope):
-        """A closure giving every environment an aggregate's generators make
-        from an outer one, and the scope of those environments."""
-        steps = []
-        for gen in agg.gens:  # a range may name an earlier generator
-            steps.append((self._int(gen.lo, scope), self._int(gen.hi, scope),
-                          len(gen.names)))
-            scope = scope + tuple(gen.names)
-        where = None if agg.where is None else self._cond(agg.where, scope)
-
-        def bind(env):
-            envs = [env]
-            for lo, hi, count in steps:
-                spread = []
-                for base in envs:
-                    values = range(lo(base), hi(base) + 1)
-                    out = [base]
-                    for _ in range(count):
-                        out = [e + (v,) for e in out for v in values]
-                    spread.extend(out)
-                envs = spread
-            if where is not None:
-                envs = [e for e in envs if where(e)]
-            return envs
-        return bind, scope
-
-    def _variable(self, expr, scope):
-        """For a reference to a variable or a variable array's cell, a
-        closure giving its ground id and the declaration, kind and sort, of
-        what it names; None for anything else."""
-        if isinstance(expr, Ident):
-            var = None if expr.name in scope else self.scalars.get(expr.name)
-            if var is None:
-                return None
-            return (lambda env: var), self.variables[var]
-        if not isinstance(expr, ArrayAccess) or expr.name not in self.arrays:
-            return None
-        ranges, base, declared = self.arrays[expr.name]
-        size = 1
-        for lo, hi in ranges:
-            size *= max(0, hi - lo + 1)
-        return (self._cell(expr, ranges, range(base, base + size), scope),
-                declared)
-
-    def _head(self, target, scope):
-        """A closure giving the ground id of the variable a rule's head
-        names."""
-        found = self._variable(target, scope)
-        if found is not None:
-            return found[0]
-        what = "variable" if isinstance(target, Ident) else "variable array"
-        return _fail(f"'{target.name}' is not a {what}", target.span, scope)
-
-    def _var_fault(self, var, message: str, span, scope):
-        """A closure that resolves ``var`` and raises ``message``, formatted
-        with the variable's name, for that binding."""
-        def fail(env):
-            name = self.variables[var(env)].name
-            raise GroundingError(message.format(name) + _note(scope, env),
-                                 span)
-        return fail
-
-    # -- compiling conditions to clauses -----------------------------------
-
-    def _cnf(self, expr, scope, neg: bool, span):
-        """Compile a condition: ``fn(env)`` flattens it to a conjunction, a
-        list of clauses with no tautology among them."""
-        if isinstance(expr, Not):
-            return self._cnf(expr.operand, scope, not neg, span)
-        join = self._join
-        if isinstance(expr, BinOp) and expr.op in _CONNECTIVES:
-            first, links = _chain(expr, _CONNECTIVES)
-            start = self._cnf(first, scope, neg, span)
-            steps = [(self._cnf(link.right, scope, neg, span),
-                      (link.op == "/\\") != neg) for link in links]
-
-            def fold(env):
-                parts = start(env)
-                for right, conjoin in steps:
-                    parts = join(parts, right(env), conjoin, span)
-                return parts
-            return fold
-        if isinstance(expr, BinOp) and expr.op in ("->", "<-"):
-            # an implication is a disjunction of ~left and right
-            if expr.op == "<-":
-                left, right = expr.right, expr.left
-            else:
-                left, right = expr.left, expr.right
-            left = self._cnf(left, scope, not neg, span)
-            right = self._cnf(right, scope, neg, span)
-            return lambda env: join(left(env), right(env), neg, span)
-        if isinstance(expr, Agg):
-            if expr.kind == "sum":
-                return _fail("sum is not a condition", expr.span, scope)
-            conj = (expr.kind == "forall") != neg
-            bind, inner = self._bindings(expr, scope)
-            body = self._cnf(expr.body, inner, neg, span)
-
-            def aggregate(env):
-                # and starts true (no clause), or false (the empty clause)
-                parts = [] if conj else [Clause()]
-                for sub in bind(env):
-                    parts = join(parts, body(sub), conj, span)
-                return parts
-            return aggregate
-        if isinstance(expr, Comparison):
-            return self._compare(expr, scope, neg)
-        found = self._variable(expr, scope)
-        if found is not None:
-            var, declared = found
-            if declared.sort is not Sort.BOOL:
-                return self._var_fault(var, "'{}' is an integer, not a "
-                                       "condition", expr.span, scope)
-            positive = not neg
-            return lambda env: [Clause((Literal(var(env), positive),))]
-        if isinstance(expr, HeadAnn):
-            return _fail("misplaced head annotation", expr.span, scope)
-        return _fail("expected a condition", _span_of(expr), scope)
-
-    def _join(self, left: list, right: list, conjoin: bool, span) -> list:
-        if conjoin:  # every conjunction list is fresh, so extend in place
-            left.extend(right)
-            return left
-        # every pair tried counts, those that make a tautology too
-        self.budget += len(left) * len(right)
-        if self.budget > _EXPANSION_LIMIT:
-            raise GroundingError(
-                f"flattening needs more than {_EXPANSION_LIMIT} clauses; "
-                f"rewrite the item", span)
-        out = []
-        for a in left:
-            for b in right:
-                merged = _disjoin(a, b)
-                if merged is not None:
-                    out.append(merged)
-        return out
-
-    def _compare(self, cmp: Comparison, scope, neg: bool):
-        """Compile a comparison to its ``>=`` atoms.  An atom reads ``big -
-        small >= gap``; its parts are ``big``'s followed by ``small``'s
-        negated, so one pass merges its terms in first-appearance order."""
-        op = _NEGATED[cmp.op] if neg else cmp.op
-        sides = {False: self._linear(cmp.left, scope),
-                 True: self._linear(cmp.right, scope)}
-        members = []
-        for atoms in _ATOMS[op]:
-            member = []
-            for swap, gap in atoms:
-                big, big_constant = sides[swap]
-                small, small_constant = sides[not swap]
-                member.append((big + _scaled(small, -1),
-                               gap - big_constant + small_constant))
-            members.append(member)
-
-        def compare(env):
-            clauses = []
-            for member in members:
-                atoms = []
-                holds = False  # a constant atom that holds
-                for parts, base in member:
-                    folded, bound = _atom(parts, base, env)
-                    if folded:
-                        atoms.append(LinearAtom(folded, bound))
-                    elif 0 >= bound:
-                        holds = True
-                if not holds:
-                    clauses.append(Clause((), tuple(atoms)))
-            return clauses
-        return compare
-
-    # -- compiling integer expressions --------------------------------------
-
-    def _linear(self, expr, scope, allow_b2i: bool = False):
-        """Compile an integer expression to ``(parts, constant)``: the
-        constant folded at compile time, and the parts ``(coeff, kind, fn)``
-        in evaluation order (see ``_collect``)."""
-        if isinstance(expr, IntLit):
-            return [], expr.value
-        if isinstance(expr, (Ident, ArrayAccess)):
-            found = self._variable(expr, scope)
-            if found is None:
-                value = None if expr.name in scope else \
-                    self.params.get(expr.name)
-                if isinstance(value, int):  # the same in every binding
-                    return [], value
-                return [(1, _INT, self._int(expr, scope))], 0
-            var, declared = found
-            if declared.sort is Sort.BOOL:
-                return [(1, _INT, self._var_fault(
-                    var, "'{}' is Boolean; it cannot appear in arithmetic",
-                    expr.span, scope))], 0
-            return [(1, _VAR, var)], 0
-        if isinstance(expr, Neg):
-            parts, constant = self._linear(expr.operand, scope, allow_b2i)
-            return _scaled(parts, -1), -constant
-        if isinstance(expr, Bool2Int):
-            found = self._variable(expr.operand, scope)
-            if not allow_b2i:
-                fault = _fail("bool2int is only allowed in the objective",
-                              expr.span, scope)
-            elif found is None:
-                fault = _fail("bool2int needs a Boolean variable", expr.span,
-                              scope)
-            elif found[1].sort is Sort.BOOL:
-                return [(1, _VAR, found[0])], 0
-            else:
-                fault = self._var_fault(found[0], "bool2int needs a Boolean "
-                                        "variable", expr.span, scope)
-            return [(1, _INT, fault)], 0
-        if isinstance(expr, Agg) and expr.kind == "sum":
-            bind, inner = self._bindings(expr, scope)
-            body, body_constant = self._linear(expr.body, inner, allow_b2i)
-
-            def total(env):
-                terms = {}
-                constant = 0
-                for sub in bind(env):
-                    constant += _collect(body, sub, terms) + body_constant
-                return terms, constant
-            return [(1, _SUB, total)], 0
-        if isinstance(expr, BinOp) and expr.op in _ARITH:
-            first, links = _chain(expr, _ARITH)
-            parts, constant = self._linear(first, scope, allow_b2i)
-            for link in links:
-                right, right_constant = self._linear(link.right, scope,
-                                                     allow_b2i)
-                if link.op == "*":
-                    parts, constant = _product(parts, constant, right,
-                                               right_constant, link.span,
-                                               scope)
-                    continue
-                sign = 1 if link.op == "+" else -1
-                parts = parts + _scaled(right, sign)
-                constant += sign * right_constant
-            return parts, constant
-        return [(1, _INT, _fail("expected an integer expression",
-                                _span_of(expr), scope))], 0
+            self.arrays[decl.name] = (ranges, range(base, len(self.variables)),
+                                      Variable(decl.name, kind, decl.sort))
 
     # -- items ---------------------------------------------------------------
 
-    def _ground_rule(self, item, shapes: RuleShapes) -> list:
-        """The instances of a rule item, each added to ``shapes``; an
-        instance of a shape not seen before is checked."""
-        node, scope, levels = item.expr, (), []
+    def _constraint(self, item, out: list) -> None:
+        source = _Source(self, item.span)
+        outer = source.begin("def main(A, K, V, LP, LN, out):")
+        source.line("bud = 0")
+        source.into(item.expr, False, "out")
+        source.end(outer)
+        source.call(self.variables, *self.literals, out)
+
+    def _rule(self, item, shapes: RuleShapes, rules: list) -> None:
+        """Append the instances of a rule item to ``rules``, each numbered
+        in ``shapes``; an instance of a shape not seen before is
+        checked."""
+        source = _Source(self, item.span)
+        outer = source.begin(
+            "def main(A, K, V, LP, LN, shapes, rules):")
+        source.line("bud = 0")
+        source.line("add, repeat, numbers = shapes.add, shapes.repeat, {}")
+        node, levels = item.expr, []
         while isinstance(node, Agg) and node.kind == "forall":
-            bind, scope = self._bindings(node, scope)
-            levels.append(bind)
+            levels.append(node)
             node = node.body
-        head_of = self._head(node.target, scope)
-        body = self._cnf(node.body, scope, False, item.span)
-        envs = [()]
-        for bind in levels:
-            envs = [sub for env in envs for sub in bind(env)]
-        rules = []
-        for env in envs:
-            head = head_of(env)
-            clauses = body(env)
-            if not clauses:
-                continue  # a trivially true clause never forces its head
-            if len(clauses) > 1:
-                raise GroundingError(
-                    f"a rule must flatten to a single clause, this one "
-                    f"needs {len(clauses)}{_note(scope, env)}", item.span)
-            rule = Rule(clauses[0], head)
-            if shapes.add(rule):
-                fault = _rule_fault(rule, self.variables)
-                if fault is not None:
-                    raise GroundingError(fault + _note(scope, env),
-                                         item.span)
-            rules.append(rule)
-        return rules
+        # every level's bindings, each level over every binding of the ones
+        # before it, before any instance
+        envs = "((),)"
+        for depth, level in enumerate(levels):
+            scope = source.scope
+            if depth == 0:
+                envs = source.bind(level)
+            else:
+                spread = source.assign("[]")
+                base = source.unpack(envs, (), scope)
+                source.line(f"{spread} += _extended({base}, "
+                            f"{source.bind(level)})")
+                source.close()
+                envs = spread
+            source.scope = scope + tuple(n for gen in level.gens
+                                         for n in gen.names)
+        scope = source.scope
+        source.scope = ()
+        source.loop(envs, scope)
+        self._instance(source, node)
+        source.close()
+        source.end(outer)
+        source.call(self.variables, *self.literals, shapes, rules)
+
+    def _instance(self, source: _Source, node: HeadAnn) -> None:
+        """Write the body of the instance loop: the head, then the body's
+        one clause, the rule, and its shape number."""
+        span = source.const(source.span)
+        note = f"{span}, {source.const(source.scope)}, {source.env()}"
+        head = source.variable(node.target)
+        if head is None:
+            what = "variable" if isinstance(node.target, Ident) else \
+                "variable array"
+            source.fail(f"'{node.target.name}' is not a {what}",
+                        node.target.span)
+            head = ("0", None)
+        head, declared = head
+        body = source.cnf(node.body, False)
+        if not isinstance(body, _Members):
+            source.line(f"if not {body}: continue")
+            source.line(f"if len({body}) > 1: "
+                        f"raise _split(len({body}), {note})")
+            source.line(f"rule = Rule({body}[0], {head})")
+            source.line(f"if add(rule): _check_rule(rule, V, {note})")
+            source.line("rules.append(rule)")
+            return
+        # a trivially true clause never forces its head
+        if body.alive == "False":
+            source.line("continue")
+            return
+        if body.alive != "True":
+            source.line(f"if not {body.alive}: continue")
+        plain = source.plain(body)
+        if plain is None:
+            source.line(f"rule = Rule({source.general(body)}, {head})")
+            source.line(f"if add(rule): _check_rule(rule, V, {note})")
+            source.line("rules.append(rule)")
+            return
+        # Every member is there, on its own variable, so the rule's shape
+        # is the template's with the head at its place: keyed once.
+        refs = [var for var, _ in body.lits]
+        refs += [var for atom in body.atoms for _, var in atom.pairs]
+        if head in refs:
+            place = str(refs.index(head))
+        else:
+            bool_head = declared is not None and declared.sort is Sort.BOOL
+            same = range(len(body.lits)) if bool_head else \
+                range(len(body.lits), len(refs))
+            place = "".join(f"{i} if {head} == {refs[i]} else "
+                            for i in same) + str(len(refs))
+        if plain != "True":
+            source.open(f"if {plain}:")
+        source.line(f"rule = Rule({source.laid_out(body)}, {head})")
+        source.line(f"number = numbers.get({place})")
+        source.open("if number is None:")
+        source.line(f"if add(rule): _check_rule(rule, V, {note})")
+        source.line(f"numbers[{place}] = shapes.last")
+        source.close()
+        source.line("else: repeat(number)")
+        if plain != "True":
+            source.close()
+            source.open("else:")
+            source.line(f"rule = Rule({source.general(body)}, {head})")
+            source.line(f"if add(rule): _check_rule(rule, V, {note})")
+            source.close()
+        source.line("rules.append(rule)")
 
     def _objective(self, expr) -> LinearExpr:
-        parts, constant = self._linear(expr, (), allow_b2i=True)
-        terms = {}
-        constant += _collect(parts, (), terms)
-        folded = tuple((coeff, var) for var, coeff in terms.items()
-                       if coeff != 0)
-        return LinearExpr(folded, constant)
-
-
-def _collect(parts, env, terms: dict) -> int:
-    """Add the terms of ``parts`` under ``env`` into ``terms`` and return
-    their constant.  A variable keeps its first position and its entry even
-    when its coefficient sums to zero, as a product's linearity check needs.
-    """
-    constant = 0
-    for coeff, kind, fn in parts:
-        if kind == _VAR:
-            var = fn(env)
-            terms[var] = terms.get(var, 0) + coeff
-        elif kind == _INT:
-            constant += coeff * fn(env)
-        else:
-            sub_terms, sub_constant = fn(env)
-            for var, sub_coeff in sub_terms.items():
-                terms[var] = terms.get(var, 0) + coeff * sub_coeff
-            constant += coeff * sub_constant
-    return constant
-
-
-def _atom(parts, base: int, env):
-    """The terms, zero coefficients left out, and the bound of an atom
-    ``parts >= base`` under ``env``."""
-    terms = {}
-    bound = base - _collect(parts, env, terms)
-    return tuple([(coeff, var) for var, coeff in terms.items()
-                  if coeff != 0]), bound
-
-
-def _scaled(parts, factor: int) -> list:
-    return [(coeff * factor, kind, fn) for coeff, kind, fn in parts]
-
-
-def _product(left, left_constant, right, right_constant, span, scope):
-    """The parts of ``left * right``.  A fixed factor scales the other side
-    at compile time; otherwise one part multiplies the two sides per
-    binding, refusing two sides that both have terms."""
-    if not right:
-        return _scaled(left, right_constant), left_constant * right_constant
-    if not left:
-        return _scaled(right, left_constant), left_constant * right_constant
-
-    def product(env):
-        terms = {}
-        constant = _collect(left, env, terms) + left_constant
-        other = {}
-        factor = _collect(right, env, other) + right_constant
-        if terms and other:
-            raise GroundingError(f"non-linear product{_note(scope, env)}",
-                                 span)
-        if other:
-            terms, constant, factor = other, factor, constant
-        return {v: c * factor for v, c in terms.items()}, constant * factor
-    return [(1, _SUB, product)], 0
-
-
-def _rule_fault(rule: Rule, variables):
-    """Why ``rule`` cannot be a rule, as the grounder reports it, or None."""
-    violation, non_monotone = rule_verdict(rule, variables)
-    if violation is not None:
-        return violation.describe(variables[rule.head].name)
-    for var in set(rule.clause.variables()):
-        if var in non_monotone:
-            return f"rule clause is non-monotone in '{variables[var].name}'"
-    return None
-
-
-def _fail(message: str, span, scope):
-    """A closure that raises ``message`` with the binding it is called on."""
-    def fail(env):
-        raise GroundingError(message + _note(scope, env), span)
-    return fail
+        source = _Source(self)
+        outer = source.begin("def main(A, K, V):")
+        parts, constant = source.linear(expr, allow_b2i=True)
+        source.line(f"return _objective({source.parts(parts)}, "
+                    f"{_code(constant)})")
+        source.end(outer)
+        return source.call(self.variables)
 
 
 def _chain(expr, ops):
@@ -743,13 +1418,6 @@ def _chain(expr, ops):
         expr = expr.left
     links.reverse()
     return expr, links
-
-
-def _note(scope, env) -> str:
-    if not scope:
-        return ""
-    inner = ", ".join(f"{k}={v}" for k, v in zip(scope, env))
-    return f" ({inner})"
 
 
 def _span_of(expr):

@@ -215,6 +215,16 @@ class RuleShapes:
         self._of.append(number)
         return number == count
 
+    @property
+    def last(self) -> int:
+        """The shape number of the rule added last."""
+        return self._of[-1]
+
+    def repeat(self, number: int) -> None:
+        """Number one more rule as shape ``number``, which the caller knows
+        it has: the grounder's rules of one template and layout."""
+        self._of.append(number)
+
     def numbered(self) -> tuple[int, ...]:
         """The shape numbers of the rules added so far."""
         return tuple(self._of)

@@ -19,6 +19,7 @@ from bfasp import (
     parse_model,
     validate_program,
 )
+from bfasp.fixpoint import _compiled
 from bfasp.model_ast import Not, Span
 
 from conftest import MODELS, build_example_one, keyed_shapes
@@ -66,6 +67,21 @@ def test_core_model_with_data_file_matches_the_inline_model():
                   parse_data((MODELS / "path4.bfd").read_text()),
                   founded_default=(-200, 0))
     assert core == inline
+
+
+def test_a_second_data_file_compiles_nothing_new():
+    # the generated source holds the model alone: data is passed in
+    def load(data: str):
+        model = parse_model((MODELS / "mcds_core.bfz").read_text())
+        return ground(model, parse_data((MODELS / data).read_text()),
+                      founded_default=(-200, 0))
+    load("path4.bfd")
+    before = _compiled.cache_info()
+    program = load("cycle8.bfd")
+    after = _compiled.cache_info()
+    assert len(program.rules) == 8 + 16 * 8
+    assert after.misses == before.misses
+    assert after.hits > before.hits
 
 
 def test_grounding_is_deterministic():
@@ -299,6 +315,15 @@ def test_where_guards_filter_instances():
     program = g("var bool: p;\nvar 0..9: n;\n"
                 "constraint forall (i in 1..4 where i != 2) (n >= i);\n")
     assert len(program.constraints) == 3
+
+
+def test_nested_guard_connectives_evaluate_only_what_decides_them():
+    # w[i] for i = 4, and w[i + 1] for i = 3, are outside w; each sits in
+    # a chain that an earlier operand decides for that binding
+    program = g("array[1..3] of int: w = [1, 2, 3];\nvar 0..9: n;\n"
+                "constraint forall (i in 1..4 where i = 4 \\/ (i = 1 \\/ "
+                "(w[i] > 2 /\\ (i = 3 \\/ w[i + 1] > 0)))) (n >= i);\n")
+    assert [c.atoms[0].bound for c in program.constraints] == [1, 3, 4]
 
 
 @pytest.mark.parametrize("flat,nested", [
