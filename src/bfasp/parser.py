@@ -9,13 +9,18 @@ only) close a parenthesized group.  Comments run from ``%`` to end of line.
 and differ only in their token regex, their operators and keywords, and
 their grammar.  A text becomes a list of token values, plain strings; a
 token's kind follows from its value, and its location (line and column) is
-made only when an error or an AST span asks for it.
+made only when an error or an AST span asks for it.  Model and data texts,
+whose every item has a span, are scanned for values and token offsets in
+one pass (``scan_located``); ground programs and assignments, which need a
+location only for an error, are scanned for values alone and re-scanned
+for offsets on the first location asked for.
 """
 
 import re
 from bisect import bisect_right
 from functools import partial
-from operator import attrgetter, methodcaller
+from itertools import accumulate
+from operator import add, attrgetter, methodcaller, sub
 from typing import NoReturn
 
 from .errors import TOO_DEEP, ParseError
@@ -66,16 +71,36 @@ def scan(pattern: re.Pattern, text: str) -> list:
     return values
 
 
-def _token_pattern(skip: str, word: str, ops: frozenset) -> re.Pattern:
-    """The token regex of a format, as ``scan`` reads it: skipped text
-    (``skip``), then one token: a ``word``, an integer, an operator of
-    ``ops`` (the longest first), a character no token admits, or the end."""
+def scan_located(pattern: re.Pattern, text: str) -> tuple:
+    """``text``'s token values, as ``scan`` gives them, and the offset in
+    ``text`` of each, from one ``findall``.
+
+    ``pattern`` is ``scan``'s with the skipped text as a first group.  Its
+    matches are back to back, since every character either is skipped or
+    starts a token, so a token starts where the text before it, skipped or
+    not, ends.
+    """
+    pairs = pattern.findall(text)
+    if len(pairs) > 1 and not pairs[-2][1]:
+        pairs.pop()  # as in ``scan``
+    skipped, values = zip(*pairs)
+    ends = accumulate(map(add, map(len, skipped), map(len, values)))
+    return list(values), list(map(sub, ends, map(len, values)))
+
+
+def _token_pattern(skip: str, word: str, ops: frozenset,
+                   located: bool = False) -> re.Pattern:
+    """The token regex of a format, as ``scan`` reads it (``scan_located``
+    when ``located``): skipped text (``skip``), then one token: a ``word``,
+    an integer, an operator of ``ops`` (the longest first), a character no
+    token admits, or the end."""
     longer = sorted((op for op in ops if len(op) > 1),
                     key=lambda op: (-len(op), op))
     single = "".join(sorted(op for op in ops if len(op) == 1))
     token = "|".join([word, r"\d+", *map(re.escape, longer),
                       f"[{re.escape(single)}]", ".", r"\Z"])
-    return re.compile(f"(?:{skip})*({token})", re.ASCII)
+    skipped = f"((?:{skip})*)" if located else f"(?:{skip})*"
+    return re.compile(f"{skipped}({token})", re.ASCII)
 
 
 class Cursor:
@@ -91,15 +116,22 @@ class Cursor:
     ``name`` and ``int`` kinds.
 
     A location is made on demand, as ``where(line, column)`` (both counted
-    from 1): the first request re-scans the text for token offsets, and
-    each token's location is kept once made.
+    from 1), and each token's is kept once made.  A ``located`` cursor's
+    pattern is ``scan_located``'s, and it has its token offsets from the
+    start; another's first location re-scans the text for them.
     """
+
+    located = False
 
     def __init__(self, pattern: re.Pattern, text: str, error, where,
                  ops: frozenset, keywords: frozenset = frozenset()):
         self._pattern = pattern
         self._text = text
-        self._values = values = scan(pattern, text)
+        if self.located:
+            values, self._offsets = scan_located(pattern, text)
+        else:
+            values, self._offsets = scan(pattern, text), None
+        self._values = values
         self._at = 0
         self._error = error
         self._where = where
@@ -126,8 +158,9 @@ class Cursor:
     def location(self, at: int):
         """The location of the token at index ``at``."""
         if self._locations is None:
-            self._offsets = list(map(_token_start,
-                                     self._pattern.finditer(self._text)))
+            if self._offsets is None:
+                self._offsets = list(map(_token_start,
+                                         self._pattern.finditer(self._text)))
             self._line_starts = [0] + [match.end() for match
                                        in re.finditer("\n", self._text)]
             self._locations = [None] * len(self._values)
@@ -202,7 +235,8 @@ _KEYWORDS = frozenset("""
 _OPS = frozenset(r":: .. -> <- /\ \/ >= <= == != ; : , ( ) [ ] = < > + * -"
                  .split())
 
-_MODEL_TOKENS = _token_pattern(r"[ \t\r\n]+|%[^\n]*", r"[A-Za-z_]\w*", _OPS)
+_MODEL_TOKENS = _token_pattern(r"[ \t\r\n]+|%[^\n]*", r"[A-Za-z_]\w*", _OPS,
+                               located=True)
 
 # The precedence spec: each binary operator's level, weakest first.  Prefix
 # ``not`` binds at _NOT, between ``/\`` and the comparisons, unary ``-``
@@ -225,6 +259,8 @@ _NO_CHAIN = {
 
 
 class _Parser(Cursor):
+    located = True
+
     def __init__(self, text: str, file: str):
         super().__init__(_MODEL_TOKENS, text, ParseError, partial(Span, file),
                          _OPS, _KEYWORDS)

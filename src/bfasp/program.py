@@ -330,7 +330,11 @@ class ValidationReport:
         return "ok" if self.ok else "\n".join(self.issues)
 
 
-def _check_clause(clause: Clause, variables, where: str, issues: list):
+def _check_clause(clause: Clause, variables, where: str, issues: list) -> bool:
+    """Append ``clause``'s issues; True when one is not about a bound, that
+    is, when its occurrence structure (``RuleShapes``) is faulty."""
+    before = len(issues)
+    bounds = 0  # issues about a bound
     count = len(variables)
     for lit in clause.lits:
         if not 0 <= lit.var < count:
@@ -357,10 +361,19 @@ def _check_clause(clause: Clause, variables, where: str, issues: list):
                 issues.append(f"{where}: variable '{variables[var].name}' "
                               f"repeats within one atom")
             seen.add(var)
-        if atom.bound in (NEG_INF, POS_INF):
-            issues.append(f"{where}: infinite bound outside a reduct")
-        elif abs(atom.bound) > _INT_LIMIT:
-            issues.append(f"{where}: bound beyond ±2**256")
+        bounds += _check_bound(atom, where, issues)
+    return len(issues) - before > bounds
+
+
+def _check_bound(atom: LinearAtom, where: str, issues: list) -> bool:
+    """Append the issue of ``atom``'s bound, if it has one; True if so."""
+    if atom.bound in (NEG_INF, POS_INF):
+        issues.append(f"{where}: infinite bound outside a reduct")
+    elif abs(atom.bound) > _INT_LIMIT:
+        issues.append(f"{where}: bound beyond ±2**256")
+    else:
+        return False
+    return True
 
 
 def validate_program(program: Program) -> ValidationReport:
@@ -392,23 +405,26 @@ def validate_program(program: Program) -> ValidationReport:
     for i, clause in enumerate(program.constraints):
         _check_clause(clause, program.variables, f"constraint {i}", issues)
 
-    # Index, sort, coefficient and bound checks for every rule; the rest reads
-    # only the rule's shape, so only a faulty shape's rules are all checked.
+    # Every check but the bound checks reads only the rule's shape: a shape
+    # whose first rule passes them has only its rules' bounds checked, and
+    # every rule of a faulty shape is checked in full.
     count = len(program.variables)
     passed = set()  # shape numbers
     for i, (rule, number) in enumerate(zip(program.rules, program.shapes)):
         where = f"rule {i}"
-        _check_clause(rule.clause, program.variables, where, issues)
+        if number in passed:
+            for atom in rule.clause.atoms:
+                _check_bound(atom, where, issues)
+            continue
+        faulty = _check_clause(rule.clause, program.variables, where, issues)
         if rule.clause.is_empty:
             issues.append(f"{where}: empty clause")
             continue
         if not 0 <= rule.head < count:
             issues.append(f"{where}: unknown head variable {rule.head}")
             continue
-        if number in passed:
-            continue
         violation, non_monotone = rule_verdict(rule, program.variables)
-        if violation is None and not non_monotone:
+        if violation is None and not non_monotone and not faulty:
             passed.add(number)
         if violation is not None:
             issues.append(f"{where}: {violation.describe(program.name(rule.head))}")

@@ -333,7 +333,7 @@ def malformed(rand, rule: Rule, variables) -> Rule:
     ints = [i for i, v in enumerate(variables) if v.sort is Sort.INT]
     bools = [i for i, v in enumerate(variables) if v.sort is Sort.BOOL]
     head = rule.head
-    fault = rand.randrange(10)
+    fault = rand.randrange(11)
     if fault == 0:  # unknown variable, in one or both signs
         var = rand.choice((-1, len(variables), len(variables) + 5))
         lits.append(Literal(var, rand.random() < 0.5))
@@ -366,8 +366,15 @@ def malformed(rand, rule: Rule, variables) -> Rule:
         lits += [Literal(var, True), Literal(var, False)]
     elif fault == 8:
         lits, atoms = [], []
-    else:
+    elif fault == 9:
         head = len(variables) + rand.randrange(3)
+    else:  # a bound no source program may hold; the shape stays the same
+        bound = rand.choice((POS_INF, NEG_INF, 2**256 + 1, -2**256 - 7))
+        if atoms:
+            at = rand.randrange(len(atoms))
+            atoms[at] = LinearAtom(atoms[at].terms, bound)
+        else:
+            atoms.append(LinearAtom(((1, rand.choice(ints)),), bound))
     return Rule(Clause(tuple(lits), tuple(atoms)), head)
 
 
@@ -380,7 +387,8 @@ def test_validation_by_shape_equals_a_per_rule_check(rng):
                "repeats within one atom", "head occurs more than once",
                "head does not occur", "head is not a founded variable",
                "non-monotone occurrence", "empty clause",
-               "unknown head variable")
+               "unknown head variable", "infinite bound outside a reduct",
+               "bound beyond ±2**256")
     met = dict.fromkeys(markers, 0)
     valid_rules = 0
     for _ in range(600):
