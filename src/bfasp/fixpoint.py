@@ -541,9 +541,10 @@ def _kernels(form, rule: Rule, boolean_head: bool) -> tuple:
 
 @functools.lru_cache(maxsize=1024)
 def _compiled(source: str):
-    """``source`` compiled; the same layouts recur from program to program,
+    """``source`` compiled: the rule kernels here and the grounder's item
+    functions.  The same layouts and models recur from program to program,
     and compiling takes far longer than running the code once."""
-    return compile(source, "<rule kernels>", "exec")
+    return compile(source, "<generated>", "exec")
 
 
 def satisfied_at(rule: Rule, valuation, variables) -> bool:

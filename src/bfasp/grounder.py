@@ -111,7 +111,7 @@ class _ParamArray:
 
 
 def _cell_name(name, indices) -> str:
-    return f"{name}[{','.join(str(i) for i in indices)}]"
+    return f"{name}[{','.join(map(str, indices))}]"
 
 
 # -- what generated code calls --------------------------------------------------
@@ -136,17 +136,25 @@ def _note(scope, env) -> str:
     return f" ({inner})"
 
 
-def _fault(message: str, span, scope, env) -> GroundingError:
-    return GroundingError(message + _note(scope, env), span)
+# A fault's site is the ``(text, span, scope)`` of the place in the item
+# that reports it, and ``env`` the binding of the scope's generators.
 
 
-def _outside(index, lo, hi, name, span, scope, env) -> GroundingError:
-    return _fault(f"index {index} is outside {lo}..{hi} in '{name}'", span,
-                  scope, env)
+def _fault(site, env, text=None) -> GroundingError:
+    """The error at ``site``, with its text or ``text``, for ``env``."""
+    site_text, span, scope = site
+    return GroundingError((text or site_text) + _note(scope, env), span)
 
 
-def _var_fault(variables, var, message, span, scope, env) -> GroundingError:
-    return _fault(message.format(variables[var].name), span, scope, env)
+def _outside(index, lo, hi, site, env) -> GroundingError:
+    """An index outside an array; the site's text names the array."""
+    return _fault(site, env, f"index {index} is outside {lo}..{hi} in "
+                             f"'{site[0]}'")
+
+
+def _var_fault(variables, var, site, env) -> GroundingError:
+    """The site's text with the name of variable ``var`` put in."""
+    return _fault(site, env, site[0].format(variables[var].name))
 
 
 def _too_many(span) -> GroundingError:
@@ -154,9 +162,9 @@ def _too_many(span) -> GroundingError:
                           f"clauses; rewrite the item", span)
 
 
-def _split(count, span, scope, env) -> GroundingError:
-    return _fault(f"a rule must flatten to a single clause, this one needs "
-                  f"{count}", span, scope, env)
+def _split(count, site, env) -> GroundingError:
+    return _fault(site, env, f"a rule must flatten to a single clause, this "
+                             f"one needs {count}")
 
 
 def _spread(base, values, count) -> list:
@@ -191,13 +199,18 @@ def _collect(parts, terms: dict) -> int:
     return constant
 
 
+def _nonzero(terms: dict) -> tuple:
+    """``(coeff, var)`` pairs of ``terms``, zero coefficients left out."""
+    return tuple([(coeff, var) for var, coeff in terms.items() if coeff != 0])
+
+
 def _terms(pairs) -> tuple:
     """``(coeff, var)`` pairs merged by variable in first-appearance order,
     zero coefficients left out."""
     terms = {}
     for coeff, var in pairs:
         terms[var] = terms.get(var, 0) + coeff
-    return tuple([(coeff, var) for var, coeff in terms.items() if coeff != 0])
+    return _nonzero(terms)
 
 
 def _atom(parts, base: int) -> tuple:
@@ -205,11 +218,10 @@ def _atom(parts, base: int) -> tuple:
     ``parts >= base``."""
     terms = {}
     bound = base - _collect(parts, terms)
-    return tuple([(coeff, var) for var, coeff in terms.items()
-                  if coeff != 0]), bound
+    return _nonzero(terms), bound
 
 
-def _product(left, left_constant, right, right_constant, span, scope, env):
+def _product(left, left_constant, right, right_constant, site, env):
     """``left * right`` as a ``(terms, constant)`` pair, refusing two sides
     that both have terms."""
     terms = {}
@@ -217,7 +229,7 @@ def _product(left, left_constant, right, right_constant, span, scope, env):
     other = {}
     factor = _collect(right, other) + right_constant
     if terms and other:
-        raise _fault("non-linear product", span, scope, env)
+        raise _fault(site, env)
     if other:
         terms, constant, factor = other, factor, constant
     return {v: c * factor for v, c in terms.items()}, constant * factor
@@ -226,8 +238,7 @@ def _product(left, left_constant, right, right_constant, span, scope, env):
 def _objective(parts, constant) -> LinearExpr:
     terms = {}
     constant += _collect(parts, terms)
-    return LinearExpr(tuple((coeff, var) for var, coeff in terms.items()
-                            if coeff != 0), constant)
+    return LinearExpr(_nonzero(terms), constant)
 
 
 def _compared(members) -> list:
@@ -310,10 +321,10 @@ def _rule_fault(rule: Rule, variables):
     return None
 
 
-def _check_rule(rule, variables, span, scope, env) -> None:
+def _check_rule(rule, variables, site, env) -> None:
     fault = _rule_fault(rule, variables)
     if fault is not None:
-        raise _fault(fault, span, scope, env)
+        raise _fault(site, env, fault)
 
 
 # The names generated code reads besides its arguments.
@@ -477,9 +488,12 @@ class _Source:
         """The code of the tuple of the scope's generator values."""
         return f"({self.locals(0, len(self.scope))})"
 
+    def site(self, text: str, span) -> str:
+        """The code of a fault's site, as ``_fault`` reads it."""
+        return self.const((text, span, self.scope))
+
     def fail(self, message: str, span) -> None:
-        self.line(f"raise _fault({self.const(message)}, {self.const(span)}, "
-                  f"{self.const(self.scope)}, {self.env()})")
+        self.line(f"raise _fault({self.site(message, span)}, {self.env()})")
 
     def all_of(self, conds) -> str:
         """The code of every condition in ``conds`` holding."""
@@ -583,11 +597,10 @@ class _Source:
         for table in reversed(self.fn.tables):
             if code in table:
                 return table[code]
-        name, span = self.const(access.name), self.const(access.span)
+        site, env = self.site(access.name, access.span), self.env()
         for d, index in picked:
             self.check(f"not {a}l{d} <= {index} <= {a}h{d}",
-                       f"_outside({index}, {a}l{d}, {a}h{d}, {name}, {span}, "
-                       f"{self.const(self.scope)}, {self.env()})")
+                       f"_outside({index}, {a}l{d}, {a}h{d}, {site}, {env})")
         return self.value(code)
 
     def cond(self, expr) -> str:
@@ -657,8 +670,7 @@ class _Source:
 
     def var_fault(self, var: str, message: str, span) -> None:
         """Raise ``message``, formatted with the name of variable ``var``."""
-        self.line(f"raise _var_fault(V, {var}, {self.const(message)}, "
-                  f"{self.const(span)}, {self.const(self.scope)}, "
+        self.line(f"raise _var_fault(V, {var}, {self.site(message, span)}, "
                   f"{self.env()})")
 
     # -- aggregates -----------------------------------------------------------
@@ -737,39 +749,15 @@ class _Source:
 
     # -- conditions to clauses ------------------------------------------------
 
-    def into(self, expr, neg: bool, sink: str) -> None:
-        """Append the clauses of a condition to the list ``sink``."""
-        if isinstance(expr, Not):
-            return self.into(expr.operand, not neg, sink)
-        if isinstance(expr, BinOp) and expr.op in _CONNECTIVES:
-            first, links = _chain(expr, _CONNECTIVES)
-            if all((link.op == "/\\") != neg for link in links):
-                self.into(first, neg, sink)
-                for link in links:
-                    self.into(link.right, neg, sink)
-                return None
-        if isinstance(expr, Agg) and expr.kind != "sum" and \
-                (expr.kind == "forall") != neg:
-            self.line(f"bud = {self.forall(expr, neg, sink)}")
-            return None
-        result = self.cnf(expr, neg)
-        if not isinstance(result, _Members):
-            self.line(f"{sink}.extend({result})")
-        elif result.alive == "True":
-            self.line(f"{sink}.append({self.clause(result)})")
-        elif result.alive != "False":
-            self.line(f"if {result.alive}: "
-                      f"{sink}.append({self.clause(result)})")
-        return None
-
-    def forall(self, agg: Agg, neg: bool, sink: str) -> str:
-        """The call of a conjunctive aggregate's function, which appends
-        its clauses to ``sink`` and returns the budget used."""
-        def body():
-            self.into(agg.body, neg, "c")
-            return "bud"
-        return self.spill(agg, "LP, LN, bud, c, ", f"LP, LN, bud, {sink}, ",
-                          (), body)
+    def append(self, parts, sink: str) -> None:
+        """Append the clauses of ``cnf``'s ``parts`` to the list ``sink``."""
+        if not isinstance(parts, _Members):
+            self.line(f"{sink}.extend({parts})")
+        elif parts.alive == "True":
+            self.line(f"{sink}.append({self.clause(parts)})")
+        elif parts.alive != "False":
+            self.line(f"if {parts.alive}: "
+                      f"{sink}.append({self.clause(parts)})")
 
     def cnf(self, expr, neg: bool):
         """Flatten a condition: the ``_Members`` of one clause or none, or
@@ -795,11 +783,7 @@ class _Source:
             if expr.kind == "sum":
                 self.fail("sum is not a condition", expr.span)
                 return self.assign("[]")
-            if (expr.kind == "forall") != neg:
-                parts = self.assign("[]")
-                self.line(f"bud = {self.forall(expr, neg, parts)}")
-                return parts
-            return self.exists(expr, neg)
+            return self.aggregate(expr, neg)
         if isinstance(expr, Comparison):
             return self.compare(expr, neg)
         found = self.variable(expr)
@@ -816,15 +800,21 @@ class _Source:
             self.fail("expected a condition", _span_of(expr))
         return self.assign("[]")
 
-    def exists(self, agg: Agg, neg: bool) -> str:
-        """A disjunctive aggregate: it starts false (the empty clause) and
-        each binding's clauses are joined to it."""
+    def aggregate(self, agg: Agg, neg: bool) -> str:
+        """A forall or exists: a conjunction starts true (no clause) and a
+        disjunction false (the empty clause), and each binding's clauses are
+        joined to it."""
         def body():
-            self.disjoin("c", self.listed(self.cnf(agg.body, neg)), "c")
+            parts = self.cnf(agg.body, neg)
+            if conjoin:
+                self.append(parts, "c")
+            else:
+                self.disjoin("c", self.listed(parts), "c")
             return "c, bud"
+        conjoin = (agg.kind == "forall") != neg
         result = self.temp()
         call = self.spill(agg, "LP, LN, bud, ", "LP, LN, bud, ",
-                          ["c = [Clause()]"], body)
+                          ["c = []" if conjoin else "c = [Clause()]"], body)
         self.line(f"{result}, bud = {call}")
         return result
 
@@ -1094,7 +1084,7 @@ class _Source:
         total = self.assign(
             f"_product({self.parts(left)}, {_code(left_constant)}, "
             f"{self.parts(right)}, {_code(right_constant)}, "
-            f"{self.const(span)}, {self.const(self.scope)}, {self.env()})")
+            f"{self.site('non-linear product', span)}, {self.env()})")
         return [(2, 1, total)], 0
 
     def parts(self, parts) -> str:
@@ -1194,9 +1184,13 @@ class _Grounder:
 
     def _values(self, exprs) -> list:
         """The values of parameter expressions outside any aggregate, in
-        order; a literal is read as it is."""
-        if all(type(e) is IntLit for e in exprs):
-            return [e.value for e in exprs]
+        order; literals and names of scalar parameters bound before are read
+        as they are."""
+        values = [e.value if type(e) is IntLit else
+                  self.params.get(e.name) if type(e) is Ident else None
+                  for e in exprs]
+        if all(isinstance(value, int) for value in values):
+            return values
         source = _Source(self, literals=False)
         outer = source.begin("def main(A, K):")
         values = [source.int_(e) for e in exprs]
@@ -1294,7 +1288,7 @@ class _Grounder:
         source = _Source(self, item.span)
         outer = source.begin("def main(A, K, V, LP, LN, out):")
         source.line("bud = 0")
-        source.into(item.expr, False, "out")
+        source.append(source.cnf(item.expr, False), "out")
         source.end(outer)
         source.call(self.variables, *self.literals, out)
 
@@ -1338,8 +1332,8 @@ class _Grounder:
     def _instance(self, source: _Source, node: HeadAnn) -> None:
         """Write the body of the instance loop: the head, then the body's
         one clause, the rule, and its shape number."""
-        span = source.const(source.span)
-        note = f"{span}, {source.const(source.scope)}, {source.env()}"
+        # the rule's faults give their own texts
+        note = f"{source.site('', source.span)}, {source.env()}"
         head = source.variable(node.target)
         if head is None:
             what = "variable" if isinstance(node.target, Ident) else \

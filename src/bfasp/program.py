@@ -189,8 +189,10 @@ class RuleShapes:
 
     def __init__(self, variables):
         # kind and sort by value: an Enum member hashes through a Python
-        # call, which would dominate the keying of a large program
-        self._kinds = {i: (v.kind.value, v.sort.value)
+        # call, which would dominate the keying of a large program; and
+        # ``_value_``, the plain attribute behind ``.value``, is read
+        # without a descriptor call
+        self._kinds = {i: (v.kind._value_, v.sort._value_)
                        for i, v in enumerate(variables)}
         self._numbers: dict[tuple, int] = {}
         self._of: list[int] = []  # per rule added, its shape's number

@@ -2,7 +2,8 @@
 
 The golden ``.bfg`` files under ``tests/golden`` and the error texts below
 were recorded with the grounder that walked each item's syntax tree once per
-binding; the compiled templates must reproduce them exactly.
+binding; the function generated for each item must reproduce them exactly,
+and the shape numbers it hands on must be those of the printed rules.
 """
 
 from dataclasses import fields, is_dataclass, replace
