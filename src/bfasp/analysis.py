@@ -145,10 +145,11 @@ def shape_form(rule: Rule, variables) -> ShapeForm:
 
 def shape_forms(program: Program) -> list[ShapeForm]:
     """Each shape's ``shape_form``, by number, from its first rule."""
-    forms = []
-    for rule, number in zip(program.rules, program.shapes):
-        if number == len(forms):  # shapes are numbered as first met
-            forms.append(shape_form(rule, program.variables))
+    shapes, forms = program.shapes, []
+    first = 0
+    for number in range(max(shapes, default=-1) + 1):
+        first = shapes.index(number, first)  # shapes are numbered as first met
+        forms.append(shape_form(program.rules[first], program.variables))
     return forms
 
 
@@ -158,13 +159,21 @@ def guess_set(program: Program) -> frozenset[int]:
     All standard variables, plus every founded variable with at least one
     substituted occurrence: a non-head rule position where the clause is not
     decreasing in it.  Values of purely decreasing body variables never enter
-    a reduct, so they need no guess.
+    a reduct, so they need no guess.  Which positions are substituted is
+    decided per rule shape (``shape_forms``), so only the rules of a shape
+    with a substituted position are read.
     """
     guessed = {i for i, v in enumerate(program.variables)
                if v.kind is VarKind.STANDARD}
-    forms = shape_forms(program)
+    forms = [form if form.substituted_lits or any(
+        substituted for _, substituted, _ in form.atoms) else None
+        for form in shape_forms(program)]
+    if not any(forms):
+        return frozenset(guessed)
     for rule, number in zip(program.rules, program.shapes):
         form = forms[number]
+        if form is None:
+            continue
         lits = rule.clause.lits
         for i in form.substituted_lits:
             guessed.add(lits[i].var)

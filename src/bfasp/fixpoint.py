@@ -10,12 +10,13 @@ unsatisfiability.
 
 import functools
 import itertools
+import operator
 import time
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .analysis import PositiveCP, least_products, shape_forms
+from .analysis import PositiveCP, shape_forms
 from .errors import WatchdogError
 from .program import (
     NEG_INF,
@@ -179,13 +180,16 @@ class LeafEvaluator:
     indices: the reduct's ``origin_of`` mapping, applied.
 
     The split is analysed once per rule shape, as its
-    ``analysis.shape_form``, and each shape gets two generated kernels, with
-    its layout unrolled and its signs and coefficients written in: a fold,
-    which folds the valuation into every rule of the shape that a run
-    holds, and a requirement, which is ``clause_requirement`` of one folded
-    rule.  Each rule keeps only a plain tuple of its own variables, atom
-    bounds, least products, head domain and fixed fold, read by position
-    (``_instance``).  No function object is made per rule.
+    ``analysis.shape_form``, and each shape gets three generated kernels
+    (``_kernels``), with its layout unrolled and its signs and coefficients
+    written in: a fold, which folds the valuation into every rule of the
+    shape that a run holds; a requirement, which is ``clause_requirement``
+    of one folded rule; and a set-up, run once here over every rule of the
+    shape.  The set-up reads each rule by position and makes its plain
+    tuple of its own variables, atom bounds, least products, head domain
+    and fixed fold (laid out as above ``_KEPT``), its idle flag, and its
+    entries in the watch lists and the lists of rules by head, which are
+    then put in rule order.  No function object is made per rule.
 
     Kept occurrences other than the head are founded and decreasing, so
     their literals are negative and their coefficients negative.  A rule
@@ -212,51 +216,47 @@ class LeafEvaluator:
             info = variables[var]
             budget += 2 if info.sort is Sort.BOOL else info.hi - info.lo + 2
         self._budget = budget
-        # Per rule, its plain tuple (``_instance``), or None for a rule that
-        # no reduct keeps, whatever the valuation: complementary kept
-        # literals, or constant atoms that satisfy it.
-        self._rules = []
-        self._shapes = program.shapes
-        # Per shape, its ``_kernels``; None when no reduct keeps its rules.
-        self._kernels = []
-        # Per rule, its shape's requirement kernel.
-        self._requirement_of = []
+        self._shapes = shapes = program.shapes
+        # Per rule, its plain tuple (laid out as above ``_KEPT``), or None
+        # for a rule that no reduct keeps, whatever the valuation:
+        # complementary kept literals, or constant atoms that satisfy it.
+        self._rules = [None] * len(shapes)
+        # True for a rule that owes nothing while its kept occurrences are
+        # at the bottom, whatever the valuation.
+        self._idle = [False] * len(shapes)
         # var -> (rule index, atom index or None for a literal) for every
         # kept non-head occurrence, in rule order.
         self._watchers = [[] for _ in variables]
         self._by_head = [[] for _ in variables]
-        # True for a rule that owes nothing while its kept occurrences are
-        # at the bottom, whatever the valuation.
-        self._idle = []
-        rules, watchers, by_head, idle = (self._rules, self._watchers,
-                                          self._by_head, self._idle)
-        kernels, requirement_of = self._kernels, self._requirement_of
-        template = self._template
+        # Per shape, its ``_kernels``; None when no reduct keeps its rules.
+        self._kernels = []
         forms = shape_forms(program)
-        for index, (rule, number) in enumerate(zip(program.rules,
-                                                   self._shapes)):
-            form = forms[number]
-            if number == len(kernels):  # shapes are numbered as first met
-                kernels.append(None if form.complementary else _kernels(
-                    form, rule, variables[rule.head].sort is Sort.BOOL))
-            kernel = kernels[number]
-            compiled = kernel and _instance(form, rule, variables, kernel[0])
-            rules.append(compiled)
-            if compiled is None:
-                requirement_of.append(None)
-                idle.append(False)
-                continue
-            _, requirement, slots = kernel
-            requirement_of.append(requirement)
-            by_head[rule.head].append(index)
-            for var, slot in zip(compiled[_KEPT:_KEPT + len(slots)], slots):
-                watchers[var].append((index, slot))
-            fixed = compiled[3]
-            idle.append(fixed is not None and requirement(
-                compiled, fixed, template) is None)
+        members = [[] for _ in forms]  # per shape, its rules
+        for index, number in enumerate(shapes):
+            members[number].append(index)
+        kept = []  # per shape, the rules that some reduct keeps
+        for form, indices in zip(forms, members):
+            first = program.rules[indices[0]]
+            kernel = None if form.complementary else _kernels(
+                form, first, variables[first.head].sort is Sort.BOOL)
+            self._kernels.append(kernel)
+            if kernel is not None:
+                kept.append(kernel[3](indices, program.rules, variables,
+                                      self._template, self._rules, self._idle,
+                                      self._watchers, self._by_head))
+        if sum(1 for rules in kept if rules) > 1:
+            # each shape appended its rules in order, one shape after
+            # another: put every list back in rule order
+            for entries in self._by_head:
+                entries.sort()
+            for entries in self._watchers:
+                entries.sort(key=_rule_index)
+        # Per rule, its shape's requirement kernel.
+        requirements = [kernel and kernel[1] for kernel in self._kernels]
+        self._requirement_of = [requirements[number] for number in shapes]
         # the cone of every founded variable: each rule some reduct keeps
-        self._whole = self._cone(self._founded, [
-            i for i, rule in enumerate(rules) if rule is not None])
+        self._whole = self._cone(self._founded, sorted(
+            itertools.chain.from_iterable(kept)))
 
     def minimal_model(self, valuation, *, on_update=None,
                       deadline=None) -> FixpointResult:
@@ -393,7 +393,8 @@ class LeafEvaluator:
         return bounds, None
 
 
-# A rule's plain tuple, read by its shape's kernels at fixed positions:
+# A rule's plain tuple, made by its shape's set-up kernel and read by its
+# fold and requirement kernels at fixed positions:
 #   0 head, 1 and 2 the head's lo and hi (None for a Boolean head),
 #   3 the fixed fold, or None when an atom has a substituted term;
 #   from 4, the kept non-head variables: the literals', then each atom's
@@ -402,43 +403,15 @@ class LeafEvaluator:
 #   bound, then each substituted term's variable and least coeff * value.
 _KEPT = 4
 
-
-def _instance(form, rule: Rule, variables, fold) -> tuple | None:
-    """``rule``'s plain tuple, laid out as above from its shape's form;
-    None when a constant atom satisfies it, so that no reduct keeps it.
-    ``fold`` is the shape's fold kernel, which gives the fixed fold."""
-    lits, atoms = rule.clause.lits, rule.clause.atoms
-    info = variables[rule.head]
-    row = [rule.head, info.lo, info.hi, None]
-    row += [lits[i].var for i in form.kept_lits]
-    for (kept, _, _), atom in zip(form.atoms, atoms):
-        if kept:
-            terms = atom.terms
-            row += [terms[i][1] for i in kept]
-    row += [lits[i].var for i in form.substituted_lits]
-    fixed = True  # no atom has a substituted term
-    for (_, substituted, _), atom in zip(form.atoms, atoms):
-        row.append(atom.bound)
-        if substituted:
-            fixed = False
-            terms = [atom.terms[i] for i in substituted]
-            for (_, var), least in zip(terms,
-                                       least_products(terms, variables)):
-                row += (var, least)
-    if fixed:
-        out = [None]  # the fold of ``row`` alone, as rule 0 of a batch
-        fold((0,), (row,), {}, out)
-        row[3] = out[0]
-        if row[3] is None:
-            return None  # a constant member satisfies it
-    return tuple(row)
+_rule_index = operator.itemgetter(0)
 
 
 def _kernels(form, rule: Rule, boolean_head: bool) -> tuple:
-    """The fold and requirement kernels of ``rule``'s shape, generated for
-    the shape's layout from its ``form``, with the signs and coefficients
-    that every rule of the shape shares written in; and the watch slot of
-    each kept variable (an atom index, or None for a literal).
+    """The fold, requirement and set-up kernels of ``rule``'s shape,
+    generated for the shape's layout from its ``form``, with the signs and
+    coefficients that every rule of the shape shares written in; and the
+    watch slot of each kept variable (an atom index, or None for a
+    literal).  Returns ``(fold, requirement, slots, setup)``.
 
     ``fold(indices, rules, valuation, folds)`` sets ``folds[i]``, for each
     listed rule of the shape, to the folded bound of each of its atoms; it
@@ -451,13 +424,22 @@ def _kernels(form, rule: Rule, boolean_head: bool) -> tuple:
     every bound, so it never raises its head.  A ``nan`` bound, from
     infinities of both signs, holds for no sum, so such a member counts as
     falsified.  When the shape's atoms have no substituted term, the fold
-    is the rule's fixed fold, made once by ``_instance``.
+    is the rule's fixed fold, made once by ``setup``.
 
     ``requirement(r, fold, bounds)`` is ``clause_requirement`` of the folded
     rule, or None when it owes nothing.  An integer requirement is returned
     unclamped; POS_INF means that no head value satisfies the rule.  A kept
     non-head term at -inf has a negative coefficient, so its sum is +inf
     and satisfies its atom.
+
+    ``setup(indices, rules, variables, template, tuples, idle, watchers,
+    by_head)`` reads each listed ``Rule`` of the shape by position and sets
+    its plain tuple, and for a fixed fold its idle flag: whether
+    ``requirement`` of that fold owes nothing at the ``template`` bounds,
+    where every kept variable is at its bottom.  It appends the rule to
+    its head's ``by_head`` list and to the watch list of each of its kept
+    variables.  It returns the listed rules it keeps: not those a constant
+    atom satisfies, whose tuple stays None.
     """
     lits, atoms = rule.clause.lits, rule.clause.atoms
     place = itertools.count(_KEPT)
@@ -535,8 +517,75 @@ def _kernels(form, rule: Rule, boolean_head: bool) -> tuple:
             # as in clause_requirement
             "    return None if residual == -inf else inf"]
     namespace = {"inf": POS_INF}
-    exec(_compiled("\n".join(fold + requirement)), namespace)
-    return namespace["fold"], namespace["requirement"], tuple(slots)
+    setup = _setup(form, rule, slots)
+    exec(_compiled("\n".join(fold + requirement + setup)), namespace)
+    return (namespace["fold"], namespace["requirement"], tuple(slots),
+            namespace["setup"])
+
+
+def _setup(form, rule: Rule, slots) -> list:
+    """The source lines of ``_kernels``' set-up kernel."""
+    lits, atoms = rule.clause.lits, rule.clause.atoms
+    fixed = not any(substituted for _, substituted, _ in form.atoms)
+    # each member the tuple holds, read by position
+    body = ["rule = rules[i]", "h = rule.head"]
+    read = set(form.kept_lits) | set(form.substituted_lits)
+    if read:
+        body.append("".join(f"l{i}, " if i in read else "_, "
+                            for i in range(len(lits))) + "= rule.clause.lits")
+        body += [f"u{i} = l{i}.var" for i in sorted(read)]
+    if atoms:
+        body.append("".join(f"a{j}, " for j in range(len(atoms)))
+                    + "= rule.clause.atoms")
+    for j, ((kept, substituted, _), atom) in enumerate(zip(form.atoms,
+                                                          atoms)):
+        if kept or substituted:
+            body.append("".join(
+                f"(_, v{j}_{k}), " if k in kept or k in substituted else "_, "
+                for k in range(len(atom.terms))) + f"= a{j}.terms")
+        body.append(f"b{j} = a{j}.bound")
+
+    # the fixed fold, as the fold kernel would make it from no valuation
+    folded = []
+    dropping = False  # a constant atom may satisfy a rule
+    for j, (kept, _, head_coeff) in enumerate(form.atoms if fixed else ()):
+        if not kept and head_coeff is None:
+            body.append(f"if b{j} <= 0: continue")  # the tuple stays None
+            folded.append("None")
+            dropping = True
+        elif head_coeff is None:
+            folded.append(f"None if b{j} == inf else b{j}")
+        else:
+            folded.append(f"b{j}")
+    watched = [f"u{i}" for i in form.kept_lits]
+    for j, (kept, _, _) in enumerate(form.atoms):
+        watched += [f"v{j}_{k}" for k in kept]
+    row = ["h", "info.lo", "info.hi", "fixed" if fixed else "None",
+           *watched, *[f"u{i}" for i in form.substituted_lits]]
+    for j, ((_, substituted, _), atom) in enumerate(zip(form.atoms, atoms)):
+        row.append(f"b{j}")
+        for k in substituted:  # its least coeff * value, as least_products
+            coeff = atom.terms[k][0]
+            row += [f"v{j}_{k}", f"{coeff} * variables[v{j}_{k}].least_value()"
+                    if coeff > 0 else f"{coeff} * variables[v{j}_{k}].hi"]
+    if fixed:
+        body.append(f"fixed = ({''.join(f + ', ' for f in folded)})")
+    body += ["info = variables[h]",
+             f"tuples[i] = r = ({''.join(f + ', ' for f in row)})",
+             "by_head[h].append(i)"]
+    body += [f"watchers[{var}].append((i, {slot}))"
+             for var, slot in zip(watched, slots)]
+    if fixed:
+        body.append("idle[i] = requirement(r, fixed, template) is None")
+
+    lines = ["def setup(indices, rules, variables, template, tuples, idle, "
+             "watchers, by_head):"]
+    if dropping:
+        lines.append("    kept = []")
+        body.append("kept.append(i)")
+    lines.append("    for i in indices:")
+    lines += ["        " + line for line in body]
+    return lines + ["    return kept" if dropping else "    return indices"]
 
 
 @functools.lru_cache(maxsize=1024)

@@ -620,23 +620,24 @@ class _Source:
                     # the chain is decided unless its value is this link's
                     # identity: true for /\, false for \/
                     self.guarded(value if link.op == "/\\" else f"not {value}",
-                                 value, link.right, False)
+                                 value, link.right)
                 return value
             if expr.op == "->":
                 value = self.assign(f"not {self.cond(expr.left)}")
-                self.guarded(f"not {value}", value, expr.right, False)
+                self.guarded(f"not {value}", value, expr.right)
                 return value
             if expr.op == "<-":
-                # the right side first, and the left's negation when it fails
-                value = self.assign(self.cond(expr.right))
-                self.guarded(f"not {value}", value, expr.left, True)
+                # a <- b is a \/ not b: the right side first, and the left
+                # when the right holds
+                value = self.assign(f"not {self.cond(expr.right)}")
+                self.guarded(f"not {value}", value, expr.left)
                 return value
         self.fail("expected a parameter condition", _span_of(expr))
         return "False"
 
-    def guarded(self, when: str, value: str, expr, negate: bool) -> None:
-        """Set ``value`` to the truth of ``expr`` (negated when ``negate``),
-        evaluated only ``when`` holds."""
+    def guarded(self, when: str, value: str, expr) -> None:
+        """Set ``value`` to the truth of ``expr``, evaluated only ``when``
+        holds."""
         outer = self.guard
         # made outside the outer guard, which it tests first, so that it is
         # always set
@@ -644,8 +645,7 @@ class _Source:
         self.guard = self.assign(f"{outer} and ({when})" if outer else when)
         self.fn.tables.append({})
         result = self.cond(expr)
-        self.line(f"{value} = not {result}" if negate else
-                  f"{value} = {result}")
+        self.line(f"{value} = {result}")
         self.fn.tables.pop()
         self.guard = outer
 

@@ -22,17 +22,20 @@ from bfasp import (
     build_reduct,
     clause_requirement,
     eval_clause,
+    ground,
     guess_set,
     minimal_model,
     monotonicity,
+    parse_data,
+    parse_model,
     satisfied_at,
     validate_positive_cp,
     validate_program,
     validate_rule,
 )
-from bfasp.fixpoint import LeafEvaluator
+from bfasp.fixpoint import LeafEvaluator, _compiled
 
-from conftest import THETA_PRIME, build_example_one, valuation_of
+from conftest import MODELS, THETA_PRIME, build_example_one, valuation_of
 from oracles import (
     least_solution,
     random_mixed_program,
@@ -501,6 +504,23 @@ def test_shape_compiled_state_equals_a_per_rule_compile(rng):
     assert self_loops > 500 and complementary > 200
     assert dropped > 200 and kept_apart > 30 and domains_apart > 100
     assert guessed > 300
+
+
+def test_a_second_data_file_sets_up_with_the_compiled_kernels():
+    """A shape's set-up, fold and requirement kernels hold its layout
+    alone, never a rule's variables or bounds: a Search over a second data
+    file of one model compiles nothing new."""
+    def search(data: str):
+        model = parse_model((MODELS / "mcds_core.bfz").read_text())
+        program = ground(model, parse_data((MODELS / data).read_text()),
+                         founded_default=(-200, 0))
+        before = _compiled.cache_info()
+        Search(program)
+        after = _compiled.cache_info()
+        return after.misses - before.misses, after.hits - before.hits
+    search("path4.bfd")
+    misses, hits = search("cycle8.bfd")
+    assert misses == 0 and hits > 0
 
 
 def with_infinite_bounds(rand, program: Program) -> Program:

@@ -317,6 +317,13 @@ def test_where_guards_filter_instances():
     assert len(program.constraints) == 3
 
 
+def test_reverse_implication_in_a_guard_reads_as_in_a_body():
+    # i = 1 <- i = 2 is i = 1 \/ not i = 2: it keeps i = 1 and i = 3
+    program = g("var 0..9: n;\nconstraint forall "
+                "(i in 1..3 where i = 1 <- i = 2) (n >= i);\n")
+    assert [c.atoms[0].bound for c in program.constraints] == [1, 3]
+
+
 def test_nested_guard_connectives_evaluate_only_what_decides_them():
     # w[i] for i = 4, and w[i + 1] for i = 3, are outside w; each sits in
     # a chain that an earlier operand decides for that binding
