@@ -465,29 +465,28 @@ def _kernels(form, rule: Rule, boolean_head: bool) -> tuple:
     for at, positive in substituted_lits:  # unassigned counts as false
         fold.append(f"        if get(r[{at}]) == {positive}: continue")
     if not any(terms for _, terms in substituted_terms):
-        fold += ["        fixed = r[3]",
-                 "        if fixed is not None:",
-                 "            folds[i] = fixed",
-                 "            continue"]
-    folded = []
-    for j, ((kept, _, head_coeff), (bound, terms)) in enumerate(
-            zip(form.atoms, substituted_terms)):
-        # Substituted occurrences are standard (finite) or increasing, so
-        # a bottom value among them makes the folded bound POS_INF.
-        total = " + ".join(
-            f"({coeff} * valuation[v] if (v := r[{at}]) in valuation "
-            f"else r[{least}])" for coeff, at, least in terms)
-        fold.append(f"        f{j} = r[{bound}]" + (f" - ({total})" if total
-                                                     else ""))
-        if not kept and head_coeff is None:
-            fold.append(f"        if f{j} <= 0: continue")
-            folded.append("None")
-        elif head_coeff is None:
-            folded.append(f"None if f{j} == inf else f{j}")
-        else:
-            folded.append(f"f{j}")
-    folded = "".join(slot + ", " for slot in folded)
-    fold.append(f"        folds[i] = ({folded})")
+        # every rule held here has the fixed fold that ``setup`` made
+        fold.append("        folds[i] = r[3]")
+    else:
+        folded = []
+        for j, ((kept, _, head_coeff), (bound, terms)) in enumerate(
+                zip(form.atoms, substituted_terms)):
+            # Substituted occurrences are standard (finite) or increasing,
+            # so a bottom value among them makes the folded bound POS_INF.
+            total = " + ".join(
+                f"({coeff} * valuation[v] if (v := r[{at}]) in valuation "
+                f"else r[{least}])" for coeff, at, least in terms)
+            fold.append(f"        f{j} = r[{bound}]"
+                        + (f" - ({total})" if total else ""))
+            if not kept and head_coeff is None:
+                fold.append(f"        if f{j} <= 0: continue")
+                folded.append("None")
+            elif head_coeff is None:
+                folded.append(f"None if f{j} == inf else f{j}")
+            else:
+                folded.append(f"f{j}")
+        folded = "".join(slot + ", " for slot in folded)
+        fold.append(f"        folds[i] = ({folded})")
 
     requirement = ["def requirement(r, fold, bounds):"]
     for at, positive in kept_lits:
