@@ -8,7 +8,6 @@ exists.  A requirement above a variable's domain ceiling witnesses
 unsatisfiability.
 """
 
-import functools
 import itertools
 import operator
 import time
@@ -17,6 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .analysis import PositiveCP, shape_forms
+from .codegen import Writer, define
 from .errors import WatchdogError
 from .program import (
     NEG_INF,
@@ -180,16 +180,17 @@ class LeafEvaluator:
     indices: the reduct's ``origin_of`` mapping, applied.
 
     The split is analysed once per rule shape, as its
-    ``analysis.shape_form``, and each shape gets three generated kernels
-    (``_kernels``), with its layout unrolled and its signs and coefficients
-    written in: a fold, which folds the valuation into every rule of the
-    shape that a run holds; a requirement, which is ``clause_requirement``
-    of one folded rule; and a set-up, run once here over every rule of the
-    shape.  The set-up reads each rule by position and makes its plain
-    tuple of its own variables, atom bounds, least products, head domain
-    and fixed fold (laid out as above ``_KEPT``), its idle flag, and its
-    entries in the watch lists and the lists of rules by head, which are
-    then put in rule order.  No function object is made per rule.
+    ``analysis.shape_form``, and each shape gets three kernels, generated
+    through ``codegen`` (``_kernels``), with its layout unrolled and its
+    signs and coefficients written in: a fold, which folds the valuation
+    into every rule of the shape that a run holds; a requirement, which is
+    ``clause_requirement`` of one folded rule; and a set-up, run once here
+    over every rule of the shape.  The set-up reads each rule by position
+    and makes its plain tuple of its own variables, atom bounds, least
+    products, head domain and fixed fold (laid out as above ``_KEPT``), its
+    idle flag, and its entries in the watch lists and the lists of rules by
+    head, which are then put in rule order.  No function object is made
+    per rule.
 
     Kept occurrences other than the head are founded and decreasing, so
     their literals are negative and their coefficients negative.  A rule
@@ -411,7 +412,8 @@ def _kernels(form, rule: Rule, boolean_head: bool) -> tuple:
     generated for the shape's layout from its ``form``, with the signs and
     coefficients that every rule of the shape shares written in; and the
     watch slot of each kept variable (an atom index, or None for a
-    literal).  Returns ``(fold, requirement, slots, setup)``.
+    literal).  Returns ``(fold, requirement, slots, setup)``, written as one
+    source and defined through ``codegen``.
 
     ``fold(indices, rules, valuation, folds)`` sets ``folds[i]``, for each
     listed rule of the shape, to the folded bound of each of its atoms; it
@@ -458,15 +460,17 @@ def _kernels(form, rule: Rule, boolean_head: bool) -> tuple:
             (atom.terms[i][0], next(place), next(place))
             for i in substituted]))
 
-    fold = ["def fold(indices, rules, valuation, folds):"]
+    code = Writer()
+    code.open("def fold(indices, rules, valuation, folds):")
     if substituted_lits:
-        fold.append("    get = valuation.get")
-    fold += ["    for i in indices:", "        r = rules[i]"]
+        code.line("get = valuation.get")
+    code.open("for i in indices:")
+    code.line("r = rules[i]")
     for at, positive in substituted_lits:  # unassigned counts as false
-        fold.append(f"        if get(r[{at}]) == {positive}: continue")
+        code.line(f"if get(r[{at}]) == {positive}: continue")
     if not any(terms for _, terms in substituted_terms):
         # every rule held here has the fixed fold that ``setup`` made
-        fold.append("        folds[i] = r[3]")
+        code.line("folds[i] = r[3]")
     else:
         folded = []
         for j, ((kept, _, head_coeff), (bound, terms)) in enumerate(
@@ -476,22 +480,22 @@ def _kernels(form, rule: Rule, boolean_head: bool) -> tuple:
             total = " + ".join(
                 f"({coeff} * valuation[v] if (v := r[{at}]) in valuation "
                 f"else r[{least}])" for coeff, at, least in terms)
-            fold.append(f"        f{j} = r[{bound}]"
-                        + (f" - ({total})" if total else ""))
+            code.line(f"f{j} = r[{bound}]"
+                      + (f" - ({total})" if total else ""))
             if not kept and head_coeff is None:
-                fold.append(f"        if f{j} <= 0: continue")
+                code.line(f"if f{j} <= 0: continue")
                 folded.append("None")
             elif head_coeff is None:
                 folded.append(f"None if f{j} == inf else f{j}")
             else:
                 folded.append(f"f{j}")
-        folded = "".join(slot + ", " for slot in folded)
-        fold.append(f"        folds[i] = ({folded})")
+        code.line(f"folds[i] = ({''.join(slot + ', ' for slot in folded)})")
+    code.close()
+    code.close()
 
-    requirement = ["def requirement(r, fold, bounds):"]
+    code.open("def requirement(r, fold, bounds):")
     for at, positive in kept_lits:
-        requirement.append(f"    if bounds[r[{at}]] == {positive}: "
-                           "return None")
+        code.line(f"if bounds[r[{at}]] == {positive}: return None")
     head_atom = None
     for j, ((kept, _, head_coeff), terms) in enumerate(zip(form.atoms,
                                                           kept_terms)):
@@ -500,58 +504,66 @@ def _kernels(form, rule: Rule, boolean_head: bool) -> tuple:
         if head_coeff is not None:
             head_atom = j, head_coeff, total
         elif kept:
-            requirement.append(f"    if (b := fold[{j}]) is not None and "
-                               f"{total} >= b: return None")
+            code.line(f"if (b := fold[{j}]) is not None and {total} >= b: "
+                      "return None")
     if boolean_head:
-        requirement.append("    return True")
+        code.line("return True")
     elif head_atom is None:
-        requirement.append("    return inf")
+        code.line("return inf")
     else:
         j, head_coeff, total = head_atom
-        requirement += [
-            f"    residual = fold[{j}]" + (f" - ({total})" if total else ""),
-            "    if isinstance(residual, int):",
-            "        return residual" if head_coeff == 1 else
-            f"        return -(-residual // {head_coeff})",  # the ceiling
-            # as in clause_requirement
-            "    return None if residual == -inf else inf"]
-    namespace = {"inf": POS_INF}
-    setup = _setup(form, rule, slots)
-    exec(_compiled("\n".join(fold + requirement + setup)), namespace)
+        code.line(f"residual = fold[{j}]" + (f" - ({total})" if total else ""))
+        code.open("if isinstance(residual, int):")
+        code.line("return residual" if head_coeff == 1 else
+                  f"return -(-residual // {head_coeff})")  # the ceiling
+        code.close()
+        # as in clause_requirement
+        code.line("return None if residual == -inf else inf")
+    code.close()
+    _setup(code, form, rule, slots)
+    namespace = define(code.text(), {"inf": POS_INF})
     return (namespace["fold"], namespace["requirement"], tuple(slots),
             namespace["setup"])
 
 
-def _setup(form, rule: Rule, slots) -> list:
-    """The source lines of ``_kernels``' set-up kernel."""
+def _setup(code: Writer, form, rule: Rule, slots) -> None:
+    """Write ``_kernels``' set-up kernel."""
     lits, atoms = rule.clause.lits, rule.clause.atoms
     fixed = not any(substituted for _, substituted, _ in form.atoms)
+    # a constant atom may satisfy a rule, which then stays out of ``kept``
+    dropping = fixed and any(not kept and head_coeff is None
+                             for kept, _, head_coeff in form.atoms)
+    code.open("def setup(indices, rules, variables, template, tuples, idle, "
+              "watchers, by_head):")
+    if dropping:
+        code.line("kept = []")
+    code.open("for i in indices:")
     # each member the tuple holds, read by position
-    body = ["rule = rules[i]", "h = rule.head"]
+    code.line("rule = rules[i]")
+    code.line("h = rule.head")
     read = set(form.kept_lits) | set(form.substituted_lits)
     if read:
-        body.append("".join(f"l{i}, " if i in read else "_, "
-                            for i in range(len(lits))) + "= rule.clause.lits")
-        body += [f"u{i} = l{i}.var" for i in sorted(read)]
+        code.line("".join(f"l{i}, " if i in read else "_, "
+                          for i in range(len(lits))) + "= rule.clause.lits")
+        for i in sorted(read):
+            code.line(f"u{i} = l{i}.var")
     if atoms:
-        body.append("".join(f"a{j}, " for j in range(len(atoms)))
-                    + "= rule.clause.atoms")
+        code.line("".join(f"a{j}, " for j in range(len(atoms)))
+                  + "= rule.clause.atoms")
     for j, ((kept, substituted, _), atom) in enumerate(zip(form.atoms,
                                                           atoms)):
         if kept or substituted:
-            body.append("".join(
+            code.line("".join(
                 f"(_, v{j}_{k}), " if k in kept or k in substituted else "_, "
                 for k in range(len(atom.terms))) + f"= a{j}.terms")
-        body.append(f"b{j} = a{j}.bound")
+        code.line(f"b{j} = a{j}.bound")
 
     # the fixed fold, as the fold kernel would make it from no valuation
     folded = []
-    dropping = False  # a constant atom may satisfy a rule
     for j, (kept, _, head_coeff) in enumerate(form.atoms if fixed else ()):
         if not kept and head_coeff is None:
-            body.append(f"if b{j} <= 0: continue")  # the tuple stays None
+            code.line(f"if b{j} <= 0: continue")  # the tuple stays None
             folded.append("None")
-            dropping = True
         elif head_coeff is None:
             folded.append(f"None if b{j} == inf else b{j}")
         else:
@@ -568,31 +580,19 @@ def _setup(form, rule: Rule, slots) -> list:
             row += [f"v{j}_{k}", f"{coeff} * variables[v{j}_{k}].least_value()"
                     if coeff > 0 else f"{coeff} * variables[v{j}_{k}].hi"]
     if fixed:
-        body.append(f"fixed = ({''.join(f + ', ' for f in folded)})")
-    body += ["info = variables[h]",
-             f"tuples[i] = r = ({''.join(f + ', ' for f in row)})",
-             "by_head[h].append(i)"]
-    body += [f"watchers[{var}].append((i, {slot}))"
-             for var, slot in zip(watched, slots)]
+        code.line(f"fixed = ({''.join(f + ', ' for f in folded)})")
+    code.line("info = variables[h]")
+    code.line(f"tuples[i] = r = ({''.join(f + ', ' for f in row)})")
+    code.line("by_head[h].append(i)")
+    for var, slot in zip(watched, slots):
+        code.line(f"watchers[{var}].append((i, {slot}))")
     if fixed:
-        body.append("idle[i] = requirement(r, fixed, template) is None")
-
-    lines = ["def setup(indices, rules, variables, template, tuples, idle, "
-             "watchers, by_head):"]
+        code.line("idle[i] = requirement(r, fixed, template) is None")
     if dropping:
-        lines.append("    kept = []")
-        body.append("kept.append(i)")
-    lines.append("    for i in indices:")
-    lines += ["        " + line for line in body]
-    return lines + ["    return kept" if dropping else "    return indices"]
-
-
-@functools.lru_cache(maxsize=1024)
-def _compiled(source: str):
-    """``source`` compiled: the rule kernels here and the grounder's item
-    functions.  The same layouts and models recur from program to program,
-    and compiling takes far longer than running the code once."""
-    return compile(source, "<generated>", "exec")
+        code.line("kept.append(i)")
+    code.close()
+    code.line("return kept" if dropping else "return indices")
+    code.close()
 
 
 def satisfied_at(rule: Rule, valuation, variables) -> bool:

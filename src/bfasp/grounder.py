@@ -8,12 +8,10 @@ with the generator bindings that produced them.
 
 Each item (constraint, rule, objective), and each batch of parameter
 expressions in a declaration, is generated as the source of one Python
-function.  The function runs the item's binding loops and ``where`` guards,
-checks and computes every index, and builds the item's clauses.  The source
-holds the model's structure and, in items, its integer literals.  Parameter
-values, parameter arrays, variable ids and array ranges are passed in when
-it is called, as are the error texts and spans, so every instance of a model
-runs the same source, compiled once through ``fixpoint._compiled``.  The
+function, through ``codegen``.  The function runs the item's binding loops
+and ``where`` guards, checks and computes every index, and builds the item's
+clauses.  The source holds the model's structure and, in items, its integer
+literals, so every instance of a model runs the same compiled code.  The
 source is flat: each operation of an expression is one statement on
 temporaries, and an aggregate inside an item is a function of its own, so
 deep models never make deep source.  Generating it still recurses over the
@@ -44,8 +42,8 @@ the ground program.
 import itertools
 
 from .analysis import rule_verdict
+from .codegen import Writer, define
 from .errors import TOO_DEEP, GroundingError
-from .fixpoint import _compiled
 from .model_ast import (
     Agg,
     ArrayAccess,
@@ -207,10 +205,7 @@ def _nonzero(terms: dict) -> tuple:
 def _terms(pairs) -> tuple:
     """``(coeff, var)`` pairs merged by variable in first-appearance order,
     zero coefficients left out."""
-    terms = {}
-    for coeff, var in pairs:
-        terms[var] = terms.get(var, 0) + coeff
-    return _nonzero(terms)
+    return _atom([(0, coeff, var) for coeff, var in pairs], 0)[0]
 
 
 def _atom(parts, base: int) -> tuple:
@@ -243,19 +238,10 @@ def _objective(parts, constant) -> LinearExpr:
 
 def _compared(members) -> list:
     """The clauses of a comparison's members, each a tuple of ``(terms,
-    bound)`` atoms: a constant atom that holds drops its member, and one
-    that fails is left out of it."""
-    clauses = []
-    for member in members:
-        atoms = []
-        for terms, bound in member:
-            if terms:
-                atoms.append(LinearAtom(terms, bound))
-            elif 0 >= bound:
-                break
-        else:
-            clauses.append(Clause((), tuple(atoms)))
-    return clauses
+    bound)`` atoms made a clause by ``_clause``; a member with a constant
+    atom that holds makes none."""
+    return [_clause((), member) for member in members
+            if not any(not terms and 0 >= bound for terms, bound in member)]
 
 
 def _clause(lits, atoms) -> Clause:
@@ -275,38 +261,27 @@ def _clause(lits, atoms) -> Clause:
                         for var, positive in held.items()), tuple(kept))
 
 
-def _disjoin(left: Clause, right: Clause):
-    """``left \\/ right``, members in first-appearance order and each once,
-    or None when it holds a literal and its complement."""
-    lits, atoms = left.lits, left.atoms
-    if right.lits:
-        held = {lit.var: lit.positive for lit in lits}
-        extra = []
-        for lit in right.lits:
-            positive = held.get(lit.var)
-            if positive is None:
-                extra.append(lit)
-            elif positive != lit.positive:
-                return None
-        lits += tuple(extra)
-    if right.atoms:
-        # keyed on plain tuples: hashing the LinearAtom dataclass is slower
-        seen = {(atom.terms, atom.bound) for atom in atoms}
-        extra = [atom for atom in right.atoms
-                 if (atom.terms, atom.bound) not in seen]
-        atoms += tuple(extra)
-    return Clause(lits, atoms)
-
-
 def _disjoined(left: list, right: list) -> list:
-    """Each pair of clauses from ``left`` and ``right`` merged, tautologies
-    left out."""
+    """Each pair of clauses from ``left`` and ``right`` merged, members in
+    first-appearance order and each once; a pair that holds a literal and
+    its complement is left out."""
     out = []
     for a in left:
         for b in right:
-            merged = _disjoin(a, b)
-            if merged is not None:
-                out.append(merged)
+            lits, atoms = a.lits, a.atoms
+            if b.lits:
+                held = {lit.var: lit.positive for lit in lits}
+                if any(held.get(lit.var, lit.positive) != lit.positive
+                       for lit in b.lits):
+                    continue  # a literal and its complement
+                lits += tuple([lit for lit in b.lits if lit.var not in held])
+            if b.atoms:
+                # keyed on plain tuples: hashing the LinearAtom dataclass is
+                # slower
+                seen = {(atom.terms, atom.bound) for atom in atoms}
+                atoms += tuple([atom for atom in b.atoms
+                                if (atom.terms, atom.bound) not in seen])
+            out.append(Clause(lits, atoms))
     return out
 
 
@@ -372,17 +347,22 @@ class _Members:
         return len(self.lits) + len(self.atoms)
 
 
-class _Function:
-    """A generated function being written: its lines, the data slots it
+class _Function(Writer):
+    """A generated function being written: its body, the data slots it
     unpacks, and the values computed so far, one table per open loop or
     guarded region."""
 
     def __init__(self, header):
+        super().__init__(indent=1)
         self.header = header
-        self.lines = []
         self.prologue = {}  # slot number -> its unpacking lines
         self.tables = [{}]
-        self.indent = 1
+
+    def text(self) -> str:
+        lines = [self.header]
+        for unpack in self.prologue.values():
+            lines += ["    " + line for line in unpack]
+        return "\n".join(lines + self.lines)
 
 
 def _number(value) -> str:
@@ -395,7 +375,10 @@ def _code(value) -> str:
 
 
 class _Source:
-    """The generated source of one item, and what a call passes in.
+    """The generated source of one item, written and defined through
+    ``codegen``, and what a call passes in.  Its ``main`` is begun here and
+    ended and called by ``call``; an aggregate's function is written while
+    it is open.
 
     Generator values live in locals named by their position in the scope
     (``g0``, ``g1``...), data slots in ``p<n>`` (a scalar parameter or a
@@ -405,7 +388,7 @@ class _Source:
     literals into the source; without it they are passed in ``K`` too.
     """
 
-    def __init__(self, grounder, span=None, literals=True):
+    def __init__(self, grounder, params: str, span=None, literals=True):
         self.grounder = grounder
         self.span = span  # the item's, for the flattening cap
         self.literals = literals
@@ -415,44 +398,31 @@ class _Source:
         self.indices: dict = {}  # a constant's key -> its place in consts
         self.functions: list[str] = []
         self.names = itertools.count()
-        self.fn = None
+        self.fn = _Function(f"def main(A, K{params}):")  # ended by ``call``
         self.scope = ()
         self.guard = None  # the name of a guarded region's condition
 
     # -- writing --------------------------------------------------------------
 
-    def begin(self, header: str):
-        outer = (self.fn, self.guard)
-        self.fn = _Function(header)
-        self.guard = None
-        return outer
-
     def end(self, outer) -> None:
-        fn = self.fn
-        lines = [fn.header]
-        for unpack in fn.prologue.values():
-            lines += unpack
-        self.functions.append("\n".join(lines + fn.lines))
+        self.functions.append(self.fn.text())
         self.fn, self.guard = outer
 
     def line(self, text: str) -> None:
-        prefix = f"if {self.guard}: " if self.guard else ""
-        self.fn.lines.append("    " * self.fn.indent + prefix + text)
+        self.fn.line(f"if {self.guard}: {text}" if self.guard else text)
 
     def check(self, cond: str, error: str) -> None:
         if self.guard:
             cond = f"{self.guard} and ({cond})"
-        self.fn.lines.append(f"{'    ' * self.fn.indent}if {cond}: "
-                             f"raise {error}")
+        self.fn.line(f"if {cond}: raise {error}")
 
     def open(self, header: str) -> None:
         """Open a block; what is computed inside stays inside."""
-        self.line(header)
-        self.fn.indent += 1
+        self.fn.open(header)
         self.fn.tables.append({})
 
     def close(self) -> None:
-        self.fn.indent -= 1
+        self.fn.close()
         self.fn.tables.pop()
 
     def temp(self) -> str:
@@ -506,15 +476,12 @@ class _Source:
             return conds[0]
         return self.value(" and ".join(f"({c})" for c in conds))
 
-    def text(self) -> str:
-        return "\n".join(self.functions) + "\n"
-
     def call(self, *args):
-        """Compile the source and call its ``main`` with the data slots, the
-        constants, and ``args``."""
-        namespace = dict(_RUNTIME)
-        exec(_compiled(self.text()), namespace)
-        return namespace["main"](tuple(self.data), tuple(self.consts), *args)
+        """End ``main`` and call it, defined from the source, with the data
+        slots, the constants, and ``args``."""
+        self.end((None, None))
+        main = define("\n".join(self.functions) + "\n", _RUNTIME)["main"]
+        return main(tuple(self.data), tuple(self.consts), *args)
 
     # -- data -----------------------------------------------------------------
 
@@ -530,16 +497,16 @@ class _Source:
         if not isinstance(value, tuple):
             local = f"p{number}"
             if number not in self.fn.prologue:
-                self.fn.prologue[number] = [f"    {local} = A[{number}]"]
+                self.fn.prologue[number] = [f"{local} = A[{number}]"]
             return local
         local = f"a{number}"
         if number not in self.fn.prologue:
             ranges = ", ".join(f"({local}l{d}, {local}h{d})"
                                for d in range(len(value[1])))
-            unpack = [f"    {local}, ({ranges},) = A[{number}]"]
+            unpack = [f"{local}, ({ranges},) = A[{number}]"]
             if len(value[1]) == 2:
-                unpack += [f"    {local}w = {local}h1 - {local}l1 + 1",
-                           f"    {local}o = {local}l0 * {local}w + {local}l1"]
+                unpack += [f"{local}w = {local}h1 - {local}l1 + 1",
+                           f"{local}o = {local}l0 * {local}w + {local}l1"]
             self.fn.prologue[number] = unpack
         return local
 
@@ -734,7 +701,9 @@ class _Source:
         Returns the call, with ``args`` for ``params``."""
         name = f"f{next(self.names)}"
         gens = self.locals(0, len(self.scope))
-        outer = self.begin(f"def {name}(A, K, V, {params}{gens}):")
+        outer = self.fn, self.guard
+        self.fn = _Function(f"def {name}(A, K, V, {params}{gens}):")
+        self.guard = None
         envs = self.bind(agg)
         for line in start:
             self.line(line)
@@ -954,36 +923,33 @@ class _Source:
 
     def atom(self, parts, base) -> _Atom:
         """The atom ``parts >= base``: its terms merged by variable, zero
-        coefficients left out."""
-        if any(kind == 2 for kind, _, _ in parts):
+        coefficients left out.  Up to ``_TERMS`` terms with fixed nonzero
+        coefficients, on distinct variables, and up to ``_TERMS`` integers
+        are laid out as they are; anything else is merged per binding by
+        ``_atom``."""
+        pairs = [(c, v) for kind, c, v in parts if kind == 0]
+        ints = [(c, v) for kind, c, v in parts if kind == 1]
+        refs = [v for _, v in pairs]
+        if any(kind == 2 for kind, _, _ in parts) or len(pairs) > _TERMS \
+                or len(ints) > _TERMS or len(set(refs)) < len(refs) or not all(
+                    isinstance(c, int) and c != 0 for c, _ in pairs):
             terms, bound = self.temp(), self.temp()
             self.line(f"{terms}, {bound} = _atom({self.parts(parts)}, "
                       f"{_code(base)})")
-            return _Atom(terms, bound, self.value(
-                f"not {terms} and 0 >= {bound}"), "False", None)
-        bound = self.bound(base, [(c, v) for kind, c, v in parts if kind == 1])
-        pairs = [(c, v) for kind, c, v in parts if kind == 0]
-        layout = "".join(f"({_code(c)}, {v}), " for c, v in pairs)
-        if not pairs:
-            return _Atom("()", bound, self.value(f"0 >= {bound}"), "False",
-                         None)
-        if len(pairs) > _TERMS or not all(
-                isinstance(c, int) and c != 0 for c, _ in pairs):
-            terms = self.assign(f"_terms(({layout}))")
-            return _Atom(terms, bound, self.value(
-                f"not {terms} and 0 >= {bound}"), "False", None)
-        refs = [v for _, v in pairs]
-        distinct = "False" if len(set(refs)) < len(refs) else self.all_of(
-            [f"{a} != {b}" for a, b in itertools.combinations(refs, 2)])
-        if distinct == "True":
-            return _Atom(self.assign(f"({layout})"), bound, "False", "True",
-                         pairs)
-        if distinct == "False":
-            terms = self.assign(f"_terms(({layout}))")
-            return _Atom(terms, bound, self.value(
-                f"not {terms} and 0 >= {bound}"), "False", None)
-        terms = self.assign(f"({layout}) if {distinct} else "
-                            f"_terms(({layout}))")
+            distinct, pairs = "False", None
+        else:
+            bound = self.bound(base, ints)
+            if not pairs:
+                return _Atom("()", bound, self.value(f"0 >= {bound}"),
+                             "False", None)
+            layout = "".join(f"({_code(c)}, {v}), " for c, v in pairs)
+            distinct = self.all_of(
+                [f"{a} != {b}" for a, b in itertools.combinations(refs, 2)])
+            if distinct == "True":
+                return _Atom(self.assign(f"({layout})"), bound, "False",
+                             "True", pairs)
+            terms = self.assign(f"({layout}) if {distinct} else "
+                                f"_terms(({layout}))")
         return _Atom(terms, bound, self.value(
             f"not {terms} and 0 >= {bound}"), distinct, pairs)
 
@@ -997,14 +963,8 @@ class _Source:
                 steps.append(f" + {value}")
             else:
                 steps.append(f" - {_code(coeff)} * {value}")
-        if not steps:
-            return _code(base)
-        if len(steps) <= _TERMS:
-            return self.value(_code(base) + "".join(steps))
-        total = self.assign(_code(base))
-        for step in steps:
-            self.line(f"{total} = {total}{step}")
-        return total
+        return self.value(_code(base) + "".join(steps)) if steps else \
+            _code(base)
 
     # -- integer expressions as linear terms ------------------------------------
 
@@ -1191,11 +1151,8 @@ class _Grounder:
                   for e in exprs]
         if all(isinstance(value, int) for value in values):
             return values
-        source = _Source(self, literals=False)
-        outer = source.begin("def main(A, K):")
-        values = [source.int_(e) for e in exprs]
-        source.line(f"return [{', '.join(values)}]")
-        source.end(outer)
+        source = _Source(self, "", literals=False)
+        source.line(f"return [{', '.join(source.int_(e) for e in exprs)}]")
         return source.call()
 
     def _dims(self, decl) -> list:
@@ -1285,20 +1242,16 @@ class _Grounder:
     # -- items ---------------------------------------------------------------
 
     def _constraint(self, item, out: list) -> None:
-        source = _Source(self, item.span)
-        outer = source.begin("def main(A, K, V, LP, LN, out):")
+        source = _Source(self, ", V, LP, LN, out", item.span)
         source.line("bud = 0")
         source.append(source.cnf(item.expr, False), "out")
-        source.end(outer)
         source.call(self.variables, *self.literals, out)
 
     def _rule(self, item, shapes: RuleShapes, rules: list) -> None:
         """Append the instances of a rule item to ``rules``, each numbered
         in ``shapes``; an instance of a shape not seen before is
         checked."""
-        source = _Source(self, item.span)
-        outer = source.begin(
-            "def main(A, K, V, LP, LN, shapes, rules):")
+        source = _Source(self, ", V, LP, LN, shapes, rules", item.span)
         source.line("bud = 0")
         source.line("add, repeat, numbers = shapes.add, shapes.repeat, {}")
         node, levels = item.expr, []
@@ -1326,7 +1279,6 @@ class _Grounder:
         source.loop(envs, scope)
         self._instance(source, node)
         source.close()
-        source.end(outer)
         source.call(self.variables, *self.literals, shapes, rules)
 
     def _instance(self, source: _Source, node: HeadAnn) -> None:
@@ -1343,62 +1295,59 @@ class _Grounder:
             head = ("0", None)
         head, declared = head
         body = source.cnf(node.body, False)
-        if not isinstance(body, _Members):
+        if isinstance(body, _Members):
+            # a trivially true clause never forces its head
+            if body.alive == "False":
+                source.line("continue")
+                return
+            if body.alive != "True":
+                source.line(f"if not {body.alive}: continue")
+            plain, clause = source.plain(body), source.general(body)
+        else:
             source.line(f"if not {body}: continue")
             source.line(f"if len({body}) > 1: "
                         f"raise _split(len({body}), {note})")
-            source.line(f"rule = Rule({body}[0], {head})")
+            plain, clause = None, f"{body}[0]"
+        if plain is not None:
+            # Every member is there, on its own variable, so the rule's
+            # shape is the template's with the head at its place: keyed
+            # once.
+            refs = [var for var, _ in body.lits]
+            refs += [var for atom in body.atoms for _, var in atom.pairs]
+            if head in refs:
+                place = str(refs.index(head))
+            else:
+                bool_head = declared is not None and \
+                    declared.sort is Sort.BOOL
+                same = range(len(body.lits)) if bool_head else \
+                    range(len(body.lits), len(refs))
+                place = "".join(f"{i} if {head} == {refs[i]} else "
+                                for i in same) + str(len(refs))
+            if plain != "True":
+                source.open(f"if {plain}:")
+            source.line(f"rule = Rule({source.laid_out(body)}, {head})")
+            source.line(f"number = numbers.get({place})")
+            source.open("if number is None:")
             source.line(f"if add(rule): _check_rule(rule, V, {note})")
-            source.line("rules.append(rule)")
-            return
-        # a trivially true clause never forces its head
-        if body.alive == "False":
-            source.line("continue")
-            return
-        if body.alive != "True":
-            source.line(f"if not {body.alive}: continue")
-        plain = source.plain(body)
-        if plain is None:
-            source.line(f"rule = Rule({source.general(body)}, {head})")
-            source.line(f"if add(rule): _check_rule(rule, V, {note})")
-            source.line("rules.append(rule)")
-            return
-        # Every member is there, on its own variable, so the rule's shape
-        # is the template's with the head at its place: keyed once.
-        refs = [var for var, _ in body.lits]
-        refs += [var for atom in body.atoms for _, var in atom.pairs]
-        if head in refs:
-            place = str(refs.index(head))
-        else:
-            bool_head = declared is not None and declared.sort is Sort.BOOL
-            same = range(len(body.lits)) if bool_head else \
-                range(len(body.lits), len(refs))
-            place = "".join(f"{i} if {head} == {refs[i]} else "
-                            for i in same) + str(len(refs))
-        if plain != "True":
-            source.open(f"if {plain}:")
-        source.line(f"rule = Rule({source.laid_out(body)}, {head})")
-        source.line(f"number = numbers.get({place})")
-        source.open("if number is None:")
-        source.line(f"if add(rule): _check_rule(rule, V, {note})")
-        source.line(f"numbers[{place}] = shapes.last")
-        source.close()
-        source.line("else: repeat(number)")
-        if plain != "True":
+            source.line(f"numbers[{place}] = shapes.last")
             source.close()
-            source.open("else:")
-            source.line(f"rule = Rule({source.general(body)}, {head})")
+            source.line("else: repeat(number)")
+            if plain != "True":
+                source.close()
+                source.open("else:")
+        if plain != "True":
+            # the rule's shape keyed in full
+            source.line(f"rule = Rule({clause}, {head})")
             source.line(f"if add(rule): _check_rule(rule, V, {note})")
-            source.close()
+            if plain is not None:
+                source.close()
         source.line("rules.append(rule)")
 
     def _objective(self, expr) -> LinearExpr:
-        source = _Source(self)
-        outer = source.begin("def main(A, K, V):")
+        source = _Source(self, ", V")
         parts, constant = source.linear(expr, allow_b2i=True)
         source.line(f"return _objective({source.parts(parts)}, "
                     f"{_code(constant)})")
-        source.end(outer)
         return source.call(self.variables)
 
 

@@ -33,7 +33,8 @@ from bfasp import (
     validate_program,
     validate_rule,
 )
-from bfasp.fixpoint import LeafEvaluator, _compiled
+from bfasp.codegen import _compiled
+from bfasp.fixpoint import LeafEvaluator
 
 from conftest import MODELS, THETA_PRIME, build_example_one, valuation_of
 from oracles import (

@@ -19,7 +19,7 @@ from bfasp import (
     parse_model,
     validate_program,
 )
-from bfasp.fixpoint import _compiled
+from bfasp.codegen import _compiled
 from bfasp.model_ast import Not, Span
 
 from conftest import MODELS, build_example_one, keyed_shapes
@@ -284,6 +284,23 @@ def test_equality_splits_and_disequality_disjoins():
     first, second, third = program.constraints
     assert len(first.atoms) == 1 and len(second.atoms) == 1
     assert len(third.atoms) == 2  # one clause, two members
+
+
+def test_equality_with_constant_sides_drops_the_members_that_hold():
+    # each side of `=` is one member: a constant one that holds drops its
+    # clause, one that fails leaves the empty clause, and p stays
+    program = g("var bool: p; var 0..3: n;\n"
+                "constraint 2 = 2 \\/ p;\n"
+                "constraint 2 = 3 \\/ p;\n"
+                "constraint n - n = 0 \\/ p;\n"
+                "constraint n = 2 \\/ p;\n")
+    assert format_program(program).splitlines() == [
+        "var bool standard p;",
+        "var int 0..3 standard n;",
+        "constraint p;",
+        "constraint p | 1*n >= 2;",
+        "constraint p | -1*n >= -2;",
+    ]
 
 
 def test_static_truths_vanish_and_static_falsehoods_stay():
