@@ -1,12 +1,13 @@
-"""Generated code, for the grounder's items and the leaf evaluator's rule
-shapes: source written with ``Writer`` and made into functions by
-``define``.
+"""Generated code: source written with ``Writer`` and made into functions
+by ``define``.  Its three users are the grounder (one function per model
+item), the leaf evaluator (kernels per rule shape) and the ground-program
+reader (one reader per item skeleton that comes often in a text).
 
 What differs between the uses of one source (parameter values, variable
-ids, rules, bounds, error texts and spans) is passed in when its code is
-called, never written into it, so one model or rule layout always makes the
-same text.  Compiled code is cached by that text, and its file name is
-``<generated>``.
+ids and names, rules, bounds, error texts and spans) is passed in when its
+code is called, never written into it, so one model, rule layout or item
+skeleton always makes the same text.  Compiled code is cached by that
+text, and its file name is ``<generated>``.
 """
 
 import functools

@@ -1,6 +1,7 @@
 """Plain-text exchange format for ground programs and assignments.
 
-One item per line, ``#`` comments, and a deliberately small grammar:
+The writer puts one item on a line; the reader takes any layout, with
+``#`` comments, and a deliberately small grammar:
 
     var int -50..50 founded a;
     var bool standard x;
@@ -11,10 +12,15 @@ One item per line, ``#`` comments, and a deliberately small grammar:
 Clause members are separated by ``|``; an empty clause is written ``false``.
 Assignment files hold ``name = value;`` lines with true/false/int/-inf values.
 
-Both readers are ``Cursor``s of the model parser's scanner; the four text
-formats differ only in their token regex, their operators and their grammar.
-The readers hold token indices and turn one into a line number only when
-they raise a FormatError.  Lines end at ``"\\n"`` in both formats.
+Both formats are split into token values by the model parser's ``scan``.
+A ground program is read by item skeleton (``ground_reader``): an item is
+keyed by its tokens with every name and integer made a placeholder, so
+the key does not depend on the layout, and the items of one key are read
+by one reader.  Only a faulty text is read token by token, by
+``_GroundReader``, for its error.  That reader and the assignment reader
+are ``Cursor``s, which hold token indices and turn one into a line number
+only when they raise a FormatError.  Lines end at ``"\\n"`` in both
+formats.
 """
 
 import re
@@ -136,8 +142,9 @@ def _take_neg_inf(t: Cursor) -> bool:
 
 
 class _GroundReader(Cursor):
-    """Reads a ground program; errors name the line of a token index, made
-    only when one is raised."""
+    """Reads a ground program token by token: the grammar that
+    ``parse_ground_program`` runs on a faulty text, for its error.  Errors
+    name the line of a token index, made only when one is raised."""
 
     def __init__(self, text: str):
         super().__init__(_TOKEN_RE, text, FormatError, _line_only, _OPS)
@@ -305,9 +312,13 @@ def parse_ground_program(text: str) -> Program:
 
     Raises FormatError with a line number on malformed input.  The result is
     structurally well formed but not semantically validated; run
-    validate_program for rule and interval checks.
+    validate_program for rule and interval checks.  Its rule shapes
+    (``Program.shapes``) are numbered as it is read.
     """
-    return _GroundReader(text).run()
+    # loaded at the first read, so that importing bfasp does not load it
+    from .ground_reader import read_ground_program
+
+    return read_ground_program(text)
 
 
 # -- assignments -------------------------------------------------------------

@@ -319,9 +319,10 @@ _RUNTIME = {
 
 class _Atom:
     """An atom of generated code: the temporaries of its terms and bound,
-    the code of its truth when it has no terms (``hold``) and of its terms
-    being exactly ``pairs`` (``distinct``), and ``pairs``, its static
-    ``(coeff, variable)`` layout, or None when it has none."""
+    the code of its truth when it has no terms (``hold``, None where no one
+    reads it) and of its terms being exactly ``pairs`` (``distinct``), and
+    ``pairs``, its static ``(coeff, variable)`` layout, or None when it has
+    none."""
 
     def __init__(self, terms, bound, hold, distinct, pairs):
         self.terms = terms
@@ -909,7 +910,8 @@ class _Source:
                 small, small_constant = sides[not swap]
                 base = self.add(self.add(gap, self.mul(big_constant, -1)),
                                 small_constant)
-                member.append(self.atom(big + self.scaled(small, -1), base))
+                member.append(self.atom(big + self.scaled(small, -1), base,
+                                        len(members) == 1))
             built.append(member)
         if len(built) == 1:
             holds = [atom.hold for atom in built[0]]
@@ -921,12 +923,13 @@ class _Source:
                        for member in built)
         return self.assign(f"_compared(({code}))")
 
-    def atom(self, parts, base) -> _Atom:
+    def atom(self, parts, base, hold: bool) -> _Atom:
         """The atom ``parts >= base``: its terms merged by variable, zero
         coefficients left out.  Up to ``_TERMS`` terms with fixed nonzero
         coefficients, on distinct variables, and up to ``_TERMS`` integers
         are laid out as they are; anything else is merged per binding by
-        ``_atom``."""
+        ``_atom``.  Its ``hold`` is computed only when ``hold`` asks for it,
+        as a one-member comparison does; it is None otherwise."""
         pairs = [(c, v) for kind, c, v in parts if kind == 0]
         ints = [(c, v) for kind, c, v in parts if kind == 1]
         refs = [v for _, v in pairs]
@@ -940,8 +943,8 @@ class _Source:
         else:
             bound = self.bound(base, ints)
             if not pairs:
-                return _Atom("()", bound, self.value(f"0 >= {bound}"),
-                             "False", None)
+                return _Atom("()", bound, self.value(f"0 >= {bound}")
+                             if hold else None, "False", None)
             layout = "".join(f"({_code(c)}, {v}), " for c, v in pairs)
             distinct = self.all_of(
                 [f"{a} != {b}" for a, b in itertools.combinations(refs, 2)])
@@ -951,7 +954,8 @@ class _Source:
             terms = self.assign(f"({layout}) if {distinct} else "
                                 f"_terms(({layout}))")
         return _Atom(terms, bound, self.value(
-            f"not {terms} and 0 >= {bound}"), distinct, pairs)
+            f"not {terms} and 0 >= {bound}") if hold else None, distinct,
+            pairs)
 
     def bound(self, base, ints) -> str:
         """The code of ``base`` less each ``coeff * value`` of ``ints``."""

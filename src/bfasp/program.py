@@ -191,9 +191,10 @@ class RuleShapes:
         # kind and sort by value: an Enum member hashes through a Python
         # call, which would dominate the keying of a large program; and
         # ``_value_``, the plain attribute behind ``.value``, is read
-        # without a descriptor call
-        self._kinds = {i: (v.kind._value_, v.sort._value_)
-                       for i, v in enumerate(variables)}
+        # without a descriptor call.  A reader that declares variables as
+        # it goes adds each one's to ``kinds``, by id.
+        self.kinds = {i: (v.kind._value_, v.sort._value_)
+                      for i, v in enumerate(variables)}
         self._numbers: dict[tuple, int] = {}
         self._of: list[int] = []  # per rule added, its shape's number
 
@@ -210,7 +211,7 @@ class RuleShapes:
             for coeff, var in atom.terms:
                 key.append((coeff, number_of(var, len(ids))))
         key.append(number_of(rule.head, len(ids)))
-        key += map(self._kinds.get, ids)
+        key += map(self.kinds.get, ids)
         numbers = self._numbers
         count = len(numbers)
         number = numbers.setdefault(tuple(key), count)

@@ -513,3 +513,15 @@ def reference_scan(pattern: re.Pattern, text: str):
         if kind == "bad":
             return
     yield "end", "", line, len(text) - line_start + 1
+
+
+# -- reading ground programs ----------------------------------------------------
+
+
+def reference_read_ground(text: str) -> Program:
+    """``text`` read token by token by the ground format's grammar
+    (``ground_format._GroundReader``, which the package runs only to report
+    a fault), its rule shapes left to be keyed rule by rule."""
+    from bfasp.ground_format import _GroundReader
+
+    return _GroundReader(text).run()

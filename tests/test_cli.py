@@ -1,5 +1,6 @@
 """End-to-end command line behavior, run in process."""
 
+import random
 import types
 from pathlib import Path
 
@@ -366,3 +367,60 @@ def test_fixpoint_watchdog_exits_four(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == ("error: fixpoint watchdog: bound raises exceeded "
                             "the lattice budget\n")
+
+
+# -- mutated inputs -------------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+_INSERTED = list("0123456789axz_-+*;:,.|~=<>[](){}#%@\\/ \n\t") + ["٣"]
+
+
+def _mutated(rand, text: str) -> str:
+    """``text`` with one random edit: a character or a span deleted,
+    repeated or inserted, two lines swapped, or the end cut off."""
+    at = rand.randrange(len(text) + 1)
+    span = text[at:at + rand.randint(1, 8)]
+    edit = rand.randrange(5)
+    if edit == 0:
+        return text[:at] + text[at + len(span):]
+    if edit == 1:
+        return text[:at] + span + text[at:]
+    if edit == 2:
+        return text[:at] + rand.choice(_INSERTED) + text[at:]
+    if edit == 3:
+        lines = text.split("\n")
+        i = rand.randrange(len(lines))
+        lines[i - 1], lines[i] = lines[i], lines[i - 1]
+        return "\n".join(lines)
+    return text[:at]
+
+
+def test_mutated_inputs_of_every_format_end_in_an_exit_code(tmp_path,
+                                                             capsys):
+    # every run ends in exit code 0-4, never in another exception
+    core = ["--founded-default=-200..0"]
+    cases = [(path, lambda p: ["ground", p] + (
+                 ["--data", str(MODELS / "path4.bfd")] + core
+                 if p.endswith("core.bfz") else []))
+             for path in sorted(MODELS.glob("*.bfz"))]
+    cases += [(path, lambda p: ["ground", str(MODELS / "mcds_core.bfz"),
+                                "--data", p] + core)
+              for path in sorted(MODELS.glob("*.bfd"))]
+    cases += [(path, lambda p: ["ground", p])
+              for path in sorted(GOLDEN.glob("*.bfg"))]
+    cases += [(path, lambda p: ["check", EX1, "--assign", p])
+              for path in sorted(MODELS.glob("*.bfa"))]
+    assert {path.suffix for path, _ in cases} == {".bfz", ".bfd", ".bfg",
+                                                  ".bfa"}
+    rand = random.Random(0x4D75)
+    codes = set()
+    for path, argv in cases:
+        text = path.read_text()
+        for i in range(1200 // len(cases)):
+            mutant = tmp_path / f"m{i}{path.suffix}"
+            mutant.write_text(_mutated(rand, text))
+            code = run(argv(str(mutant)))
+            assert code in range(5), (path.name, mutant.read_text())
+            codes.add(code)
+    capsys.readouterr()
+    assert {0, 3} <= codes

@@ -19,6 +19,7 @@ from bfasp import (
     parse_model,
     validate_program,
 )
+from bfasp import grounder
 from bfasp.codegen import _compiled
 from bfasp.model_ast import Not, Span
 
@@ -82,6 +83,21 @@ def test_a_second_data_file_compiles_nothing_new():
     assert len(program.rules) == 8 + 16 * 8
     assert after.misses == before.misses
     assert after.hits > before.hits
+
+
+def test_an_atom_level_equality_computes_no_unread_truth(monkeypatch):
+    # an atom's truth without terms is read only by a one-member
+    # comparison; `=` has two members, each made of one atom
+    sources = []
+    define = grounder.define
+    monkeypatch.setattr(grounder, "define", lambda source, names: (
+        sources.append(source), define(source, names))[1])
+    for text in ["var bool: p;\nconstraint 2 = 2 \\/ p;\n",
+                 "var bool: p;\nconstraint 2 >= 2 \\/ p;\n"]:
+        assert g(text).constraints == ()
+    equal, at_least = sources
+    assert "0 >= 0" not in equal
+    assert "    t0 = 0 >= 0\n    t1 = (not t0)\n" in at_least
 
 
 def test_grounding_is_deterministic():
