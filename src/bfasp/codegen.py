@@ -7,7 +7,9 @@ What differs between the uses of one source (parameter values, variable
 ids and names, rules, bounds, error texts and spans) is passed in when its
 code is called, never written into it, so one model, rule layout or item
 skeleton always makes the same text.  Compiled code is cached by that
-text, and its file name is ``<generated>``.
+text, and its file name is ``<generated>``.  The grounder and the reader
+number the shapes of the rules they make with the same block,
+``write_numbering``.
 """
 
 import functools
@@ -47,3 +49,18 @@ class Writer:
 
     def text(self) -> str:
         return "\n".join(self.lines)
+
+
+def write_numbering(writer: Writer, key: str, add: str) -> None:
+    """Write the numbering of the shape of ``rule``, a rule whose shape is
+    fixed by ``key``, an expression, among the rules one generated function
+    makes: the first rule of a key is keyed in full by the line ``add``
+    (a call of ``RuleShapes.add``), and the others repeat its number.  The
+    code reads ``numbers`` (shape numbers by key), ``shapes`` and
+    ``repeat``, its ``RuleShapes.repeat``."""
+    writer.line(f"number = numbers.get({key})")
+    writer.open("if number is None:")
+    writer.line(add)
+    writer.line(f"numbers[{key}] = shapes.last")
+    writer.close()
+    writer.line("else: repeat(number)")

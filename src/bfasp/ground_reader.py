@@ -26,7 +26,7 @@ import functools
 from collections import Counter
 from itertools import groupby, islice
 
-from .codegen import Writer, define
+from .codegen import Writer, define, write_numbering
 from .ground_format import _TOKEN_RE, _GroundReader
 from .parser import _DIGITS, _NAME_START, scan
 from .program import (
@@ -297,7 +297,8 @@ class _Emit(Writer):
     coefficient read is kept in a local, so that a rule's shape is keyed by
     its head's place, its coefficients and its variables' kinds when the
     ids of its literals, and of its terms, are distinct: the skeleton
-    fixes the rest of the shape."""
+    fixes the rest of the shape, so only the first rule of each such key
+    is keyed in full (``codegen.write_numbering``)."""
 
     def __init__(self):
         super().__init__(2)
@@ -370,12 +371,7 @@ class _Emit(Writer):
         if distinct:
             self.open(f"if {distinct}:")
         self.line(f"key = ({key},)")
-        self.line("number = numbers.get(key)")
-        self.open("if number is None:")
-        self.line("add(rule)")
-        self.line("numbers[key] = shapes.last")
-        self.close()
-        self.line("else: repeat(number)")
+        write_numbering(self, "key", "add(rule)")
         if distinct:
             self.close()
             self.line("else: add(rule)")

@@ -42,7 +42,7 @@ the ground program.
 import itertools
 
 from .analysis import rule_verdict
-from .codegen import Writer, define
+from .codegen import Writer, define, write_numbering
 from .errors import TOO_DEEP, GroundingError
 from .model_ast import (
     Agg,
@@ -1330,12 +1330,8 @@ class _Grounder:
             if plain != "True":
                 source.open(f"if {plain}:")
             source.line(f"rule = Rule({source.laid_out(body)}, {head})")
-            source.line(f"number = numbers.get({place})")
-            source.open("if number is None:")
-            source.line(f"if add(rule): _check_rule(rule, V, {note})")
-            source.line(f"numbers[{place}] = shapes.last")
-            source.close()
-            source.line("else: repeat(number)")
+            write_numbering(source, place,
+                            f"if add(rule): _check_rule(rule, V, {note})")
             if plain != "True":
                 source.close()
                 source.open("else:")
