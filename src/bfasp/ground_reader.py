@@ -28,7 +28,7 @@ from itertools import groupby, islice
 
 from .codegen import Writer, define, write_numbering
 from .ground_format import _TOKEN_RE, _GroundReader
-from .parser import _DIGITS, _NAME_START, scan
+from .parser import _DIGITS, _NAME_START, _int_digits, scan
 from .program import (
     NEG_INF,
     POS_INF,
@@ -51,12 +51,18 @@ _KEYWORDS = frozenset("var bool int standard founded constraint rule head "
 
 
 class _KeyTokens(dict):
-    """The key token of each token value, made when first asked for."""
+    """The key token of each token value, made when first asked for.  An
+    integer too long for ``int`` to read keys as itself, which no skeleton
+    admits, so that the token grammar refuses it."""
+
+    def __init__(self):
+        super().__init__()
+        self.digits = _int_digits()
 
     def __missing__(self, value: str) -> str:
         first = value[:1]
         if first in _DIGITS:
-            token = "0"
+            token = value if 0 < self.digits < len(value) else "0"
         elif first in _NAME_START and value not in _KEYWORDS:
             token = ""
         else:

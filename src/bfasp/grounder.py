@@ -1188,28 +1188,36 @@ class _Grounder:
         size = 1
         for lo, hi in ranges:
             size *= max(0, hi - lo + 1)
-        if len(value.elements) != size:
+        # a list of integer literals has its values, without element nodes
+        ints = value.ints
+        given = len(ints if ints is not None else value.elements)
+        if given != size:
             raise GroundingError(
-                f"'{decl.name}' needs {size} element(s), "
-                f"{len(value.elements)} given", value.span)
-        # a literal element is read as it is; only others are generated
-        cells = [e.value if type(e) is IntLit else None
-                 for e in value.elements]
-        if None in cells:
-            computed = iter(self._values([e for e in value.elements
-                                          if type(e) is not IntLit]))
-            cells = [next(computed) if c is None else c for c in cells]
+                f"'{decl.name}' needs {size} element(s), {given} given",
+                value.span)
+        if ints is not None:
+            cells = list(ints)
+        else:
+            # a literal element is read as it is; only others are generated
+            cells = [e.value if type(e) is IntLit else None
+                     for e in value.elements]
+            if None in cells:
+                computed = iter(self._values([e for e in value.elements
+                                              if type(e) is not IntLit]))
+                cells = [next(computed) if c is None else c for c in cells]
         self._elem_check(decl.name, cells, elem_range, value.span)
         self.params[decl.name] = _ParamArray(ranges, cells)
 
     def _elem_check(self, name, values, elem_range, span):
-        if elem_range is not None:
-            lo, hi = elem_range
-            for value in values:
-                if not lo <= value <= hi:
-                    raise GroundingError(
-                        f"value {value} for '{name}' is outside {lo}..{hi}",
-                        span)
+        """Refuse the first of ``values`` outside ``elem_range``."""
+        if elem_range is None or not values:
+            return
+        lo, hi = elem_range
+        if lo <= min(values) and max(values) <= hi:
+            return
+        value = next(value for value in values if not lo <= value <= hi)
+        raise GroundingError(
+            f"value {value} for '{name}' is outside {lo}..{hi}", span)
 
     # -- variables ------------------------------------------------------------
 

@@ -17,6 +17,7 @@ for offsets on the first location asked for.
 """
 
 import re
+import sys
 from bisect import bisect_right
 from functools import partial
 from itertools import accumulate
@@ -103,6 +104,12 @@ def _token_pattern(skip: str, word: str, ops: frozenset,
     return re.compile(f"{skipped}({token})", re.ASCII)
 
 
+def _int_digits() -> int:
+    """The most digits ``int`` reads from a string, or 0 for no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    return limit() if limit else 0
+
+
 class Cursor:
     """Reads the token values of one text; errors are ``error(message,
     location)``.
@@ -110,10 +117,11 @@ class Cursor:
     A token's kind follows from its value: an ASCII digit starts an ``int``,
     an ASCII letter or ``_`` a ``name`` (a ``kw`` when the word is one of
     ``keywords``), a member of ``ops`` is an ``op``, ``""`` is the ``end``,
-    and anything else is ``bad``: the first bad token is refused when the
-    cursor is made.  Tokens are matched by value, so a grammar peeks
-    keywords and operators alike; ``name`` and ``integer`` read the
-    ``name`` and ``int`` kinds.
+    and anything else is ``bad``: the first bad token, or integer with more
+    digits than ``int`` reads from a string, is refused when the cursor is
+    made.  Tokens are matched by value, so a grammar peeks keywords and
+    operators alike; ``name`` and ``integer`` read the ``name`` and ``int``
+    kinds.
 
     A location is made on demand, as ``where(line, column)`` (both counted
     from 1), and each token's is kept once made.  A ``located`` cursor's
@@ -138,11 +146,19 @@ class Cursor:
         self._ops = ops
         self._keywords = keywords
         self._locations = None
-        # one kind per distinct value; the first bad one is found in one pass
-        bad = {value for value in set(values) if self.kind(value) == "bad"}
+        # one kind per distinct value; the first bad one, or the first
+        # integer too long for ``int`` to read, is found in one pass
+        digits = _int_digits()
+        bad = {value for value in set(values)
+               if self.kind(value) == "bad"
+               or digits and len(value) > digits and value[:1] in _DIGITS}
         if bad:
             at = next(at for at, value in enumerate(values) if value in bad)
-            self._raise(f"unexpected character {values[at]!r}", at)
+            value = values[at]
+            if value[:1] in _DIGITS:
+                self._raise(f"integer of {len(value)} digits is too long "
+                            f"(at most {digits})", at)
+            self._raise(f"unexpected character {value!r}", at)
 
     def kind(self, value: str) -> str:
         """The kind of a token value."""
@@ -359,35 +375,41 @@ class _Parser(Cursor):
         return (lo, hi)
 
     def _array_lit(self) -> ArrayLit:
-        """A ``[...]`` list; an integer followed by ``,`` or ``]`` is read
-        straight off the token values, anything else as an expression.
-
-        The integers' spans are made in one forward pass: their offsets
-        only grow, so their line index only moves forward.
-        """
+        """A ``[...]`` list: read in one step by ``_int_list`` when it holds
+        integer literals alone, else element by element, each an
+        expression."""
         span = self.where  # also makes the token offsets and line starts
         self.expect("[")
-        values, offsets = self._values, self._offsets
-        starts = self._line_starts
-        where, line, last = self._where, span.line, len(starts)
+        lit = self._int_list(span)
+        if lit is not None:
+            return lit
         elements = []
         if not self.peek("]"):
-            while True:
-                at = self._at
-                value = values[at]
-                if value[:1] in _DIGITS and values[at + 1] in (",", "]"):
-                    self._at = at + 1
-                    offset = offsets[at]
-                    while line < last and starts[line] <= offset:
-                        line += 1
-                    elements.append(IntLit(int(value), where(
-                        line, offset - starts[line - 1] + 1)))
-                else:
-                    elements.append(self._expr(_ARITH))
-                if not self.take(","):
-                    break
+            elements.append(self._expr(_ARITH))
+            while self.take(","):
+                elements.append(self._expr(_ARITH))
         self.expect("]")
         return ArrayLit(tuple(elements), span)
+
+    def _int_list(self, span: Span):
+        """The list that ``span`` opens, up to its ``]``, when its tokens
+        are ``int , int , ... int ]``, else None; the elements' spans are
+        left to ``ArrayLit.of_ints``."""
+        values, at = self._values, self._at
+        try:
+            close = values.index("]", at)
+        except ValueError:
+            return None
+        # integers at the even places before the first ``]``, commas at the
+        # odd ones; the tokens are ASCII, so only integers join to digits
+        if (close - at) % 2 and \
+                values[at + 1:close:2].count(",") == (close - at) // 2 and \
+                "".join(values[at:close:2]).isdigit():
+            self._at = close + 1
+            return ArrayLit.of_ints(tuple(map(int, values[at:close:2])),
+                                    self._offsets[at:close:2],
+                                    self._line_starts, span)
+        return None
 
     # -- expressions ----------------------------------------------------------
 

@@ -7,8 +7,10 @@ error texts of the same texts are pinned: by value for the edge texts, and
 by a digest of their ``repr`` for the random ones.
 """
 
+import gc
 import hashlib
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from bfasp import (
     FormatError,
     ParseError,
     format_program,
+    ground,
     parse_assignment,
     parse_data,
     parse_ground_program,
@@ -485,3 +488,110 @@ def test_integer_list_spans_equal_the_reference_token_locations():
         (decl,) = [p for p in parse_model(text, "f").params if p.dims]
         assert _element_spans([decl.value.elements]) == \
             _reference_element_spans(text), text
+
+
+# -- integer lists read in bulk ------------------------------------------------------
+
+# lists that are not read in bulk, and refused element by element
+_FAULTY_LISTS = {
+    "a = [1,];": "f:1:8: expected an expression, found ']'",
+    "a = [1 2];": "f:1:8: expected ']', found '2'",
+    "a = [1, 2": "f:1:10: expected ']', found end of input",
+    "a = [,1];": "f:1:6: expected an expression, found ','",
+}
+
+
+def _model_for(assigns) -> str:
+    """A model that declares the data's parameters and grounds one
+    constraint per value, so that its ground program shows every value."""
+    lines = ["int: N = 2;", "var -100000..100000: x;"]
+    for assign in assigns:
+        if isinstance(assign.value, ArrayLit):
+            size = len(assign.value.elements)
+            lines += [f"array[1..{size}] of int: {assign.name};",
+                      f"constraint forall (i in 1..{size}) "
+                      f"(x + i >= {assign.name}[i]);"]
+        else:
+            lines += [f"int: {assign.name};", f"constraint x >= {assign.name};"]
+    return "\n".join(lines) + "\n"
+
+
+def _data_read(text: str) -> tuple:
+    """``parse_data``'s result on ``text`` (None on an error), not yet read,
+    its outcome, and the ground program of the data (None on an error)."""
+    try:
+        data = parse_data(text, "f")
+    except ParseError:
+        return None, _outcome("bfd", text), None
+    again = parse_data(text, "f")
+    program = format_program(ground(parse_model(_model_for(again)), again))
+    return data, _outcome("bfd", text), program
+
+
+def test_lists_read_in_bulk_equal_lists_read_element_by_element(monkeypatch):
+    rand = random.Random(0xB01C)
+    texts = [_list_data_text(rand) for _ in range(40)] + list(_FAULTY_LISTS)
+    bulk = [_data_read(text) for text in texts]
+    # the same texts with every list read element by element
+    monkeypatch.setattr(_Parser, "_int_list", lambda self, span: None)
+    for text, (data, outcome, program) in zip(texts, bulk):
+        want, want_outcome, want_program = _data_read(text)
+        assert (outcome, program) == (want_outcome, want_program), text
+        if data is not None:
+            # hashed first, before a bulk-read list has made its elements
+            assert list(map(hash, data)) == list(map(hash, want)), text
+            assert data == want and repr(data) == repr(want), text
+    for text, error in _FAULTY_LISTS.items():
+        assert _outcome("bfd", text).startswith(f"ParseError: {error} @ ")
+    # every list of integer literals alone was read in bulk
+    lists = [a.value for data, _, _ in bulk for a in data or ()
+             if isinstance(a.value, ArrayLit)]
+    assert sum(lit.ints is not None for lit in lists) >= 10
+    for lit in lists:
+        literal = all(type(e) is IntLit for e in lit.elements)
+        assert (lit.ints is not None) == (literal and bool(lit.elements))
+
+
+def test_an_integer_list_holds_no_element_nodes_until_read():
+    text = "a = [" + ", ".join(str(i * 37 % 1000) for i in range(9000)) + "];"
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        (assign,) = parse_data(text, "f")
+        held = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert held < 100
+    assert assign.value.ints == tuple(i * 37 % 1000 for i in range(9000))
+    assert assign.value.elements[-1] == \
+        IntLit(8999 * 37 % 1000, Span("f", 1, len(text) - 4))
+
+
+# -- integers too long for int -----------------------------------------------------
+
+_TOO_LONG = "1" * 5000
+# the most digits int reads from a string, or 0 for no limit
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not 0 < _INT_DIGITS < len(_TOO_LONG),
+                    reason="int reads 5,000 digits from a string")
+@pytest.mark.parametrize("fmt,text,where", [
+    ("bfz", f"int: N = {_TOO_LONG};", "Span(file='f', line=1, col=10)"),
+    ("bfd", f"N = {_TOO_LONG};", "Span(file='f', line=1, col=5)"),
+    ("bfd", f"a = [1, 2,\n {_TOO_LONG}];", "Span(file='f', line=2, col=2)"),
+    ("bfg", f"var int 0..5 founded n;\nconstraint 1*n >= {_TOO_LONG};", "2"),
+    # after items that a generated skeleton reader reads
+    ("bfg", "var int 0..5 founded n;\n"
+     + "constraint 1*n >= 1;\n" * 40 + f"constraint 1*n >= {_TOO_LONG};",
+     "42"),
+    ("bfa", f"s = 1;\na = {_TOO_LONG};", "2"),
+], ids=["bfz", "bfd", "bfd-list", "bfg", "bfg-generated", "bfa"])
+def test_an_integer_too_long_for_int_is_refused_at_its_location(fmt, text,
+                                                                 where):
+    error = "ParseError: f:" if fmt in ("bfz", "bfd") else "FormatError: "
+    outcome = _outcome(fmt, text)
+    assert outcome.startswith(error), outcome
+    assert outcome.endswith(f"integer of 5000 digits is too long (at most "
+                            f"{_INT_DIGITS}) @ {where}"), outcome
