@@ -165,6 +165,21 @@ def test_check_dumps_the_pinned_reduct_of_a_many_rule_model(name, code,
     assert capsys.readouterr().out == (REDUCTS / f"{name}.reduct").read_text()
 
 
+@pytest.mark.parametrize("name, code", [("mcds_core_path4", 0),
+                                        ("mcds_core_path4_all", 1)])
+def test_check_traces_the_pinned_fixpoint_of_a_many_rule_model(name, code,
+                                                              capsys):
+    """``tests/reducts/<name>.trace`` is the pinned stderr of
+    ``--trace-fixpoint`` for the assignment ``<name>.bfa``: every bound
+    raise, in order, with the reduct clause that made it."""
+    assert run(["check", str(MODELS / "mcds_core.bfz"),
+                "--data", str(MODELS / "path4.bfd"),
+                "--founded-default=-200..0",
+                "--assign", str(REDUCTS / f"{name}.bfa"),
+                "--trace-fixpoint"]) == code
+    assert capsys.readouterr().err == (REDUCTS / f"{name}.trace").read_text()
+
+
 def test_fixpoint_trace_goes_to_stderr(capsys):
     run(["check", EX1, "--assign", str(MODELS / "ex1_unstable.bfa"),
          "--trace-fixpoint"])

@@ -2,6 +2,8 @@
 
 import itertools
 
+import pytest
+
 from bfasp import (
     NEG_INF,
     POS_INF,
@@ -102,6 +104,86 @@ def test_requirement_infinite_bound_is_unmeetable():
     variables = (int_var("h", 0, 9),)
     rule = Rule(Clause(atoms=(LinearAtom(((1, 0),), POS_INF),)), 0)
     assert clause_requirement(rule, {0: NEG_INF}, variables) == POS_INF
+
+
+# Hand-built rules that validation would refuse, as (name, rule, bounds,
+# the requirement's repr) over h, z, w (founded integers), p and g
+# (founded Booleans).  The values are clause_requirement's as it was
+# first written: a rewrite must give them on every input.
+H, Z, W, P, G = range(5)
+REQUIREMENT_TABLE = [
+    ("head in two atoms: the last wins",
+     Rule(Clause(atoms=(LinearAtom(((1, H),), 9),
+                        LinearAtom(((2, H), (-1, Z)), 5))), H),
+     {H: NEG_INF, Z: 1}, "3"),
+    ("head in two atoms, the other order",
+     Rule(Clause(atoms=(LinearAtom(((2, H), (-1, Z)), 5),
+                        LinearAtom(((1, H),), 9))), H),
+     {H: NEG_INF, Z: 1}, "9"),
+    ("int head only as a literal",
+     Rule(Clause(lits=(Literal(H),), atoms=(LinearAtom(((1, Z),), 5),)), H),
+     {H: NEG_INF, Z: 1}, "inf"),
+    ("int head only as a literal, another atom holds",
+     Rule(Clause(lits=(Literal(H),), atoms=(LinearAtom(((1, Z),), 5),)), H),
+     {H: NEG_INF, Z: 5}, "-inf"),
+    ("repeated head term: the last coefficient divides",
+     Rule(Clause(atoms=(LinearAtom(((1, H), (2, H)), 5),)), H),
+     {H: NEG_INF}, "3"),
+    ("repeated head term around a rest term",
+     Rule(Clause(atoms=(LinearAtom(((2, H), (-1, Z), (1, H)), 5),)), H),
+     {H: 4, Z: 2}, "7"),
+    ("+inf sum against a +inf bound does not hold",
+     Rule(Clause(atoms=(LinearAtom(((-1, Z),), POS_INF),
+                        LinearAtom(((1, H),), 2))), H),
+     {H: NEG_INF, Z: NEG_INF}, "2"),
+    ("+inf rest against a +inf bound in the head atom",
+     Rule(Clause(atoms=(LinearAtom(((1, H), (-1, Z)), POS_INF),)), H),
+     {H: NEG_INF, Z: NEG_INF}, "inf"),
+    ("mixed (nan) sum does not hold",
+     Rule(Clause(atoms=(LinearAtom(((1, Z), (-1, W)), 0),
+                        LinearAtom(((1, H),), -3))), H),
+     {H: NEG_INF, Z: NEG_INF, W: NEG_INF}, "-3"),
+    ("mixed (nan) rest in the head atom",
+     Rule(Clause(atoms=(LinearAtom(((1, H), (1, Z), (-1, W)), 0),)), H),
+     {H: NEG_INF, Z: NEG_INF, W: NEG_INF}, "inf"),
+    ("-inf bound in the head atom owes nothing",
+     Rule(Clause(atoms=(LinearAtom(((1, H), (-1, Z)), NEG_INF),)), H),
+     {H: NEG_INF, Z: 3}, "-inf"),
+    ("finite float bound in the head atom",
+     Rule(Clause(atoms=(LinearAtom(((1, H),), 2.5),)), H),
+     {H: NEG_INF}, "inf"),
+    ("negative head coefficient",
+     Rule(Clause(atoms=(LinearAtom(((-2, H),), 5),)), H),
+     {H: NEG_INF}, "-2"),
+    ("Booleans count 0/1 in the rest",
+     Rule(Clause(atoms=(LinearAtom(((1, H), (1, P)), 3),)), H),
+     {H: NEG_INF, P: True}, "2"),
+    ("a true literal carries an int head",
+     Rule(Clause(lits=(Literal(P, False),), atoms=(LinearAtom(((1, H),), 3),)),
+          H),
+     {H: NEG_INF, P: False}, "-inf"),
+    ("Boolean head with atoms, none holding",
+     Rule(Clause(lits=(Literal(G),), atoms=(LinearAtom(((1, Z),), 3),
+                                          LinearAtom(((-1, W),), 0))), G),
+     {G: False, Z: 1, W: 2}, "True"),
+    ("Boolean head with atoms, one holding",
+     Rule(Clause(lits=(Literal(G),), atoms=(LinearAtom(((1, Z),), 3),
+                                          LinearAtom(((-1, W),), 0))), G),
+     {G: False, Z: 1, W: NEG_INF}, "False"),
+    ("Boolean head in an atom",
+     Rule(Clause(atoms=(LinearAtom(((1, G),), 1),)), G),
+     {G: False}, "True"),
+]
+
+
+@pytest.mark.parametrize("name, rule, bounds, want", REQUIREMENT_TABLE,
+                         ids=[row[0] for row in REQUIREMENT_TABLE])
+def test_requirement_table_of_unvalidated_rules(name, rule, bounds, want):
+    variables = (int_var("h", -10, 10), int_var("z", -10, 10),
+                 int_var("w", -10, 10),
+                 Variable("p", VarKind.FOUNDED, Sort.BOOL),
+                 Variable("g", VarKind.FOUNDED, Sort.BOOL))
+    assert repr(clause_requirement(rule, bounds, variables)) == want
 
 
 # -- minimal models: pinned cases ---------------------------------------------
