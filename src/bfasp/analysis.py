@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .program import (
+    NEG_INF,
     POS_INF,
     Clause,
     LinearAtom,
@@ -255,6 +256,20 @@ class ReductBuilder:
     (``shape_forms``); each rule then folds the valuation into its own
     members by position.
 
+    Whether the fold can change a rule or make it a tautology is decided
+    once per shape too.  A term with a positive coefficient on a founded
+    integer has least product -inf, and every other least product is
+    finite, so an atom holding such a term is a tautology only at a -inf
+    bound.  Signs, kinds and sorts are part of the shape, so the decision
+    holds for every rule of it.  A shape with no substituted occurrence,
+    no complementary kept literals, and such a term in every atom passes
+    its rules through: each enters the reduct as the program's own object
+    (unless an atom bound is -inf, which validation refuses).  Other shapes
+    fold rule by rule, and ask ``is_tautology`` only when a kept atom lacks
+    such a term or the kept literals are complementary; otherwise a kept
+    atom's bound at -inf, which no fold of a monotone body makes, is the
+    test.
+
     A reduct clause keeps some of its shape's kept members, the head among
     them, and the fold changes only their atoms' bounds.  ``shape_clauses``
     holds, as clause ``i``, shape ``i``'s first rule with all of its kept
@@ -264,11 +279,17 @@ class ReductBuilder:
 
     def __init__(self, program: Program):
         self.program = program
+        variables = program.variables
         self._forms = forms = shape_forms(program)
         shapes = program.shapes
-        self.shape_clauses = PositiveCP(program.variables, tuple(
-            _kept_members(form, program.rules[shapes.index(number)])
-            for number, form in enumerate(forms)))
+        firsts = [program.rules[shapes.index(number)]
+                  for number in range(len(forms))]
+        self.shape_clauses = PositiveCP(variables, tuple(
+            _kept_members(form, first) for form, first in zip(forms, firsts)))
+        # Per shape: None when its rules pass through, else whether its
+        # folded rules need ``is_tautology``.
+        self._checks = [_tautology_check(form, first, variables)
+                        for form, first in zip(forms, firsts)]
 
     def build(self, valuation) -> PositiveCP:
         """Fold ``valuation`` into every rule and collect the surviving clauses.
@@ -285,13 +306,22 @@ class ReductBuilder:
     def _fold(self, valuation):
         program = self.program
         variables = program.variables
-        forms = self._forms
+        forms, checks = self._forms, self._checks
         out_rules = []
         origins = []
         for index, (rule, number) in enumerate(zip(program.rules,
                                                    program.shapes)):
-            form = forms[number]
+            check = checks[number]
             clause = rule.clause
+            if check is None:
+                for atom in clause.atoms:
+                    if atom.bound == NEG_INF:  # unvalidated: a tautology
+                        break
+                else:
+                    out_rules.append(rule)
+                    origins.append(index)
+                continue
+            form = forms[number]
             lits = clause.lits
             satisfied = False
             for i in form.substituted_lits:
@@ -300,6 +330,8 @@ class ReductBuilder:
                     break
             atoms = []
             rebuilt = False  # an atom lost an occurrence to the fold
+            # without ``check``: whether a kept atom's bound fell to -inf
+            tautology = False
             if not satisfied:
                 for (_, substituted, head_coeff), held, atom in zip(
                         form.atoms, form.reduct_terms, clause.atoms):
@@ -321,6 +353,7 @@ class ReductBuilder:
                         atom = LinearAtom(tuple([terms[i] for i in held]),
                                           bound)
                         rebuilt = True
+                    tautology = tautology or bound == NEG_INF
                     atoms.append(atom)
             if satisfied:
                 continue
@@ -330,11 +363,31 @@ class ReductBuilder:
                 rule = Rule(Clause(tuple([lits[i] for i in kept]),
                                    tuple(atoms)), rule.head)
             # else the fold left the rule as it is
-            if is_tautology(rule.clause, variables):
+            if check:
+                tautology = is_tautology(rule.clause, variables)
+            if tautology:
                 continue
             out_rules.append(rule)
             origins.append(index)
         return PositiveCP(variables, tuple(out_rules), tuple(origins))
+
+
+def _tautology_check(form: ShapeForm, rule: Rule, variables):
+    """For ``ReductBuilder``: None when the rules of ``rule``'s shape pass
+    through, else whether a folded rule of the shape needs
+    ``is_tautology``: whether its kept literals are complementary or a
+    kept atom lacks a term whose least product is -inf."""
+    bottomless = [any(atom.terms[i][0] > 0 and variables[
+        atom.terms[i][1]].least_value() == NEG_INF for i in held)
+        for held, atom in zip(form.reduct_terms, rule.clause.atoms)]
+    if form.complementary or any(
+            held and not bottom
+            for held, bottom in zip(form.reduct_terms, bottomless)):
+        return True
+    if (form.substituted_lits or not all(bottomless)
+            or any(substituted for _, substituted, _ in form.atoms)):
+        return False
+    return None
 
 
 def _kept_members(form: ShapeForm, rule: Rule) -> Rule:

@@ -24,9 +24,6 @@ from .program import (
     Program,
     Rule,
     Sort,
-    Truth,
-    eval_linear,
-    linear_sum,
 )
 
 
@@ -40,10 +37,6 @@ def _ceil_div(num: int, den: int) -> int:
     return -((-num) // den)
 
 
-def _member_literal_true(lit, bounds) -> bool:
-    return bounds[lit.var] == lit.positive
-
-
 def clause_requirement(rule: Rule, bounds, variables):
     """Least head value satisfying ``rule.clause`` with others at ``bounds``.
 
@@ -51,35 +44,47 @@ def clause_requirement(rule: Rule, bounds, variables):
     already satisfies the clause, POS_INF when no head value can.  For an
     integer head the value is the ceiling of the residual slack divided by
     the head coefficient.
+
+    One pass over the members, which makes no object: a literal holds as
+    in ``eval_clause``; an atom without the head holds as in
+    ``eval_linear``, its sum taken in term order, and an atom is the
+    head's from its first head term on.  When the head is in several
+    atoms, the last one counts, its last head term giving the coefficient
+    and its other terms the sum; an integer head in none gives POS_INF.
+    ``bounds`` holds every variable of the clause.
     """
     head = rule.head
-    no_requirement = False if variables[head].sort is Sort.BOOL else NEG_INF
-    head_atom = None
+    boolean = variables[head].sort is Sort.BOOL
     for lit in rule.clause.lits:
-        if lit.var == head:
-            continue
-        if _member_literal_true(lit, bounds):
-            return no_requirement
+        if lit.var != head and bounds[lit.var] == lit.positive:
+            return False if boolean else NEG_INF
+    head_atom = None
     for atom in rule.clause.atoms:
-        if any(var == head for _, var in atom.terms):
-            head_atom = atom
-            continue
-        if eval_linear(atom, bounds) is Truth.TRUE:
-            return no_requirement
+        total = 0
+        for coeff, var in atom.terms:
+            if var == head:
+                head_atom = atom
+                break
+            total += coeff * bounds[var]
+        else:
+            bound = atom.bound
+            # +inf meets a +inf bound only as an undefined sum
+            if total >= bound and not total == bound == POS_INF:
+                return False if boolean else NEG_INF
 
-    if variables[head].sort is Sort.BOOL:
+    if boolean:
         return True
     if head_atom is None:
         # Head occurs as a literal in a clause with an integer-sorted head:
         # ruled out by validation.
         return POS_INF
-    rest = []
+    total = 0
     for coeff, var in head_atom.terms:
         if var == head:
             coefficient = coeff
         else:
-            rest.append((coeff, var))
-    residual = head_atom.bound - linear_sum(rest, bounds)
+            total += coeff * bounds[var]
+    residual = head_atom.bound - total
     if isinstance(residual, int):
         return _ceil_div(residual, coefficient)
     # A -inf residual owes nothing; +inf, or nan from a +inf bound against a
@@ -105,19 +110,36 @@ def minimal_model(pcp: PositiveCP, *, on_update=None) -> FixpointResult:
     ``on_update(var, old, new, clause_index)`` observes every bound raise.
     The returned model covers every founded variable of the table plus any
     standard variables the clauses mention.
+
+    The set-up walks each clause's literals and terms in place: a variable
+    gets one watch entry per clause it is a non-head member of, in clause
+    order.  The clauses are queued in order, and each pop asks
+    ``clause_requirement``.
     """
     variables = pcp.variables
     bounds = {i: v.least_value() for i, v in enumerate(variables)
               if v.is_founded}
     watchers: dict[int, list[int]] = {}
+
+    def watch(var, index, head):
+        if var not in bounds:
+            bounds[var] = variables[var].least_value()
+        if var != head:
+            entries = watchers.get(var)
+            if entries is None:
+                watchers[var] = [index]
+            elif entries[-1] != index:  # once per clause
+                entries.append(index)
+
     for index, rule in enumerate(pcp.rules):
-        for var in set(rule.clause.variables()):
-            if var not in bounds:
-                bounds[var] = variables[var].least_value()
-            if var != rule.head:
-                watchers.setdefault(var, []).append(index)
-        if rule.head not in bounds:
-            bounds[rule.head] = variables[rule.head].least_value()
+        head = rule.head
+        for lit in rule.clause.lits:
+            watch(lit.var, index, head)
+        for atom in rule.clause.atoms:
+            for _, var in atom.terms:
+                watch(var, index, head)
+        if head not in bounds:
+            bounds[head] = variables[head].least_value()
 
     budget = len(pcp.rules)
     for var in bounds:

@@ -9,6 +9,7 @@ the two sides is meaningful evidence.
 import itertools
 import math
 import re
+from collections import deque
 
 from bfasp import (
     NEG_INF,
@@ -21,9 +22,14 @@ from bfasp import (
     Program,
     Rule,
     Sort,
+    Truth,
     VarKind,
     Variable,
+    eval_linear,
 )
+from bfasp.errors import WatchdogError
+from bfasp.fixpoint import FixpointResult
+from bfasp.program import linear_sum
 
 # -- ground normal logic programs -------------------------------------------
 
@@ -525,3 +531,98 @@ def reference_read_ground(text: str) -> Program:
     from bfasp.ground_format import _GroundReader
 
     return _GroundReader(text).run()
+
+
+# -- minimal models as first written --------------------------------------------
+
+
+def _reference_requirement(rule: Rule, bounds, variables):
+    """``fixpoint.clause_requirement`` as first written: a list for the
+    head atom's rest, a generator per atom, ``eval_linear`` per body atom."""
+    head = rule.head
+    no_requirement = False if variables[head].sort is Sort.BOOL else NEG_INF
+    head_atom = None
+    for lit in rule.clause.lits:
+        if lit.var == head:
+            continue
+        if bounds[lit.var] == lit.positive:
+            return no_requirement
+    for atom in rule.clause.atoms:
+        if any(var == head for _, var in atom.terms):
+            head_atom = atom
+            continue
+        if eval_linear(atom, bounds) is Truth.TRUE:
+            return no_requirement
+
+    if variables[head].sort is Sort.BOOL:
+        return True
+    if head_atom is None:
+        return POS_INF
+    rest = []
+    for coeff, var in head_atom.terms:
+        if var == head:
+            coefficient = coeff
+        else:
+            rest.append((coeff, var))
+    residual = head_atom.bound - linear_sum(rest, bounds)
+    if isinstance(residual, int):
+        return -((-residual) // coefficient)
+    return NEG_INF if residual == NEG_INF else POS_INF
+
+
+def reference_minimal_model(pcp: PositiveCP, *, on_update=None):
+    """``fixpoint.minimal_model`` as first written, watch lists made from
+    ``set(rule.clause.variables())``: the queue, the raises and their
+    ``on_update`` calls, and the unsat index to compare a rewrite with."""
+    variables = pcp.variables
+    bounds = {i: v.least_value() for i, v in enumerate(variables)
+              if v.is_founded}
+    watchers: dict[int, list[int]] = {}
+    for index, rule in enumerate(pcp.rules):
+        for var in set(rule.clause.variables()):
+            if var not in bounds:
+                bounds[var] = variables[var].least_value()
+            if var != rule.head:
+                watchers.setdefault(var, []).append(index)
+        if rule.head not in bounds:
+            bounds[rule.head] = variables[rule.head].least_value()
+
+    budget = len(pcp.rules)
+    for var in bounds:
+        info = variables[var]
+        budget += 2 if info.sort is Sort.BOOL else info.hi - info.lo + 2
+    raises = 0
+
+    queue = deque(range(len(pcp.rules)))
+    queued = [True] * len(pcp.rules)
+    while queue:
+        index = queue.popleft()
+        queued[index] = False
+        rule = pcp.rules[index]
+        required = _reference_requirement(rule, bounds, variables)
+        if required == POS_INF:
+            return FixpointResult(None, index)
+        current = bounds[rule.head]
+        if not required > current:
+            continue
+        info = variables[rule.head]
+        new = required
+        if info.sort is Sort.INT:
+            if new < info.lo:
+                new = info.lo
+            if new > info.hi:
+                return FixpointResult(None, index)
+        if not new > current:
+            continue
+        if on_update is not None:
+            on_update(rule.head, current, new, index)
+        bounds[rule.head] = new
+        raises += 1
+        if raises > budget:
+            raise WatchdogError("fixpoint watchdog: bound raises exceeded "
+                                "the lattice budget")
+        for watching in watchers.get(rule.head, ()):
+            if not queued[watching]:
+                queued[watching] = True
+                queue.append(watching)
+    return FixpointResult(bounds)

@@ -313,6 +313,87 @@ def test_substituted_bottom_without_carrier_is_unsatisfiable():
     assert not result.ok and result.unsat_index == 0
 
 
+# -- tautologies decided per shape ---------------------------------------------------
+
+
+def counted_tautologies(monkeypatch) -> list:
+    """Patch ``analysis.is_tautology`` to record each call's variable
+    count: 0 for a shape's kept literals (``shape_form``), the program's
+    for a folded rule."""
+    calls = []
+    original = bfasp.analysis.is_tautology
+
+    def counted(clause, variables):
+        calls.append(len(variables))
+        return original(clause, variables)
+    monkeypatch.setattr(bfasp.analysis, "is_tautology", counted)
+    return calls
+
+
+def test_checking_the_sssp_golden_folds_no_rule_through_is_tautology(
+        monkeypatch):
+    """Every sssp rule shape passes its rules through: each atom holds the
+    head, a founded integer with a positive coefficient, and nothing is
+    substituted.  So the fold asks ``is_tautology`` nothing, and each rule
+    enters the reduct as the program's own object."""
+    reread = parse_ground_program((ROOT / "tests/golden/bench_sssp.bfg")
+                                  .read_text())
+    model = list(Search(reread).models())[-1]
+    calls = counted_tautologies(monkeypatch)
+    assert check_stable(reread, model).stable
+    assert calls == [0] * len(set(reread.shapes))
+    reduct = build_reduct(reread, model)
+    assert len(reduct.rules) == len(reread.rules)
+    assert all(rule is source
+               for rule, source in zip(reduct.rules, reread.rules))
+
+
+@pytest.mark.parametrize("hi, kept", [(4, False), (5, True)])
+def test_a_kept_atom_that_always_holds_still_drops_its_rule(hi, kept,
+                                                            monkeypatch):
+    """ex1's ``x | -1*a >= -4 head x``, folded at y false, is a tautology
+    once a's hi is 4: its atom's least sum -hi meets -4.  Its shape is
+    folded rule by rule and asks ``is_tautology``, which drops it."""
+    program = build_example_one()
+    variables = list(program.variables)
+    variables[1] = Variable("a", VarKind.FOUNDED, Sort.INT, -50, hi)
+    program = Program(tuple(variables), rules=program.rules)
+    calls = counted_tautologies(monkeypatch)
+    reduct = build_reduct(program, valuation_of(program, s=9, y=False))
+    x_rule = [("x", (("x", True),), ((((-1, "a"),), -4),))] if kept else []
+    assert reduct_shape(reduct, program) == [
+        ("a", (), ((((1, "a"),), 0),)),
+        ("b", (), ((((1, "b"),), 0),)),
+        ("a", (), ((((-1, "b"), (1, "a")), 9),)),
+        ("b", (("x", False),), ((((1, "b"),), 8),)),
+    ] + x_rule
+    assert reduct.origins == (0, 1, 2, 3, 4)[:4 + kept]
+    # one call per shape's kept literals, and one for the x rule alone
+    assert calls.count(0) == len(set(program.shapes))
+    assert calls.count(len(variables)) == 1
+
+
+def test_a_pass_through_rule_enters_the_reduct_as_itself():
+    """ex1's ``a >= 0 head a`` has a pass-through shape; the rule that
+    substitutes s is rebuilt."""
+    program = build_example_one()
+    reduct = build_reduct(program, valuation_of(program, **THETA))
+    assert reduct.rules[0] is program.rules[0]
+    assert reduct.rules[1] is program.rules[1]
+    assert reduct.rules[2] is not program.rules[2]
+
+
+def test_infinite_source_bounds_fold_as_the_per_rule_reference(rng):
+    """Validation refuses infinite bounds outside a reduct, but the fold
+    keeps to the reference on them: a -inf bound on an atom whose least
+    sum is -inf makes a tautology, in a pass-through shape too."""
+    from test_fixpoint import with_infinite_bounds
+    for _ in range(200):
+        program = with_infinite_bounds(rng, random_shaped_program(rng))
+        assert_reducts_match(program, [random_valuation(rng, program)
+                                       for _ in range(4)])
+
+
 # -- reducts on random programs ---------------------------------------------------
 
 

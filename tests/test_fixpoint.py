@@ -40,10 +40,14 @@ from bfasp.fixpoint import LeafEvaluator
 
 from conftest import MODELS, THETA_PRIME, build_example_one, valuation_of
 from oracles import (
+    _reference_requirement,
+    distance_cp,
     least_solution,
+    random_digraph,
     random_mixed_program,
     random_positive_cp,
     random_shaped_program,
+    reference_minimal_model,
 )
 
 
@@ -331,6 +335,68 @@ def test_adding_rules_never_lowers_the_model(rng):
             continue
         for var, value in prefix.model.items():
             assert not full.model[var] < value
+
+
+# -- minimal models against the loop as first written ---------------------------
+
+
+def with_unsat_rule(rand, pcp: PositiveCP) -> PositiveCP:
+    """``pcp`` with a rule that asks one integer variable for more than its
+    hi, put at a random place, so that the fixpoint stops there, or as it
+    is when it has no integer variable."""
+    ints = [i for i, v in enumerate(pcp.variables) if v.sort is Sort.INT]
+    if not ints:
+        return pcp
+    var = rand.choice(ints)
+    rules = list(pcp.rules)
+    rules.insert(rand.randint(0, len(rules)), Rule(Clause(atoms=(LinearAtom(
+        ((1, var),), pcp.variables[var].hi + 1),)), var))
+    return PositiveCP(pcp.variables, tuple(rules))
+
+
+def test_minimal_model_equals_the_loop_as_first_written(rng):
+    """Model, unsat index and every ``on_update`` call, in order, on random
+    positive programs, on distance programs of random digraphs, and on
+    programs with an unsatisfiable rule."""
+    programs = [random_positive_cp(rng) for _ in range(300)]
+    for _ in range(200):
+        n, edges = random_digraph(rng, max_nodes=30)
+        programs.append(distance_cp(n, edges, rng.randint(1, n)))
+    programs += [with_unsat_rule(rng, random_positive_cp(rng))
+                 for _ in range(200)]
+    unsat = raises = 0
+    for pcp in programs:
+        got, want = [], []
+        result = minimal_model(pcp, on_update=lambda *raise_: got.append(
+            raise_))
+        reference = reference_minimal_model(
+            pcp, on_update=lambda *raise_: want.append(raise_))
+        assert typed(result.model) == typed(reference.model)
+        assert result.unsat_index == reference.unsat_index
+        assert repr(got) == repr(want)
+        unsat += not result.ok
+        raises += len(got)
+    assert unsat > 250 and raises > 1200
+
+
+def test_requirement_equals_the_requirement_as_first_written(rng):
+    """On rules that validation may refuse (repeated and complementary
+    heads, non-monotone bodies, constant atoms, infinite bounds) under
+    random bounds, the bottom among them."""
+    outcomes = set()
+    for _ in range(300):
+        program = random_shaped_program(rng)
+        for program in (program, with_infinite_bounds(rng, program)):
+            variables = program.variables
+            for rule in program.rules:
+                for _ in range(3):
+                    bounds = [random_value(rng, info) for info in variables]
+                    got = clause_requirement(rule, bounds, variables)
+                    want = _reference_requirement(rule, bounds, variables)
+                    assert repr(got) == repr(want)
+                    outcomes.add(repr(got) if isinstance(got, (bool, float))
+                                 else type(got).__name__)
+    assert outcomes == {"True", "False", "-inf", "inf", "int"}
 
 
 # -- the compiled leaf evaluator against the explicit reduct ---------------------
