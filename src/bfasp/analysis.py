@@ -146,12 +146,18 @@ def shape_form(rule: Rule, variables) -> ShapeForm:
 
 def shape_forms(program: Program) -> list[ShapeForm]:
     """Each shape's ``shape_form``, by number, from its first rule."""
-    shapes, forms = program.shapes, []
+    return [shape_form(rule, program.variables)
+            for rule in _first_rules(program)]
+
+
+def _first_rules(program: Program) -> list[Rule]:
+    """Each shape's first rule, by number."""
+    shapes, rules = program.shapes, []
     first = 0
     for number in range(max(shapes, default=-1) + 1):
         first = shapes.index(number, first)  # shapes are numbered as first met
-        forms.append(shape_form(program.rules[first], program.variables))
-    return forms
+        rules.append(program.rules[first])
+    return rules
 
 
 def guess_set(program: Program) -> frozenset[int]:
@@ -281,9 +287,7 @@ class ReductBuilder:
         self.program = program
         variables = program.variables
         self._forms = forms = shape_forms(program)
-        shapes = program.shapes
-        firsts = [program.rules[shapes.index(number)]
-                  for number in range(len(forms))]
+        firsts = _first_rules(program)
         self.shape_clauses = PositiveCP(variables, tuple(
             _kept_members(form, first) for form, first in zip(forms, firsts)))
         # Per shape: None when its rules pass through, else whether its

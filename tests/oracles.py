@@ -536,7 +536,7 @@ def reference_read_ground(text: str) -> Program:
 # -- minimal models as first written --------------------------------------------
 
 
-def _reference_requirement(rule: Rule, bounds, variables):
+def reference_requirement(rule: Rule, bounds, variables):
     """``fixpoint.clause_requirement`` as first written: a list for the
     head atom's rest, a generator per atom, ``eval_linear`` per body atom."""
     head = rule.head
@@ -599,7 +599,7 @@ def reference_minimal_model(pcp: PositiveCP, *, on_update=None):
         index = queue.popleft()
         queued[index] = False
         rule = pcp.rules[index]
-        required = _reference_requirement(rule, bounds, variables)
+        required = reference_requirement(rule, bounds, variables)
         if required == POS_INF:
             return FixpointResult(None, index)
         current = bounds[rule.head]

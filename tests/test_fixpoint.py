@@ -40,7 +40,6 @@ from bfasp.fixpoint import LeafEvaluator
 
 from conftest import MODELS, THETA_PRIME, build_example_one, valuation_of
 from oracles import (
-    _reference_requirement,
     distance_cp,
     least_solution,
     random_digraph,
@@ -48,6 +47,7 @@ from oracles import (
     random_positive_cp,
     random_shaped_program,
     reference_minimal_model,
+    reference_requirement,
 )
 
 
@@ -392,7 +392,7 @@ def test_requirement_equals_the_requirement_as_first_written(rng):
                 for _ in range(3):
                     bounds = [random_value(rng, info) for info in variables]
                     got = clause_requirement(rule, bounds, variables)
-                    want = _reference_requirement(rule, bounds, variables)
+                    want = reference_requirement(rule, bounds, variables)
                     assert repr(got) == repr(want)
                     outcomes.add(repr(got) if isinstance(got, (bool, float))
                                  else type(got).__name__)
