@@ -267,14 +267,13 @@ class ReductBuilder:
     integer has least product -inf, and every other least product is
     finite, so an atom holding such a term is a tautology only at a -inf
     bound.  Signs, kinds and sorts are part of the shape, so the decision
-    holds for every rule of it.  A shape with no substituted occurrence,
-    no complementary kept literals, and such a term in every atom passes
-    its rules through: each enters the reduct as the program's own object
-    (unless an atom bound is -inf, which validation refuses).  Other shapes
-    fold rule by rule, and ask ``is_tautology`` only when a kept atom lacks
-    such a term or the kept literals are complementary; otherwise a kept
-    atom's bound at -inf, which no fold of a monotone body makes, is the
-    test.
+    holds for every rule of it.  A rule asks ``is_tautology`` only when
+    its shape's kept literals are complementary or a kept atom lacks such
+    a term; otherwise a kept atom's bound at -inf, which no fold of a
+    monotone body makes, is the test.  A shape with no substituted
+    occurrence and such a term in every atom passes its rules through:
+    the fold leaves each one as it is, so it enters the reduct as the
+    program's own object.
 
     A reduct clause keeps some of its shape's kept members, the head among
     them, and the fold changes only their atoms' bounds.  ``shape_clauses``
@@ -290,8 +289,7 @@ class ReductBuilder:
         firsts = _first_rules(program)
         self.shape_clauses = PositiveCP(variables, tuple(
             _kept_members(form, first) for form, first in zip(forms, firsts)))
-        # Per shape: None when its rules pass through, else whether its
-        # folded rules need ``is_tautology``.
+        # Per shape: whether its folded rules need ``is_tautology``.
         self._checks = [_tautology_check(form, first, variables)
                         for form, first in zip(forms, firsts)]
 
@@ -315,17 +313,8 @@ class ReductBuilder:
         origins = []
         for index, (rule, number) in enumerate(zip(program.rules,
                                                    program.shapes)):
-            check = checks[number]
-            clause = rule.clause
-            if check is None:
-                for atom in clause.atoms:
-                    if atom.bound == NEG_INF:  # unvalidated: a tautology
-                        break
-                else:
-                    out_rules.append(rule)
-                    origins.append(index)
-                continue
             form = forms[number]
+            clause = rule.clause
             lits = clause.lits
             satisfied = False
             for i in form.substituted_lits:
@@ -367,7 +356,7 @@ class ReductBuilder:
                 rule = Rule(Clause(tuple([lits[i] for i in kept]),
                                    tuple(atoms)), rule.head)
             # else the fold left the rule as it is
-            if check:
+            if checks[number]:
                 tautology = is_tautology(rule.clause, variables)
             if tautology:
                 continue
@@ -376,22 +365,14 @@ class ReductBuilder:
         return PositiveCP(variables, tuple(out_rules), tuple(origins))
 
 
-def _tautology_check(form: ShapeForm, rule: Rule, variables):
-    """For ``ReductBuilder``: None when the rules of ``rule``'s shape pass
-    through, else whether a folded rule of the shape needs
-    ``is_tautology``: whether its kept literals are complementary or a
-    kept atom lacks a term whose least product is -inf."""
-    bottomless = [any(atom.terms[i][0] > 0 and variables[
-        atom.terms[i][1]].least_value() == NEG_INF for i in held)
-        for held, atom in zip(form.reduct_terms, rule.clause.atoms)]
-    if form.complementary or any(
-            held and not bottom
-            for held, bottom in zip(form.reduct_terms, bottomless)):
-        return True
-    if (form.substituted_lits or not all(bottomless)
-            or any(substituted for _, substituted, _ in form.atoms)):
-        return False
-    return None
+def _tautology_check(form: ShapeForm, rule: Rule, variables) -> bool:
+    """For ``ReductBuilder``: whether a folded rule of ``rule``'s shape
+    needs ``is_tautology``: whether its kept literals are complementary or
+    a kept atom lacks a term whose least product is -inf."""
+    return form.complementary or any(
+        held and not any(atom.terms[i][0] > 0 and variables[
+            atom.terms[i][1]].least_value() == NEG_INF for i in held)
+        for held, atom in zip(form.reduct_terms, rule.clause.atoms))
 
 
 def _kept_members(form: ShapeForm, rule: Rule) -> Rule:
