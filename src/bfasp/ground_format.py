@@ -16,11 +16,10 @@ Both formats are split into token values by the model parser's ``scan``.
 A ground program is read by item skeleton (``ground_reader``): an item is
 keyed by its tokens with every name and integer made a placeholder, so
 the key does not depend on the layout, and the items of one key are read
-by one reader.  Only a faulty text is read token by token, by
-``_GroundReader``, for its error.  That reader and the assignment reader
-are ``Cursor``s, which hold token indices and turn one into a line number
-only when they raise a FormatError.  Lines end at ``"\\n"`` in both
-formats.
+by one reader, by the one grammar of the format.  The assignment reader
+is a ``Cursor``, and the ground reader raises its faults through one: a
+``Cursor`` holds token indices and turns one into a line number only when
+it raises a FormatError.  Lines end at ``"\\n"`` in both formats.
 """
 
 import re
@@ -29,15 +28,11 @@ from .errors import FormatError
 from .parser import Cursor, _token_pattern
 from .program import (
     NEG_INF,
-    POS_INF,
     Clause,
     LinearAtom,
     LinearExpr,
-    Literal,
     Program,
-    Rule,
     Sort,
-    VarKind,
     Variable,
     format_value,
 )
@@ -141,172 +136,6 @@ def _take_neg_inf(t: Cursor) -> bool:
 # -- reading ground programs ------------------------------------------------
 
 
-class _GroundReader(Cursor):
-    """Reads a ground program token by token: the grammar that
-    ``parse_ground_program`` runs on a faulty text, for its error.  Errors
-    name the line of a token index, made only when one is raised."""
-
-    def __init__(self, text: str):
-        super().__init__(_TOKEN_RE, text, FormatError, _line_only, _OPS)
-        self.variables: list[Variable] = []
-        self.index: dict[str, int] = {}
-        self.constraints: list[Clause] = []
-        self.rules: list[Rule] = []
-        self.objective: LinearExpr | None = None
-
-    def run(self) -> Program:
-        while not self.at_end():
-            if self.take("var"):
-                self._var_decl()
-            elif self.take("constraint"):
-                self.constraints.append(self._clause())
-                self.expect(";")
-            elif self.take("rule"):
-                self._rule()
-            elif self.take("minimize"):
-                self._minimize()
-            else:
-                self.fail("an item")
-        return Program(tuple(self.variables), tuple(self.constraints),
-                       tuple(self.rules), self.objective)
-
-    def _var_decl(self):
-        at = self._at
-        if self.take("bool"):
-            sort, lo, hi = Sort.BOOL, None, None
-        elif self.take("int"):
-            sort = Sort.INT
-            lo = self._bound()
-            self.expect("..")
-            hi = self._bound()
-        else:
-            self.fail("'bool' or 'int'")
-        if self.take("standard"):
-            kind = VarKind.STANDARD
-        elif self.take("founded"):
-            kind = VarKind.FOUNDED
-        else:
-            self.fail("'standard' or 'founded'")
-        name = self.name("variable name")
-        self.expect(";")
-        if name in self.index:
-            self._raise(f"duplicate variable '{name}'", at)
-        self.index[name] = len(self.variables)
-        self.variables.append(Variable(name, kind, sort, lo, hi))
-
-    def _bound(self):
-        if self.take("inf"):
-            return POS_INF
-        if _take_neg_inf(self):
-            return NEG_INF
-        return self.integer()
-
-    def _lookup(self, name: str, at: int) -> int:
-        var = self.index.get(name)
-        if var is None:
-            self._raise(f"unknown variable '{name}'", at)
-        return var
-
-    def _clause(self) -> Clause:
-        if self.take("false"):
-            return Clause((), ())
-        lits: list[Literal] = []
-        atoms: list[LinearAtom] = []
-        while True:
-            self._member(lits, atoms)
-            if not self.take("|"):
-                break
-        return Clause(tuple(lits), tuple(atoms))
-
-    def _member(self, lits: list, atoms: list):
-        """One clause member: ``~name``, ``name``, or a linear atom."""
-        at = self._at
-        if self.take("~"):
-            var = self._lookup(self.name(), at)
-            self._want_sort(var, Sort.BOOL, at)
-            lits.append(Literal(var, False))
-            return
-        value = self._values[at]
-        if self.kind(value) == "name" and not self._starts_atom():
-            self._at += 1
-            var = self._lookup(value, at)
-            self._want_sort(var, Sort.BOOL, at)
-            lits.append(Literal(var, True))
-            return
-        terms, constant = self._linear()
-        self.expect(">=")
-        bound = self._bound()
-        if isinstance(constant, int) and isinstance(bound, int):
-            bound -= constant
-        atoms.append(LinearAtom(tuple(terms), bound))
-
-    def _starts_atom(self) -> bool:
-        """Lookahead: a bare name is an atom when an operator follows."""
-        return self._values[self._at + 1] in (">=", "+", "-", "*")
-
-    def _linear(self, *, allow_bool: bool = False):
-        """Sum of ``k*name``, ``name``, and integer terms.
-
-        Objectives may carry Boolean variables (counted 0/1); clause atoms
-        may not.
-        """
-        values = self._values
-        terms: list[tuple[int, int]] = []
-        constant = 0
-        sign = 1
-        while True:
-            if self.take("-"):
-                sign = -sign
-            at = self._at
-            value = values[at]
-            kind = self.kind(value)
-            if kind == "int":
-                self._at = at + 1
-                coeff = sign * int(value)
-                name = self.name() if self.take("*") else None
-            elif kind == "name":
-                self._at = at + 1
-                coeff, name = sign, value
-            else:
-                self.fail("a term")
-            if name is None:
-                constant += coeff
-            else:
-                var = self._lookup(name, at)
-                if not allow_bool:
-                    self._want_sort(var, Sort.INT, at)
-                terms.append((coeff, var))
-            sign = 1
-            if self.take("+"):
-                continue
-            if self.peek("-"):
-                continue
-            return terms, constant
-
-    def _want_sort(self, var: int, sort: Sort, at: int):
-        info = self.variables[var]
-        if info.sort is not sort:
-            place = "a literal" if sort is Sort.BOOL else "a linear term"
-            self._raise(
-                f"'{info.name}' is {info.sort.value}, not usable as {place}",
-                at)
-
-    def _rule(self):
-        clause = self._clause()
-        self.expect("head")
-        name = self.name("head variable")
-        head = self._lookup(name, self._at - 1)
-        self.expect(";")
-        self.rules.append(Rule(clause, head))
-
-    def _minimize(self):
-        if self.objective is not None:
-            self._raise("more than one minimize item", self._at)
-        terms, constant = self._linear(allow_bool=True)
-        self.expect(";")
-        self.objective = LinearExpr(tuple(terms), constant)
-
-
 def parse_ground_program(text: str) -> Program:
     """Parse ground-program text into a Program.
 
@@ -326,7 +155,7 @@ def parse_ground_program(text: str) -> Program:
 
 class _AssignmentReader(Cursor):
     """Reads ``name = value;`` lines; errors name the line of a token index,
-    as in _GroundReader."""
+    made only when one is raised."""
 
     def __init__(self, text: str):
         super().__init__(_TOKEN_RE, text, FormatError, _line_only, _OPS)

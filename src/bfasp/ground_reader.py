@@ -16,10 +16,13 @@ checks the name and the sort.  The rules' shape numbers
 (``Program.shapes``) are made as they are read and handed on with the
 program.
 
-Any fault (a key that is no item, an unknown name or one of the wrong sort,
-a name declared twice, a second objective) sends the whole text to the
-token-by-token grammar, ``ground_format._GroundReader``, which raises the
-FormatError with its line number; no valid text is read by it.
+This is the format's one grammar.  At a fault (a key that is no item, an
+unknown name or one of the wrong sort, a name declared twice, a second
+objective) every item is walked again by ``_Build`` from the start, to
+find the first fault's token; the grammar's ``_Fault`` names what it
+expected there, or what is wrong, and a ``Cursor`` over the text raises
+it as a FormatError at that token's line.  The ``Cursor`` first refuses a
+stray character or an integer too long for ``int``.
 """
 
 import functools
@@ -27,8 +30,9 @@ from collections import Counter
 from itertools import groupby, islice
 
 from .codegen import Writer, define, write_numbering
-from .ground_format import _TOKEN_RE, _GroundReader
-from .parser import _DIGITS, _NAME_START, _int_digits, scan
+from .errors import FormatError
+from .ground_format import _OPS, _TOKEN_RE, _line_only
+from .parser import _DIGITS, _NAME_START, Cursor, _int_digits, scan
 from .program import (
     NEG_INF,
     POS_INF,
@@ -79,7 +83,11 @@ _COMPILE_AT = 32
 
 
 class _Fault(Exception):
-    """The text is not a ground program; the token grammar says why."""
+    """An item's tokens leave the grammar at its token ``at``: the grammar
+    ``expected`` something else there, or ``message`` says what is wrong."""
+
+    def __init__(self, at: int, expected: str = "", message: str = ""):
+        self.at, self.expected, self.message = at, expected, message
 
 
 # -- the grammar, over an item's key tokens ----------------------------------
@@ -93,46 +101,55 @@ _KINDS = {"standard": VarKind.STANDARD, "founded": VarKind.FOUNDED}
 _NAMED = frozenset(("",)) | _KEYWORDS
 
 
+def _want(t: list, i: int, token: str):
+    if t[i] != token:
+        raise _Fault(i, repr(token))
+
+
 def _walk(t: list, make) -> None:
-    """Walk one item's key tokens ``t``, which end at its ``;``, by the
-    grammar of ``_GroundReader``, and make its parts with ``make``: a
-    ``_Build`` makes them from the item's values, an ``_Emit`` writes the
-    code that does.  A part is made from the parts before it and the
-    positions of the tokens it reads.  Raises _Fault where ``t`` is not an
-    item; the only ``;`` in ``t`` is its last token."""
+    """Walk one item's key tokens ``t``, which end at its ``;``, and make its
+    parts with ``make``: a ``_Build`` makes them from the item's values, an
+    ``_Emit`` writes the code that does.  A part is made from the parts
+    before it and the positions of the tokens it reads.  Raises _Fault at
+    the first token where ``t`` is not an item; the only ``;`` in ``t`` is
+    its last token."""
     word = t[0]
     if word == "var":
         if t[1] == "bool":
             i, sort, lo, hi = 2, Sort.BOOL, None, None
         elif t[1] == "int":
             i, lo = _bound(t, 2, make)
-            if t[i] != "..":
-                raise _Fault
+            _want(t, i, "..")
             i, hi = _bound(t, i + 1, make)
             sort = Sort.INT
         else:
-            raise _Fault
+            raise _Fault(1, "'bool' or 'int'")
         kind = _KINDS.get(t[i])
-        if kind is None or t[i + 1] not in _NAMED or t[i + 2] != ";":
-            raise _Fault
+        if kind is None:
+            raise _Fault(i, "'standard' or 'founded'")
+        if t[i + 1] not in _NAMED:
+            raise _Fault(i + 1, "variable name")
+        _want(t, i + 2, ";")
         make.var(i + 1, kind, sort, lo, hi)
     elif word == "constraint":
         i, clause = _clause(t, 1, make)
-        if t[i] != ";":
-            raise _Fault
+        _want(t, i, ";")
         make.constraint(clause)
     elif word == "rule":
         i, clause = _clause(t, 1, make)
-        if t[i] != "head" or t[i + 1] not in _NAMED or t[i + 2] != ";":
-            raise _Fault
-        make.rule(clause, make.lookup(2, i + 1))
+        _want(t, i, "head")
+        if t[i + 1] not in _NAMED:
+            raise _Fault(i + 1, "head variable")
+        head = make.lookup(2, i + 1)
+        _want(t, i + 2, ";")
+        make.rule(clause, head)
     elif word == "minimize":
+        make.objective()
         i, terms, constants = _linear(t, 1, make, 2)
-        if t[i] != ";":
-            raise _Fault
+        _want(t, i, ";")
         make.minimize(terms, constants)
     else:
-        raise _Fault
+        raise _Fault(0, "an item")
 
 
 def _clause(t: list, i: int, make) -> tuple:
@@ -143,16 +160,15 @@ def _clause(t: list, i: int, make) -> tuple:
         token = t[i]
         if token == "~":
             if t[i + 1] not in _NAMED:
-                raise _Fault
-            lits.append(make.literal(make.lookup(0, i + 1), False))
+                raise _Fault(i + 1, "name")
+            lits.append(make.literal(make.lookup(0, i + 1, i), False))
             i += 2
         elif token in _NAMED and t[i + 1] not in _ATOM_NEXT:
             lits.append(make.literal(make.lookup(0, i), True))
             i += 1
         else:
             i, terms, constants = _linear(t, i, make, 1)
-            if t[i] != ">=":
-                raise _Fault
+            _want(t, i, ">=")
             i, bound = _bound(t, i + 1, make)
             atoms.append(make.atom(terms, constants, bound))
         if t[i] != "|":
@@ -173,11 +189,11 @@ def _linear(t: list, i: int, make, table: int) -> tuple:
             terms.append((make.coeff(sign, None), make.lookup(table, i)))
             i += 1
         elif token != "0":
-            raise _Fault
+            raise _Fault(i, "a term")
         elif t[i + 1] == "*":
             if t[i + 2] not in _NAMED:
-                raise _Fault
-            terms.append((make.coeff(sign, i), make.lookup(table, i + 2)))
+                raise _Fault(i + 2, "name")
+            terms.append((make.coeff(sign, i), make.lookup(table, i + 2, i)))
             i += 3
         else:
             constants.append(make.integer(sign, i))
@@ -197,7 +213,7 @@ def _bound(t: list, i: int, make) -> tuple:
             return i + 2, make.infinity(NEG_INF)
         sign, i = -1, i + 1
     if t[i] != "0":
-        raise _Fault
+        raise _Fault(i, "integer")
     return i + 1, make.integer(sign, i)
 
 
@@ -223,16 +239,20 @@ class _Reading:
 
     def declare(self, name: str, kind: VarKind, sort: Sort, lo, hi):
         if name in self.names:
-            raise _Fault
+            raise _Fault(1, message=f"duplicate variable '{name}'")
         var = self.names[name] = len(self.variables)
         (self.bools if sort is Sort.BOOL else self.ints)[name] = var
         self.shapes.kinds[var] = (kind._value_, sort._value_)
         self.variables.append(Variable(name, kind, sort, lo, hi))
 
     def minimize(self, terms: tuple, constant: int):
-        if self.objective is not None:
-            raise _Fault
+        self.one_objective()
         self.objective = LinearExpr(terms, constant)
+
+    def one_objective(self):
+        """Refuse a second objective, at its first token."""
+        if self.objective is not None:
+            raise _Fault(1, message="more than one minimize item")
 
     def program(self) -> Program:
         program = Program(tuple(self.variables), tuple(self.constraints),
@@ -261,8 +281,22 @@ class _Build:
     def infinity(self, value):
         return value
 
-    def lookup(self, table: int, at: int) -> int:
-        return self.tables[table][self.v[at]]
+    def lookup(self, table: int, at: int, start=None) -> int:
+        """The id of the name at ``at``, or a _Fault at ``start``, where
+        its literal or term starts (``~x``, ``k*x``; ``at`` by default)."""
+        try:
+            return self.tables[table][self.v[at]]
+        except KeyError:
+            name = self.v[at]
+            var = self.reading.names.get(name)
+            if var is None:
+                message = f"unknown variable '{name}'"
+            else:
+                sort = self.reading.variables[var].sort.value
+                place = "a literal" if table == 0 else "a linear term"
+                message = f"'{name}' is {sort}, not usable as {place}"
+            raise _Fault(at if start is None else start,
+                         message=message) from None
 
     def literal(self, var: int, positive: bool) -> Literal:
         return Literal(var, positive)
@@ -285,6 +319,9 @@ class _Build:
         rule = Rule(clause, head)
         self.reading.shapes.add(rule)  # keyed rule by rule
         self.reading.rules.append(rule)
+
+    def objective(self):
+        self.reading.one_objective()  # before the terms are walked
 
     def minimize(self, terms: list, constants: list):
         self.reading.minimize(tuple(terms), sum(constants))
@@ -334,7 +371,7 @@ class _Emit(Writer):
     def infinity(self, value) -> str:
         return _INFINITIES[value]
 
-    def lookup(self, table: int, at: int) -> str:
+    def lookup(self, table: int, at: int, start=None) -> str:
         return self.local(f"{'BIA'[table]}[{self.value(at)}]",
                           self.refs[table])
 
@@ -381,6 +418,9 @@ class _Emit(Writer):
         if distinct:
             self.close()
             self.line("else: add(rule)")
+
+    def objective(self):
+        pass  # ``R.minimize`` refuses a second one
 
     def minimize(self, terms: list, constants: list):
         self.prologue = ["A = R.names"]
@@ -436,17 +476,17 @@ def read_ground_program(text: str) -> Program:
     keys = "\x00".join([
         "\x00".join(map(key_token, values[at:at + 4096]))
         for at in range(0, len(values), 4096)]).split("\x00;\x00")
+    tail = keys.pop()  # after the last ``;``: nothing but the end, keyed ""
+    counts = Counter(keys)
+    # the runs of one key, so that the keys of each item can go
+    runs = [(key, sum(1 for _ in run)) for key, run in groupby(keys)]
+    del keys
     reading = _Reading()
     make = _Build(reading)
     try:
-        # after the last ``;``, nothing but the end; a NUL in the text would
-        # read as a name in the keys
-        if keys.pop() or "\x00" in text:
-            raise _Fault
-        counts = Counter(keys)
-        # the runs of one key, so that the keys of each item can go
-        runs = [(key, sum(1 for _ in run)) for key, run in groupby(keys)]
-        del keys
+        # a NUL in the text would read as a name in the keys
+        if tail or "\x00" in text:
+            raise _Fault(0)
         at = 0
         for key, count in runs:
             if counts[key] >= _COMPILE_AT:
@@ -459,7 +499,33 @@ def read_ground_program(text: str) -> Program:
                 _walk(tokens, make)
                 at += len(tokens)
     except (KeyError, _Fault):
-        _GroundReader(text).run()
-        raise AssertionError("the token grammar reads a text that the "
-                             "skeleton readers refuse") from None
+        return _walked(text, values, runs, tail)
     return reading.program()
+
+
+def _walked(text: str, values: list, runs: list, tail: str) -> Program:
+    """The program of a text that a reader refused, walked item by item
+    from the start: raises the FormatError of its first bad token or
+    integer too long for ``int``, which the ``Cursor`` refuses when made,
+    else of the first fault of the walk, at its token's line."""
+    cursor = Cursor(_TOKEN_RE, text, FormatError, _line_only, _OPS)
+    items = [(_tokens(key), count) for key, count in runs]
+    if tail:
+        # the end token, keyed "" like a name, becomes a marker that no rule
+        # reads, as no rule reads past an item's ``;``
+        items.append((tail.split("\x00")[:-1] + ["\x00"], 1))
+    make = _Build(_Reading())
+    at = 0
+    try:
+        for tokens, count in items:
+            for _ in range(count):
+                make.v = values[at:at + len(tokens)]
+                _walk(tokens, make)
+                at += len(tokens)
+    except _Fault as fault:
+        at += fault.at
+        if fault.message:
+            cursor._raise(fault.message, at)
+        cursor._at = at
+        cursor.fail(fault.expected)
+    return make.reading.program()

@@ -414,11 +414,13 @@ def validate_program(program: Program) -> ValidationReport:
     count = len(program.variables)
     passed = set()  # shape numbers
     for i, (rule, number) in enumerate(zip(program.rules, program.shapes)):
-        where = f"rule {i}"
         if number in passed:
+            # the rule's text is made only for a faulty bound
             for atom in rule.clause.atoms:
-                _check_bound(atom, where, issues)
+                if not -_INT_LIMIT <= atom.bound <= _INT_LIMIT:
+                    _check_bound(atom, f"rule {i}", issues)
             continue
+        where = f"rule {i}"
         faulty = _check_clause(rule.clause, program.variables, where, issues)
         if rule.clause.is_empty:
             issues.append(f"{where}: empty clause")

@@ -27,8 +27,10 @@ from bfasp import (
     Variable,
     eval_linear,
 )
-from bfasp.errors import WatchdogError
+from bfasp.errors import FormatError, WatchdogError
 from bfasp.fixpoint import FixpointResult
+from bfasp.ground_format import _OPS, _TOKEN_RE, _line_only, _take_neg_inf
+from bfasp.parser import Cursor
 from bfasp.program import linear_sum
 
 # -- ground normal logic programs -------------------------------------------
@@ -524,13 +526,177 @@ def reference_scan(pattern: re.Pattern, text: str):
 # -- reading ground programs ----------------------------------------------------
 
 
-def reference_read_ground(text: str) -> Program:
-    """``text`` read token by token by the ground format's grammar
-    (``ground_format._GroundReader``, which the package runs only to report
-    a fault), its rule shapes left to be keyed rule by rule."""
-    from bfasp.ground_format import _GroundReader
+class GroundReader(Cursor):
+    """Reads a ground program token by token, the ground format's grammar
+    as first written, through the package's ``Cursor`` (which
+    ``test_scanner`` checks against ``reference_scan``).  Errors name the
+    line of a token index, made only when one is raised."""
 
-    return _GroundReader(text).run()
+    def __init__(self, text: str):
+        super().__init__(_TOKEN_RE, text, FormatError, _line_only, _OPS)
+        self.variables: list[Variable] = []
+        self.index: dict[str, int] = {}
+        self.constraints: list[Clause] = []
+        self.rules: list[Rule] = []
+        self.objective: LinearExpr | None = None
+
+    def run(self) -> Program:
+        while not self.at_end():
+            if self.take("var"):
+                self._var_decl()
+            elif self.take("constraint"):
+                self.constraints.append(self._clause())
+                self.expect(";")
+            elif self.take("rule"):
+                self._rule()
+            elif self.take("minimize"):
+                self._minimize()
+            else:
+                self.fail("an item")
+        return Program(tuple(self.variables), tuple(self.constraints),
+                       tuple(self.rules), self.objective)
+
+    def _var_decl(self):
+        at = self._at
+        if self.take("bool"):
+            sort, lo, hi = Sort.BOOL, None, None
+        elif self.take("int"):
+            sort = Sort.INT
+            lo = self._bound()
+            self.expect("..")
+            hi = self._bound()
+        else:
+            self.fail("'bool' or 'int'")
+        if self.take("standard"):
+            kind = VarKind.STANDARD
+        elif self.take("founded"):
+            kind = VarKind.FOUNDED
+        else:
+            self.fail("'standard' or 'founded'")
+        name = self.name("variable name")
+        self.expect(";")
+        if name in self.index:
+            self._raise(f"duplicate variable '{name}'", at)
+        self.index[name] = len(self.variables)
+        self.variables.append(Variable(name, kind, sort, lo, hi))
+
+    def _bound(self):
+        if self.take("inf"):
+            return POS_INF
+        if _take_neg_inf(self):
+            return NEG_INF
+        return self.integer()
+
+    def _lookup(self, name: str, at: int) -> int:
+        var = self.index.get(name)
+        if var is None:
+            self._raise(f"unknown variable '{name}'", at)
+        return var
+
+    def _clause(self) -> Clause:
+        if self.take("false"):
+            return Clause((), ())
+        lits: list[Literal] = []
+        atoms: list[LinearAtom] = []
+        while True:
+            self._member(lits, atoms)
+            if not self.take("|"):
+                break
+        return Clause(tuple(lits), tuple(atoms))
+
+    def _member(self, lits: list, atoms: list):
+        """One clause member: ``~name``, ``name``, or a linear atom."""
+        at = self._at
+        if self.take("~"):
+            var = self._lookup(self.name(), at)
+            self._want_sort(var, Sort.BOOL, at)
+            lits.append(Literal(var, False))
+            return
+        value = self._values[at]
+        if self.kind(value) == "name" and not self._starts_atom():
+            self._at += 1
+            var = self._lookup(value, at)
+            self._want_sort(var, Sort.BOOL, at)
+            lits.append(Literal(var, True))
+            return
+        terms, constant = self._linear()
+        self.expect(">=")
+        bound = self._bound()
+        if isinstance(constant, int) and isinstance(bound, int):
+            bound -= constant
+        atoms.append(LinearAtom(tuple(terms), bound))
+
+    def _starts_atom(self) -> bool:
+        """Lookahead: a bare name is an atom when an operator follows."""
+        return self._values[self._at + 1] in (">=", "+", "-", "*")
+
+    def _linear(self, *, allow_bool: bool = False):
+        """Sum of ``k*name``, ``name``, and integer terms.
+
+        Objectives may carry Boolean variables (counted 0/1); clause atoms
+        may not.
+        """
+        values = self._values
+        terms: list[tuple[int, int]] = []
+        constant = 0
+        sign = 1
+        while True:
+            if self.take("-"):
+                sign = -sign
+            at = self._at
+            value = values[at]
+            kind = self.kind(value)
+            if kind == "int":
+                self._at = at + 1
+                coeff = sign * int(value)
+                name = self.name() if self.take("*") else None
+            elif kind == "name":
+                self._at = at + 1
+                coeff, name = sign, value
+            else:
+                self.fail("a term")
+            if name is None:
+                constant += coeff
+            else:
+                var = self._lookup(name, at)
+                if not allow_bool:
+                    self._want_sort(var, Sort.INT, at)
+                terms.append((coeff, var))
+            sign = 1
+            if self.take("+"):
+                continue
+            if self.peek("-"):
+                continue
+            return terms, constant
+
+    def _want_sort(self, var: int, sort: Sort, at: int):
+        info = self.variables[var]
+        if info.sort is not sort:
+            place = "a literal" if sort is Sort.BOOL else "a linear term"
+            self._raise(
+                f"'{info.name}' is {info.sort.value}, not usable as {place}",
+                at)
+
+    def _rule(self):
+        clause = self._clause()
+        self.expect("head")
+        name = self.name("head variable")
+        head = self._lookup(name, self._at - 1)
+        self.expect(";")
+        self.rules.append(Rule(clause, head))
+
+    def _minimize(self):
+        if self.objective is not None:
+            self._raise("more than one minimize item", self._at)
+        terms, constant = self._linear(allow_bool=True)
+        self.expect(";")
+        self.objective = LinearExpr(tuple(terms), constant)
+
+
+def reference_read_ground(text: str) -> Program:
+    """``text`` read token by token by ``GroundReader``, its rule shapes
+    left to be keyed rule by rule."""
+    return GroundReader(text).run()
 
 
 # -- minimal models as first written --------------------------------------------

@@ -65,8 +65,19 @@ def _random_texts(rand) -> list:
     return texts
 
 
+# tokens put in place of a token or before it: every word and operator of
+# the grammar, integers, an unknown name and an operator it never reads
+_EDIT_TOKENS = ("var bool int standard founded constraint rule head minimize "
+                "false inf ~ | >= .. * + - ; = 0 7 zz").split()
+# objectives with a fault of each kind: an unknown name, no term, no name
+# after ``*``, no ``;``
+_FAULTY_OBJECTIVES = ["1*zz;", "- -;", "3 * ;", "1 + 2"]
+
+
 def _mutants(rand, text: str) -> list:
-    """``text`` laid out anew, and with a token deleted or repeated."""
+    """``text`` laid out anew; with three of: a token deleted, repeated,
+    replaced, inserted or swapped with the next, or the tokens cut after
+    one; and with a faulty objective, or its first declaration, added."""
     tokens = scan(ground_format._TOKEN_RE, text)[:-1]
     out = [
         # items split over lines, and several items on one line
@@ -82,10 +93,31 @@ def _mutants(rand, text: str) -> list:
     out.append(text[:at] + rand.choice(["@", "\x00", "[", "\u0663", "."])
                + text[at:])
     if tokens:
-        at = rand.randrange(len(tokens))
-        out.append(" ".join(tokens[:at] + tokens[at + 1:]))
-        out.append(" ".join(tokens[:at + 1] + tokens[at:]))
-        out.append(" ".join(tokens[:at]))
+        # the names of the text too, so that one may be declared twice or
+        # read where the other sort belongs
+        words = _EDIT_TOKENS + [t for t in tokens if t[:1].isalpha()]
+        for edit in rand.sample(range(6), 3):  # three kinds a text
+            at = rand.randrange(len(tokens))
+            if edit == 0:
+                edited = tokens[:at] + tokens[at + 1:]
+            elif edit == 1:
+                edited = tokens[:at + 1] + tokens[at:]
+            elif edit == 2:
+                edited = tokens[:at]
+            elif edit == 3:
+                edited = tokens[:at] + [rand.choice(words)] + tokens[at + 1:]
+            elif edit == 4:
+                edited = tokens[:at] + [rand.choice(words)] + tokens[at:]
+            else:
+                edited = (tokens[:at] + tokens[at + 1:at + 2]
+                          + tokens[at:at + 1] + tokens[at + 2:])
+            # a line each for some tokens, so that each fault's line shows
+            # which of its item's tokens it is reported at
+            out.append("".join(token + rand.choice(" \n") for token in edited))
+    out.append(f"{text}minimize {rand.choice(_FAULTY_OBJECTIVES)}\n")
+    if "var" in tokens:  # the first declaration again, a token a line
+        at = tokens.index("var")
+        out.append(text + "\n".join(tokens[at:tokens.index(";", at) + 1]))
     return out
 
 

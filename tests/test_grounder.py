@@ -357,6 +357,27 @@ def test_reverse_implication_in_a_guard_reads_as_in_a_body():
     assert [c.atoms[0].bound for c in program.constraints] == [1, 3]
 
 
+# each guard's truth for a binding of i, as Python reads it
+_GUARD_TRUTHS = {
+    "not (i = 2)": lambda i: not i == 2,
+    "i > 1 -> i < 4": lambda i: not i > 1 or i < 4,
+    "i > 1 /\\ i != 3": lambda i: i > 1 and i != 3,
+    "not (i = 1 \\/ i = 4) -> i = 2":
+        lambda i: not (not (i == 1 or i == 4)) or i == 2,
+    "i = 1 <- i = 2": lambda i: i == 1 or not i == 2,
+    "i < 3 /\\ not (i = 1) -> i = 5":
+        lambda i: not (i < 3 and not i == 1) or i == 5,
+}
+
+
+@pytest.mark.parametrize("guard", sorted(_GUARD_TRUTHS))
+def test_guard_connectives_keep_the_bindings_python_keeps(guard):
+    program = g("var 0..9: n;\nconstraint forall "
+                f"(i in 1..5 where {guard}) (n >= i);\n")
+    assert [c.atoms[0].bound for c in program.constraints] == \
+        [i for i in range(1, 6) if _GUARD_TRUTHS[guard](i)]
+
+
 def test_nested_guard_connectives_evaluate_only_what_decides_them():
     # w[i] for i = 4, and w[i + 1] for i = 3, are outside w; each sits in
     # a chain that an earlier operand decides for that binding
@@ -378,6 +399,21 @@ def test_a_generator_range_may_name_an_earlier_generator(flat, nested):
     program = g(decls + flat + "\n")
     assert program == g(decls + nested + "\n")
     assert program.constraints
+
+
+@pytest.mark.parametrize("nested", [
+    "rule (forall (i in 1..3) (forall (j in i..3 where i != j) (BODY)));",
+    "rule (forall (i in 1..3) (forall (j in i..3) (forall (k in 1..2 "
+    "where i != j /\\ k = 1) (BODY))));",
+], ids=["two", "three"])
+def test_a_rule_over_nested_forall_levels_grounds_as_one_level(nested):
+    decls = "var bool: p;\narray[1..3] of var -9..0: d :: founded;\n"
+    body = "d[j] >= d[i] + 1 \\/ p :: head(d[j])"
+    flat = ("rule (forall (i in 1..3, j in i..3 where i != j) "
+            f"({body}));")
+    program = g(decls + nested.replace("BODY", body) + "\n")
+    assert format_program(program) == format_program(g(decls + flat + "\n"))
+    assert len(program.rules) == 3
 
 
 def _flat(op: str, term: str, n: int = 3000) -> str:
@@ -543,6 +579,9 @@ def test_objective_collects_bool2int_and_folds_zeros():
 def test_bool2int_requires_a_boolean_variable():
     with pytest.raises(GroundingError, match="bool2int needs a Boolean"):
         g("var 0..5: n;\nsolve minimize bool2int(n);\n")
+    # a parameter is no variable at all
+    with pytest.raises(GroundingError, match="bool2int needs a Boolean"):
+        g("int: k = 1;\nvar 0..5: n;\nsolve minimize bool2int(k) + n;\n")
 
 
 def test_sum_objective_merges_terms():

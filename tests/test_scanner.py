@@ -27,7 +27,6 @@ from bfasp import (
     parse_ground_program,
     parse_model,
 )
-from bfasp.ground_format import _GroundReader
 from bfasp.model_ast import ArrayLit, IntLit, Span
 from bfasp.parser import _Parser
 
@@ -80,7 +79,7 @@ def _check_model_tokens(text: str):
 
 
 def _check_ground_tokens(text: str):
-    got = _walk(_GroundReader, text)
+    got = _walk(oracles.GroundReader, text)
     want = _expected(oracles.GROUND_TOKENS, FormatError, text,
                      lambda line, col: line)
     assert got == want
@@ -143,7 +142,7 @@ def test_the_first_of_many_distinct_stray_characters_is_found_in_one_pass():
     # looking each distinct bad value up on its own took seconds here
     text = "x = 1;\n" * 5000 + " ".join(chr(0x4E00 + i) for i in range(20000))
     for make, message in [(lambda t: _Parser(t, "f"), "f:5001:1: "),
-                          (_GroundReader, "line 5001: ")]:
+                          (parse_ground_program, "line 5001: ")]:
         start = time.perf_counter()
         with pytest.raises(BfaspError) as err:
             make(text)
