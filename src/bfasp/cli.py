@@ -1,7 +1,7 @@
 """Command line entry points: solve, check, and ground.
 
 Exit codes: 0 model found / assignment stable, 1 assignment not stable,
-2 no model exists, 3 bad input, 4 resource limit hit before an answer.
+2 no model exists, 3 bad input, 4 the time budget ran out before an answer.
 """
 
 import argparse
@@ -9,7 +9,7 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import BfaspError, GroundingError, WatchdogError
+from .errors import BfaspError, GroundingError
 from .ground_format import format_assignment, format_program, \
     parse_assignment, parse_ground_program
 from .grounder import ground
@@ -204,9 +204,6 @@ def run(argv=None) -> int:
     except (BfaspError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except WatchdogError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
 
 
 def main():

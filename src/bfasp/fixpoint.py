@@ -6,6 +6,11 @@ a monotone fixpoint computation on a finite lattice: it terminates, the
 result is order-independent, and it is the unique minimal model when one
 exists.  A requirement above a variable's domain ceiling witnesses
 unsatisfiability.
+
+Both bound loops raise a head only when its new value, in ``lo..hi`` (True
+for a Boolean), is strictly above its current one, so an integer is raised
+at most ``hi - lo + 1`` times and a Boolean once: that test is what bounds
+the raises.
 """
 
 import itertools
@@ -17,7 +22,6 @@ from typing import NamedTuple
 
 from .analysis import PositiveCP, shape_forms
 from .codegen import Writer, define
-from .errors import WatchdogError
 from .program import (
     NEG_INF,
     POS_INF,
@@ -26,8 +30,6 @@ from .program import (
     Sort,
 )
 
-
-_WATCHDOG_MESSAGE = "fixpoint watchdog: bound raises exceeded the lattice budget"
 
 class DeadlinePassed(Exception):
     """A leaf or upper-bound run went past the deadline it was given."""
@@ -141,12 +143,6 @@ def minimal_model(pcp: PositiveCP, *, on_update=None) -> FixpointResult:
         if head not in bounds:
             bounds[head] = variables[head].least_value()
 
-    budget = len(pcp.rules)
-    for var in bounds:
-        info = variables[var]
-        budget += 2 if info.sort is Sort.BOOL else info.hi - info.lo + 2
-    raises = 0
-
     queue = deque(range(len(pcp.rules)))
     queued = [True] * len(pcp.rules)
     while queue:
@@ -166,14 +162,9 @@ def minimal_model(pcp: PositiveCP, *, on_update=None) -> FixpointResult:
                 new = info.lo  # least domain value meeting the requirement
             if new > info.hi:
                 return FixpointResult(None, index)
-        if not new > current:
-            continue
         if on_update is not None:
             on_update(rule.head, current, new, index)
         bounds[rule.head] = new
-        raises += 1
-        if raises > budget:
-            raise WatchdogError(_WATCHDOG_MESSAGE)
         for watching in watchers.get(rule.head, ()):
             if not queued[watching]:
                 queued[watching] = True
@@ -234,11 +225,6 @@ class LeafEvaluator:
         self._founded = [i for i, v in enumerate(variables) if v.is_founded]
         self._template = [v.least_value() if v.is_founded else None
                           for v in variables]
-        budget = len(program.rules)
-        for var in self._founded:
-            info = variables[var]
-            budget += 2 if info.sort is Sort.BOOL else info.hi - info.lo + 2
-        self._budget = budget
         self._shapes = shapes = program.shapes
         # Per rule, its plain tuple (laid out as above ``_KEPT``), or None
         # for a rule that no reduct keeps, whatever the valuation:
@@ -354,8 +340,7 @@ class LeafEvaluator:
         Returns the bounds, indexed by variable, and None, or None and the
         index of a rule whose requirement passed its head's ``hi``; with
         ``clamp`` such a requirement raises the head to ``hi`` instead.
-        Each raise counts against the watchdog's budget and checks the
-        ``deadline``, when there is one.
+        Each raise checks the ``deadline``, when there is one.
         """
         rules = self._rules
         watchers = self._watchers
@@ -365,8 +350,6 @@ class LeafEvaluator:
         for fold, indices in cone.batches:
             fold(indices, rules, valuation, folds)
         bounds = self._template.copy()
-        budget = self._budget
-        raises = 0
         queue = deque([i for i in cone.rules if folds[i] is not None])
         # Inactive rules are never popped, so they stay marked and never
         # join the queue.
@@ -401,9 +384,6 @@ class LeafEvaluator:
             if on_update is not None:
                 on_update(head, current, new, index)
             bounds[head] = new
-            raises += 1
-            if raises > budget:
-                raise WatchdogError(_WATCHDOG_MESSAGE)
             if deadline is not None and time.monotonic() > deadline:
                 raise DeadlinePassed
             for watching, slot in watchers[head]:

@@ -1305,7 +1305,7 @@ class _Grounder:
             source.fail(f"'{node.target.name}' is not a {what}",
                         node.target.span)
             head = ("0", None)
-        head, declared = head
+        head, _ = head
         body = source.cnf(node.body, False)
         if isinstance(body, _Members):
             # a trivially true clause never forces its head
@@ -1320,21 +1320,16 @@ class _Grounder:
             source.line(f"if len({body}) > 1: "
                         f"raise _split(len({body}), {note})")
             plain, clause = None, f"{body}[0]"
+        place = None
         if plain is not None:
-            # Every member is there, on its own variable, so the rule's
-            # shape is the template's with the head at its place: keyed
-            # once.
             refs = [var for var, _ in body.lits]
             refs += [var for atom in body.atoms for _, var in atom.pairs]
             if head in refs:
                 place = str(refs.index(head))
-            else:
-                bool_head = declared is not None and \
-                    declared.sort is Sort.BOOL
-                same = range(len(body.lits)) if bool_head else \
-                    range(len(body.lits), len(refs))
-                place = "".join(f"{i} if {head} == {refs[i]} else "
-                                for i in same) + str(len(refs))
+        if place is not None:
+            # Every member is there, on its own variable, and the head is
+            # written as one of them, so the rule's shape is the template's
+            # with the head at its place: keyed once.
             if plain != "True":
                 source.open(f"if {plain}:")
             source.line(f"rule = Rule({source.laid_out(body)}, {head})")
@@ -1343,11 +1338,11 @@ class _Grounder:
             if plain != "True":
                 source.close()
                 source.open("else:")
-        if plain != "True":
+        if place is None or plain != "True":
             # the rule's shape keyed in full
             source.line(f"rule = Rule({clause}, {head})")
             source.line(f"if add(rule): _check_rule(rule, V, {note})")
-            if plain is not None:
+            if place is not None:
                 source.close()
         source.line("rules.append(rule)")
 

@@ -27,7 +27,7 @@ from bfasp import (
     Variable,
     eval_linear,
 )
-from bfasp.errors import FormatError, WatchdogError
+from bfasp.errors import FormatError
 from bfasp.fixpoint import FixpointResult
 from bfasp.ground_format import _OPS, _TOKEN_RE, _line_only, _take_neg_inf
 from bfasp.parser import Cursor
@@ -734,6 +734,11 @@ def reference_requirement(rule: Rule, bounds, variables):
     if isinstance(residual, int):
         return -((-residual) // coefficient)
     return NEG_INF if residual == NEG_INF else POS_INF
+
+
+class WatchdogError(RuntimeError):
+    """The lattice budget that ``reference_minimal_model`` was first written
+    with, passed."""
 
 
 def reference_minimal_model(pcp: PositiveCP, *, on_update=None):

@@ -15,7 +15,6 @@ from bfasp import (
     parse_model,
 )
 from bfasp.cli import run
-from bfasp.errors import WatchdogError
 
 from conftest import MODELS
 from test_ground_format import EX1_TEXT
@@ -281,6 +280,21 @@ def test_usage_errors_exit_three(capsys):
     assert exc.value.code == 3
 
 
+@pytest.mark.parametrize("interval, message", [
+    ("5..3", "empty interval '5..3'"),
+    ("abc", "expected LO..HI (for negatives write "
+            "--founded-default=-50..50), got 'abc'"),
+])
+def test_a_bad_founded_default_exits_three(capsys, interval, message):
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", EX1, "--founded-default", interval])
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("bfasp solve: error: argument --founded-default: "
+                            f"{message}\n")
+
+
 def test_enumeration_flags_clash_with_objectives(capsys):
     assert run(["solve", MCDS, "--all"]) == 3
     err = capsys.readouterr().err
@@ -369,19 +383,6 @@ def test_a_wide_integer_domain_solves(tmp_path, capsys):
     wide.write_text("var 0..1000000000000: n;\nconstraint n = 5;\n")
     assert run(["solve", str(wide)]) == 0
     assert capsys.readouterr().out == "n = 5;\n----------\n"
-
-
-def test_fixpoint_watchdog_exits_four(monkeypatch, capsys):
-    def runaway(*args, **kwargs):
-        raise WatchdogError("fixpoint watchdog: bound raises exceeded the "
-                            "lattice budget")
-    monkeypatch.setattr(bfasp.fixpoint.LeafEvaluator, "minimal_model",
-                        runaway)
-    assert run(["solve", EX1]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: fixpoint watchdog: bound raises exceeded "
-                            "the lattice budget\n")
 
 
 # -- mutated inputs -------------------------------------------------------------

@@ -265,6 +265,17 @@ def test_validate_flag_rejects_non_positive_input():
     assert not minimal_model(increasing_body).ok
 
 
+def test_validate_flag_names_a_faulty_head():
+    variables = (int_var("h", 0, 9), int_var("s", 0, 9, founded=False))
+    pcp = PositiveCP(variables, (
+        Rule(Clause(atoms=(LinearAtom(((1, 1),), 1),)), 1),
+        Rule(Clause(atoms=(LinearAtom(((-1, 0),), -3),)), 0),
+    ))
+    assert validate_positive_cp(pcp) == [
+        "clause 0: head 's': head is not a founded variable",
+        "clause 1: head 'h': clause is not increasing in the head"]
+
+
 # -- head-aware satisfaction ----------------------------------------------------
 
 
@@ -276,6 +287,18 @@ def test_satisfied_at_bottom_where_plain_evaluation_is_undefined():
     assert satisfied_at(rule, both_bottom, variables)
     assert not satisfied_at(rule, {0: NEG_INF, 1: 0}, variables)
     assert satisfied_at(rule, {0: 1, 1: 0}, variables)
+
+
+def test_satisfied_at_fails_where_no_head_value_meets_the_rule():
+    # an increasing body term at the bottom makes the residual +inf, so
+    # even the head's hi falls short
+    variables = (int_var("h", 0, 9), int_var("u", 0, 9))
+    rule = Rule(Clause(atoms=(LinearAtom(((1, 0), (1, 1)), 0),)), 0)
+    at_hi = {0: 9, 1: NEG_INF}
+    assert clause_requirement(rule, at_hi, variables) == POS_INF
+    assert reference_requirement(rule, at_hi, variables) == POS_INF
+    assert not satisfied_at(rule, at_hi, variables)
+    assert satisfied_at(rule, {0: 0, 1: 0}, variables)
 
 
 def test_minimal_models_pass_their_own_rules(rng):

@@ -1,7 +1,13 @@
 """Text round trips and error reporting for the ground exchange format."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import bfasp
 from bfasp import (
     NEG_INF,
     POS_INF,
@@ -241,3 +247,18 @@ def test_assignment_reads_crlf_solver_output():
     assert parse_assignment(text, _two_ints()) == {0: 1, 1: 2}
     with pytest.raises(FormatError, match="^line 3: 'a' assigned twice$"):
         parse_assignment("a = 1;\r\n----------\r\na = 2;\r\n", _two_ints())
+
+
+def test_importing_bfasp_leaves_the_ground_reader_unloaded():
+    # Every module that ``import bfasp`` loads adds to each command's start-up
+    # time, so the reader is loaded at the first read.
+    src = Path(bfasp.__file__).resolve().parent.parent
+    script = ("import sys, bfasp\n"
+              "print('bfasp.ground_reader' in sys.modules)\n"
+              "bfasp.parse_ground_program('var bool standard p;')\n"
+              "print('bfasp.ground_reader' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=60)
+    assert done.stdout == "False\nTrue\n"

@@ -12,7 +12,15 @@ from pathlib import Path
 import pytest
 
 from bfasp import GroundingError, format_program, ground, parse_data, parse_model
-from bfasp.model_ast import ArrayAccess, Ident
+from bfasp.model_ast import (
+    ArrayAccess,
+    Bool2Int,
+    Comparison,
+    HeadAnn,
+    Ident,
+    IntLit,
+    Not,
+)
 
 from conftest import keyed_shapes
 
@@ -62,17 +70,24 @@ def test_ground_output_is_byte_identical_to_the_golden(name):
     assert vars(program)["shapes"] == keyed_shapes(program)
 
 
-def _renamed(node, old: str, new: str):
-    """``node`` with every Ident or ArrayAccess named ``old`` renamed: a
-    model the name resolver would refuse, handed to the grounder as is."""
+def _rebuilt(node, swap):
+    """``node`` rebuilt bottom up, each subtree for which ``swap`` returns a
+    node replaced by that node: a model the parser would refuse, handed to
+    the grounder as is."""
     if isinstance(node, tuple):
-        return tuple(_renamed(n, old, new) for n in node)
+        return tuple(_rebuilt(n, swap) for n in node)
     if not is_dataclass(node) or isinstance(node, type):
         return node
-    if isinstance(node, (Ident, ArrayAccess)) and node.name == old:
-        node = replace(node, name=new)
-    return replace(node, **{f.name: _renamed(getattr(node, f.name), old, new)
+    node = replace(node, **{f.name: _rebuilt(getattr(node, f.name), swap)
                             for f in fields(node)})
+    new = swap(node)
+    return node if new is None else new
+
+
+def _renamed(node, old: str, new: str):
+    """``node`` with every Ident or ArrayAccess named ``old`` renamed."""
+    return _rebuilt(node, lambda n: replace(n, name=new) if isinstance(
+        n, (Ident, ArrayAccess)) and n.name == old else None)
 
 
 # (id, model text, (old, new) rename or None, expected str(GroundingError))
@@ -220,3 +235,82 @@ def test_grounding_errors_keep_their_text_span_and_binding(text, rename,
         ground(model)
     assert str(caught.value) == expected
     assert str(caught.value).startswith(f"{caught.value.span}: ")
+
+
+def _named(node, name: str) -> bool:
+    return isinstance(node, Ident) and node.name == name
+
+
+_HAND_BUILT_HEADER = ("int: M = 2;\narray[1..2] of var 0..9: x;\n"
+                      "var bool: p;\nvar 0..9: n;\n")
+
+# (id, constraint, swap as in _rebuilt, expected str(GroundingError)): the
+# grounder's own checks of expression kinds that the parser refuses
+HAND_BUILT_CASES = [
+    ("parameter-expression", "forall (i in 1..M) (p)",
+     lambda e: Comparison(">=", IntLit(1, e.span), IntLit(0, e.span), e.span)
+     if _named(e, "M") else None,
+     "<model>:5:28: expected a parameter expression"),
+    ("parameter-condition", "forall (i in 1..2 where i > 1) (p)",
+     lambda e: IntLit(1, e.span)
+     if isinstance(e, Comparison) and e.op == ">" else None,
+     "<model>:5:38: expected a parameter condition (i=1)"),
+    ("misplaced-head-annotation", "forall (i in 1..2) (p \\/ x[i] >= 1)",
+     lambda e: HeadAnn(e, Ident("n", e.span), e.span)
+     if isinstance(e, Comparison) else None,
+     "<model>:5:42: misplaced head annotation (i=1)"),
+    ("condition", "forall (i in 1..2) (p \\/ x[i] >= 1)",
+     lambda e: IntLit(3, e.span) if isinstance(e, Comparison) else None,
+     "<model>:5:42: expected a condition (i=1)"),
+    ("bool2int-outside-the-objective", "forall (i in 1..2) (x[i] + n >= 1)",
+     lambda e: Bool2Int(Ident("p", e.span), e.span)
+     if _named(e, "n") else None,
+     "<model>:5:39: bool2int is only allowed in the objective (i=1)"),
+    ("integer-expression", "forall (i in 1..2) (x[i] + n >= 1)",
+     lambda e: Not(Ident("p", e.span), e.span) if _named(e, "n") else None,
+     "<model>:5:39: expected an integer expression (i=1)"),
+]
+
+
+@pytest.mark.parametrize("constraint,swap,expected",
+                         [case[1:] for case in HAND_BUILT_CASES],
+                         ids=[case[0] for case in HAND_BUILT_CASES])
+def test_hand_built_expressions_of_the_wrong_kind_are_grounding_errors(
+        constraint, swap, expected):
+    model = parse_model(f"{_HAND_BUILT_HEADER}constraint {constraint};\n")
+    with pytest.raises(GroundingError) as caught:
+        ground(_rebuilt(model, swap))
+    assert str(caught.value) == expected
+
+
+_FACTORS_HEADER = ("int: K = 3;\narray[1..3] of int: w = [4, 5, 6];\n"
+                   "array[1..3] of var 0..99: x;\n")
+
+
+@pytest.mark.parametrize("written,alike", [
+    # a fixed left factor scales the right side
+    ("x[e] + 2 * w[e] >= 5", "x[e] + w[e] + w[e] >= 5"),
+    ("2 * w[e] + x[e] >= 5", "w[e] * 2 + x[e] >= 5"),
+    ("2 * x[e] >= w[e]", "x[e] * 2 >= w[e]"),
+    ("K * x[e] >= w[e]", "x[e] * K >= w[e]"),
+    ("K * 2 * x[e] >= w[e]", "x[e] * 6 >= w[e]"),
+    # a scalar parameter's coefficient on a parameter cell
+    ("x[e] + K * w[e] >= 5", "x[e] + w[e] * 3 >= 5"),
+])
+def test_a_factor_grounds_alike_on_either_side(written, alike):
+    def grounded(constraint):
+        return format_program(ground(parse_model(
+            f"{_FACTORS_HEADER}constraint forall (e in 1..3) "
+            f"({constraint});\n")))
+
+    assert grounded(written) == grounded(alike)
+
+
+def test_a_coefficient_on_a_parameter_cell_moves_into_the_bound():
+    program = ground(parse_model(
+        f"{_FACTORS_HEADER}constraint forall (e in 1..3) "
+        "(x[e] + 2 * w[e] >= 5);\n"))
+    assert format_program(program).splitlines()[3:] == [
+        "constraint 1*x[1] >= -3;",
+        "constraint 1*x[2] >= -5;",
+        "constraint 1*x[3] >= -7;"]

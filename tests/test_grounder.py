@@ -498,6 +498,31 @@ def test_self_loops_that_fold_to_truths_are_dropped():
     assert program.rules == ()
 
 
+_APART_HEADER = ("array[1..5] of var 0..9: x :: founded;\n"
+                 "array[1..5] of var bool: p :: founded;\n"
+                 "var bool: q;\n")
+
+
+@pytest.mark.parametrize("rule, written, apart", [
+    ("rule (forall (i in 1..4) (x[i] >= x[i + 1] + 1 :: head(x[{}])));",
+     "i", "i + 0"),
+    ("rule (forall (i in 1..4) (x[5 - i] >= x[i] + 2 \\/ q "
+     ":: head(x[{}])));", "5 - i", "4 - i + 1"),
+    ("rule (forall (i in 1..4) (p[i] \\/ not p[i + 1] \\/ q "
+     ":: head(p[{}])));", "i", "i * 1"),
+])
+def test_a_head_written_apart_from_the_body_grounds_as_written_alike(
+        rule, written, apart):
+    # The head reference is none of the body's, so the rule's shape is
+    # keyed in full; it comes out as when the head is written as the body's.
+    alike = g(_APART_HEADER + rule.format(written) + "\n")
+    program = g(_APART_HEADER + rule.format(apart) + "\n")
+    assert len(program.rules) == 4
+    assert format_program(program) == format_program(alike)
+    assert vars(program)["shapes"] == vars(alike)["shapes"] \
+        == keyed_shapes(program)
+
+
 def test_rule_head_must_be_founded_and_increasing():
     with pytest.raises(GroundingError,
                        match="head 'p': head is not a founded variable"):

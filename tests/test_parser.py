@@ -261,6 +261,19 @@ def test_arrays_need_indices_and_correct_arity():
                     "constraint p /\\ n[1] >= 1;\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("constraint forall (g in 1..3) (x[g[1]] >= 0);",
+     "<model>:2:34: 'g' is not a parameter array"),
+    ("constraint forall (g in 1..3) (x[1] >= g[1]);",
+     "<model>:2:40: 'g' is not an array"),
+])
+def test_generator_names_are_not_arrays(text, message):
+    # an index is a parameter context, an operand is not
+    with pytest.raises(ParseError) as caught:
+        parse_model("array[1..3] of var 0..3: x;\n" + text + "\n")
+    assert str(caught.value) == message
+
+
 def test_where_guards_must_be_parameter_conditions():
     # a variable inside a guard comparison is named directly
     with pytest.raises(ParseError, match="'n' is a variable; only parameters"):

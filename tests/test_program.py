@@ -215,7 +215,8 @@ def test_eval_linear_random_matches_plain_arithmetic(rng):
 
 
 def test_validate_program_accepts_the_walkthrough():
-    assert validate_program(build_example_one()).ok
+    report = validate_program(build_example_one())
+    assert report.ok and str(report) == "ok"
 
 
 def test_validate_program_flags_variable_issues():
@@ -225,7 +226,9 @@ def test_validate_program_flags_variable_issues():
         Variable("b", VarKind.STANDARD, Sort.INT, 5, 0),
         Variable("c", VarKind.STANDARD, Sort.BOOL, 0, 1),
     ))
-    issues = validate_program(program).issues
+    report = validate_program(program)
+    issues = report.issues
+    assert str(report) == "\n".join(issues)
     assert any("duplicate name 'a'" in i for i in issues)
     assert any("integer without interval" in i for i in issues)
     assert any("empty interval" in i for i in issues)

@@ -7,11 +7,14 @@ error texts of the same texts are pinned: by value for the edge texts, and
 by a digest of their ``repr`` for the random ones.
 """
 
+import copy
 import gc
 import hashlib
+import pickle
 import random
 import sys
 import time
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -565,6 +568,50 @@ def test_an_integer_list_holds_no_element_nodes_until_read():
     assert assign.value.ints == tuple(i * 37 % 1000 for i in range(9000))
     assert assign.value.elements[-1] == \
         IntLit(8999 * 37 % 1000, Span("f", 1, len(text) - 4))
+
+
+_COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda lit: pickle.loads(pickle.dumps(lit)),
+}
+
+
+@pytest.mark.parametrize("how", sorted(_COPIES))
+def test_integer_lists_copy_and_pickle_as_made_element_by_element(
+        monkeypatch, how):
+    text = "a = [3, 1,\n  4, 1, 5];"
+
+    def read():
+        (assign,) = parse_data(text, "f")
+        return assign.value
+
+    bulk = read()
+    assert bulk.ints == (3, 1, 4, 1, 5)
+    monkeypatch.setattr(_Parser, "_int_list", lambda self, span: None)
+    alike = read()
+    assert alike.ints is None
+    # a bulk-read list is copied before its elements are read
+    for lit in (bulk, alike):
+        copied = _COPIES[how](lit)
+        assert copied == alike and hash(copied) == hash(alike)
+        assert repr(copied) == repr(alike)
+        assert copied.elements[2] == IntLit(4, Span("f", 2, 3))
+
+
+def test_integer_lists_are_immutable():
+    (assign,) = parse_data("a = [3, 1];", "f")
+    lit = assign.value
+    for name in ("ints", "elements", "span"):
+        with pytest.raises(FrozenInstanceError,
+                           match=f"cannot assign to field '{name}'"):
+            setattr(lit, name, None)
+        with pytest.raises(FrozenInstanceError,
+                           match=f"cannot delete field '{name}'"):
+            delattr(lit, name)
+    assert lit.ints == (3, 1) and lit.elements == (
+        IntLit(3, Span("f", 1, 6)), IntLit(1, Span("f", 1, 9)))
+    assert lit != lit.elements
 
 
 # -- integers too long for int -----------------------------------------------------

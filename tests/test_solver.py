@@ -439,6 +439,32 @@ def test_time_budget_stops_an_upper_bound_run(monkeypatch):
     assert search.status is SearchStatus.EXHAUSTED
 
 
+def test_an_empty_founded_interval_has_no_model_at_either_level():
+    # Hand-built and unvalidated: x's interval 5..0 is empty, which
+    # validate_program refuses.  Each raise still lifts x strictly, so the
+    # fixpoints end; the upper-bound run clamps x to its hi, and the leaf
+    # finds x's rule past that hi.
+    x = 0
+    rule = Rule(Clause(atoms=(LinearAtom(((1, x),), 3),)), x)
+    alone = Program(variables=(founded_int("x", 5, 0),), rules=(rule,))
+    assert bfasp.fixpoint.LeafEvaluator(alone).upper_bounds({}) == {x: 0}
+    # g's guess decides g \/ x >= 1, so an upper-bound run is made there
+    g, h, x = range(3)
+    rule = Rule(Clause(atoms=(LinearAtom(((1, x),), 3),)), x)
+    program = Program(
+        variables=(Variable("g", VarKind.STANDARD, Sort.BOOL),
+                   Variable("h", VarKind.STANDARD, Sort.BOOL),
+                   founded_int("x", 5, 0)),
+        constraints=(Clause((Literal(g),), (LinearAtom(((1, x),), 1),)),
+                     Clause((Literal(h), Literal(g, False)))),
+        rules=(rule,))
+    for level in PropagationLevel:
+        search = Search(program, SearchConfig(propagation=level))
+        assert list(search.models()) == []
+        assert search.status is SearchStatus.EXHAUSTED
+    assert search.stats.bound_runs == 1
+
+
 def test_config_rejects_nonpositive_limits():
     with pytest.raises(ValueError, match="solution limit must be positive"):
         SearchConfig(solution_limit=0)
