@@ -17,6 +17,7 @@ from .program import (
     NEG_INF,
     POS_INF,
     Clause,
+    FrozenRecord,
     LinearAtom,
     Program,
     Rule,
@@ -218,8 +219,8 @@ def least_products(terms, variables) -> tuple:
                  for c, v in terms)
 
 
-@dataclass(frozen=True)
-class PositiveCP:
+@dataclass(init=False, repr=False, eq=False)
+class PositiveCP(FrozenRecord):
     """A positive constraint program: head-tagged clauses over shared variables.
 
     Each clause is increasing in its head and decreasing in every other

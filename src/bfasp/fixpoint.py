@@ -26,6 +26,7 @@ from .program import (
     NEG_INF,
     POS_INF,
     Program,
+    Record,
     Rule,
     Sort,
 )
@@ -94,8 +95,8 @@ def clause_requirement(rule: Rule, bounds, variables):
     return NEG_INF if residual == NEG_INF else POS_INF
 
 
-@dataclass
-class FixpointResult:
+@dataclass(init=False, repr=False, eq=False)
+class FixpointResult(Record):
     """Either a minimal model or the clause that forced a bound past its hi."""
 
     model: dict | None

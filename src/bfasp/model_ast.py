@@ -1,21 +1,33 @@
 """Syntax tree for the modeling language.
 
-Nodes are plain frozen dataclasses, but for ``ArrayLit``, which makes the
-elements of an integer list when first read; every node carries the source
-span it was parsed from so later passes can report errors in terms of the
-input.
+Nodes are immutable records (``program.FrozenRecord``): dataclasses whose
+methods are shared rather than generated, and the types made once per
+token write their own ``__init__``.  ``ArrayLit`` is no dataclass: it makes
+the elements of an integer list when first read.  Every node carries the
+source span it was parsed from so later passes can report errors in terms
+of the input.
 """
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
+from operator import attrgetter
 
-from .program import Sort
+from .program import FrozenRecord, Sort
+
+_set = object.__setattr__  # sets a field of a frozen node
 
 
-@dataclass(frozen=True)
-class Span:
+@dataclass(init=False, repr=False, eq=False)
+class Span(FrozenRecord):
+    """Where a node starts: file name, 1-based line and column."""
+
     file: str
     line: int
     col: int
+
+    def __init__(self, file, line, col):
+        _set(self, "file", file)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.col}"
@@ -24,39 +36,62 @@ class Span:
 # -- expressions -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntLit:
+@dataclass(init=False, repr=False, eq=False)
+class IntLit(FrozenRecord):
+    """An integer literal."""
+
     value: int
     span: Span
 
+    def __init__(self, value, span):
+        _set(self, "value", value)
+        _set(self, "span", span)
 
-@dataclass(frozen=True)
-class Ident:
+
+@dataclass(init=False, repr=False, eq=False)
+class Ident(FrozenRecord):
+    """A name: a parameter, a variable or a generator variable."""
+
     name: str
     span: Span
 
+    def __init__(self, name, span):
+        _set(self, "name", name)
+        _set(self, "span", span)
 
-@dataclass(frozen=True)
-class ArrayAccess:
+
+@dataclass(init=False, repr=False, eq=False)
+class ArrayAccess(FrozenRecord):
+    """``name[i, j]``: one index expression per dimension."""
+
     name: str
     indices: tuple
     span: Span
 
+    def __init__(self, name, indices, span):
+        _set(self, "name", name)
+        _set(self, "indices", indices)
+        _set(self, "span", span)
 
-@dataclass(frozen=True)
-class Neg:
+
+@dataclass(init=False, repr=False, eq=False)
+class Neg(FrozenRecord):
+    """Arithmetic negation ``-operand``."""
+
     operand: object
     span: Span
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(init=False, repr=False, eq=False)
+class Not(FrozenRecord):
+    """Boolean negation ``not operand``."""
+
     operand: object
     span: Span
 
 
-@dataclass(frozen=True)
-class BinOp:
+@dataclass(init=False, repr=False, eq=False)
+class BinOp(FrozenRecord):
     """Arithmetic or connective: one of + - * /\\ \\/ -> <-"""
 
     op: str
@@ -64,9 +99,15 @@ class BinOp:
     right: object
     span: Span
 
+    def __init__(self, op, left, right, span):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "span", span)
 
-@dataclass(frozen=True)
-class Comparison:
+
+@dataclass(init=False, repr=False, eq=False)
+class Comparison(FrozenRecord):
     """One of >= <= > < = !=; never chained."""
 
     op: str
@@ -74,9 +115,15 @@ class Comparison:
     right: object
     span: Span
 
+    def __init__(self, op, left, right, span):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "span", span)
 
-@dataclass(frozen=True)
-class Gen:
+
+@dataclass(init=False, repr=False, eq=False)
+class Gen(FrozenRecord):
     """Generator binding ``u, v in lo..hi``."""
 
     names: tuple
@@ -85,8 +132,8 @@ class Gen:
     span: Span
 
 
-@dataclass(frozen=True)
-class Agg:
+@dataclass(init=False, repr=False, eq=False)
+class Agg(FrozenRecord):
     """forall / exists / sum with generators and an optional where guard."""
 
     kind: str
@@ -96,14 +143,16 @@ class Agg:
     span: Span
 
 
-@dataclass(frozen=True)
-class Bool2Int:
+@dataclass(init=False, repr=False, eq=False)
+class Bool2Int(FrozenRecord):
+    """``bool2int(operand)``: 1 when true, 0 when false."""
+
     operand: object
     span: Span
 
 
-@dataclass(frozen=True)
-class HeadAnn:
+@dataclass(init=False, repr=False, eq=False)
+class HeadAnn(FrozenRecord):
     """``expr :: head(target)`` inside a rule."""
 
     body: object
@@ -111,7 +160,7 @@ class HeadAnn:
     span: Span
 
 
-class ArrayLit:
+class ArrayLit(FrozenRecord):
     """A ``[...]`` list: its element expressions and its span.
 
     A list of integer literals alone is made by ``of_ints``, from their
@@ -123,13 +172,15 @@ class ArrayLit:
     """
 
     __slots__ = ("span", "ints", "_elements", "_offsets", "_line_starts")
+    _key = attrgetter("elements", "span")
+    _shown = ("elements", "span")
 
     def __init__(self, elements: tuple, span: Span):
         self._set(span=span, ints=None, _elements=elements)
 
     def _set(self, **fields):
         for name, value in fields.items():
-            object.__setattr__(self, name, value)
+            _set(self, name, value)
 
     @classmethod
     def of_ints(cls, ints: tuple, offsets: list, line_starts: list,
@@ -157,33 +208,16 @@ class ArrayLit:
                       _line_starts=None)
         return self._elements
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __reduce__(self):
         # copied and pickled as made element by element
         return ArrayLit, (self.elements, self.span)
-
-    def __repr__(self) -> str:
-        return f"ArrayLit(elements={self.elements!r}, span={self.span!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.elements, self.span) == (other.elements, other.span)
-
-    def __hash__(self) -> int:
-        return hash((self.elements, self.span))
 
 
 # -- items -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParamDecl:
+@dataclass(init=False, repr=False, eq=False)
+class ParamDecl(FrozenRecord):
     """``int: N = 4;`` or ``array[1..E] of 1..N: from = [...];``
 
     ``dims`` holds one (lo, hi) expression pair per index dimension, empty
@@ -199,8 +233,10 @@ class ParamDecl:
     span: Span
 
 
-@dataclass(frozen=True)
-class VarDecl:
+@dataclass(init=False, repr=False, eq=False)
+class VarDecl(FrozenRecord):
+    """A decision variable: its sort, bounds and founded flag."""
+
     name: str
     dims: tuple
     sort: Sort
@@ -209,33 +245,43 @@ class VarDecl:
     span: Span
 
 
-@dataclass(frozen=True)
-class ConstraintItem:
+@dataclass(init=False, repr=False, eq=False)
+class ConstraintItem(FrozenRecord):
+    """``constraint expr;``"""
+
     expr: object
     span: Span
 
 
-@dataclass(frozen=True)
-class RuleItem:
+@dataclass(init=False, repr=False, eq=False)
+class RuleItem(FrozenRecord):
+    """``rule expr;``"""
+
     expr: object
     span: Span
 
 
-@dataclass(frozen=True)
-class SolveItem:
+@dataclass(init=False, repr=False, eq=False)
+class SolveItem(FrozenRecord):
+    """``solve satisfy;`` or ``solve minimize expr;``"""
+
     objective: object  # None for plain satisfaction
     span: Span
 
 
-@dataclass(frozen=True)
-class DataAssign:
+@dataclass(init=False, repr=False, eq=False)
+class DataAssign(FrozenRecord):
+    """``name = value;`` in a data file."""
+
     name: str
     value: object
     span: Span
 
 
-@dataclass(frozen=True)
-class Model:
+@dataclass(init=False, repr=False, eq=False)
+class Model(FrozenRecord):
+    """A parsed model: its items, by kind, in source order."""
+
     file: str
     params: tuple = ()
     vars: tuple = ()

@@ -18,8 +18,11 @@ so compare with ``==``, not ``is``.
 """
 
 import enum
-from dataclasses import dataclass, field
+import reprlib
+from dataclasses import (MISSING, FrozenInstanceError, dataclass, field,
+                         fields, is_dataclass)
 from functools import cached_property
+from operator import attrgetter
 
 
 NEG_INF = float("-inf")
@@ -36,6 +39,124 @@ _INT_LIMIT = 2**256
 Value = int  # documentation alias; bool and float also occur
 
 
+_set = object.__setattr__  # sets a field of a frozen record
+
+
+class _PerClass:
+    """A class attribute made from its class's dataclass fields at its first
+    read and then stored on that class, so each record type makes its own
+    once."""
+
+    def __init__(self, make):
+        self._make = make
+
+    def __set_name__(self, owner, name):
+        self._name = name
+
+    def __get__(self, obj, cls):
+        if not is_dataclass(cls):  # the base classes themselves
+            return self
+        value = self._make(cls, fields(cls))
+        setattr(cls, self._name, value)
+        return value
+
+
+def _key_of(cls, fields):
+    names = [f.name for f in fields if f.compare]
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return staticmethod(lambda obj: (get(obj),))
+    return attrgetter(*names)
+
+
+def _signature_of(cls, fields):
+    defaults = {f.name: (f.default_factory, f.default) for f in fields
+                if f.default is not MISSING or f.default_factory is not MISSING}
+    return (tuple(f.name for f in fields if f.init), defaults,
+            hasattr(cls, "__post_init__"))
+
+
+class Record:
+    """The methods that bfasp's record types share.
+
+    Each record type is a dataclass declared with ``init``, ``repr`` and
+    ``eq`` off, so that ``fields``, ``replace``, ``is_dataclass`` and
+    ``__match_args__`` work as usual, and takes these methods from here.
+    ``@dataclass`` would write and ``exec`` those methods for every class as
+    its module loads, and every ``bfasp`` command starts by loading them all;
+    these are read from each class's fields at its first use instead.  They
+    behave as the generated ones: ``__init__`` takes the fields by position
+    or name, with defaults, factories and ``__post_init__``; ``repr``, ``==``
+    and ``hash`` go by the fields in order, and only an instance of the same
+    type compares equal.  A ``Record`` is unhashable and assignable, a
+    ``FrozenRecord`` hashable and immutable.  A type made once per rule or
+    per token writes its own ``__init__`` (with ``object.__setattr__``,
+    never through ``__dict__``, which would give each instance a dict).
+    """
+
+    __slots__ = ()
+    __hash__ = None
+    # per class: the fields compared, shown and taken by ``__init__``
+    _key = _PerClass(_key_of)
+    _shown = _PerClass(lambda cls, fields: tuple(f.name for f in fields
+                                                 if f.repr))
+    _signature = _PerClass(_signature_of)
+
+    def __init__(self, *args, **kwargs):
+        names, defaults, post_init = self._signature
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__qualname__}() takes at most "
+                            f"{len(names)} arguments ({len(args)} given)")
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in defaults:
+                factory, value = defaults[name]
+                if factory is not MISSING:
+                    value = factory()
+            else:
+                raise TypeError(f"{type(self).__qualname__}() missing "
+                                f"argument {name!r}")
+            _set(self, name, value)
+        if kwargs:
+            name = next(iter(kwargs))
+            raise TypeError(f"{type(self).__qualname__}() got "
+                            + ("multiple values for" if name in names
+                               else "an unexpected keyword")
+                            + f" argument {name!r}")
+        if post_init:
+            self.__post_init__()
+
+    @reprlib.recursive_repr()
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+
+class FrozenRecord(Record):
+    """A record that is hashable and refuses assignment and deletion."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 class Sort(enum.Enum):
     BOOL = "bool"
     INT = "int"
@@ -46,8 +167,8 @@ class VarKind(enum.Enum):
     FOUNDED = "founded"
 
 
-@dataclass(frozen=True)
-class Variable:
+@dataclass(init=False, repr=False, eq=False)
+class Variable(FrozenRecord):
     """Declaration of one ground variable.
 
     Integer variables carry a finite interval ``lo..hi``; founded integers
@@ -60,6 +181,13 @@ class Variable:
     sort: Sort
     lo: int | None = None
     hi: int | None = None
+
+    def __init__(self, name, kind, sort, lo=None, hi=None):
+        _set(self, "name", name)
+        _set(self, "kind", kind)
+        _set(self, "sort", sort)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
     @property
     def is_founded(self) -> bool:
@@ -82,16 +210,20 @@ class Variable:
         return isinstance(value, int) and self.lo <= value <= self.hi
 
 
-@dataclass(frozen=True)
-class Literal:
+@dataclass(init=False, repr=False, eq=False)
+class Literal(FrozenRecord):
     """A Boolean variable occurrence, positive or negated."""
 
     var: int
     positive: bool = True
 
+    def __init__(self, var, positive=True):
+        _set(self, "var", var)
+        _set(self, "positive", positive)
 
-@dataclass(frozen=True)
-class LinearAtom:
+
+@dataclass(init=False, repr=False, eq=False)
+class LinearAtom(FrozenRecord):
     """Integer inequality ``sum(coeff * var) >= bound``.
 
     Coefficients are nonzero and no variable repeats.  ``bound`` is an int in
@@ -102,9 +234,13 @@ class LinearAtom:
     terms: tuple[tuple[int, int], ...]  # (coeff, var)
     bound: int
 
+    def __init__(self, terms, bound):
+        _set(self, "terms", terms)
+        _set(self, "bound", bound)
 
-@dataclass(frozen=True)
-class Clause:
+
+@dataclass(init=False, repr=False, eq=False)
+class Clause(FrozenRecord):
     """Disjunction of literals and linear atoms.
 
     The empty clause is permitted only as an explicit unsatisfiable marker.
@@ -112,6 +248,10 @@ class Clause:
 
     lits: tuple[Literal, ...] = ()
     atoms: tuple[LinearAtom, ...] = ()
+
+    def __init__(self, lits=(), atoms=()):
+        _set(self, "lits", lits)
+        _set(self, "atoms", atoms)
 
     @property
     def is_empty(self) -> bool:
@@ -126,8 +266,8 @@ class Clause:
                 yield var
 
 
-@dataclass(frozen=True)
-class Rule:
+@dataclass(init=False, repr=False, eq=False)
+class Rule(FrozenRecord):
     """A clause tagged with its founded head variable.
 
     The head must occur exactly once in the clause, in a position where
@@ -137,17 +277,21 @@ class Rule:
     clause: Clause
     head: int
 
+    def __init__(self, clause, head):
+        _set(self, "clause", clause)
+        _set(self, "head", head)
 
-@dataclass(frozen=True)
-class LinearExpr:
+
+@dataclass(init=False, repr=False, eq=False)
+class LinearExpr(FrozenRecord):
     """Objective expression: integer terms plus 0/1-valued Boolean terms."""
 
     terms: tuple[tuple[int, int], ...] = ()  # (coeff, var)
     constant: int = 0
 
 
-@dataclass(frozen=True)
-class Program:
+@dataclass(init=False, repr=False, eq=False)
+class Program(FrozenRecord):
     """An immutable ground program: variables, constraints, rules, objective."""
 
     variables: tuple[Variable, ...]
@@ -319,8 +463,8 @@ def eval_linear_expr(expr: LinearExpr, valuation):
     return None if total != total else total  # nan
 
 
-@dataclass
-class ValidationReport:
+@dataclass(init=False, repr=False, eq=False)
+class ValidationReport(Record):
     """Outcome of validate_program: empty issue list means valid."""
 
     issues: list = field(default_factory=list)

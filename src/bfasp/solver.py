@@ -19,7 +19,9 @@ from .fixpoint import DeadlinePassed, LeafEvaluator, minimal_model
 from .program import (
     NEG_INF,
     Clause,
+    FrozenRecord,
     Program,
+    Record,
     Sort,
     Truth,
     VarKind,
@@ -43,8 +45,8 @@ class StabilityReason(enum.Enum):
     REDUCT_UNSAT = "reduct has no model"
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+@dataclass(init=False, repr=False, eq=False)
+class StabilityVerdict(FrozenRecord):
     """Outcome of check_stable, with a witness for every rejection."""
 
     stable: bool
@@ -129,8 +131,10 @@ class SearchStatus(enum.Enum):
     TIME_LIMIT = "time limit"
 
 
-@dataclass
-class SearchConfig:
+@dataclass(init=False, repr=False, eq=False)
+class SearchConfig(Record):
+    """How ``Search`` orders values, propagates and stops."""
+
     value_order: ValueOrder = ValueOrder.MIN_FIRST
     propagation: PropagationLevel = PropagationLevel.CLAUSE
     solution_limit: int | None = None
@@ -143,8 +147,8 @@ class SearchConfig:
             raise ValueError("time budget must be positive")
 
 
-@dataclass
-class SearchStats:
+@dataclass(init=False, repr=False, eq=False)
+class SearchStats(Record):
     """Work done by one ``Search.models()`` run, counted as it goes.
 
     ``nodes`` counts the search nodes entered, the root and the leaves
@@ -166,8 +170,8 @@ class SearchStats:
     bound_rules: int = 0
 
 
-@dataclass
-class OptimizeOutcome:
+@dataclass(init=False, repr=False, eq=False)
+class OptimizeOutcome(Record):
     """Best model found, its objective value, and whether optimality is proven."""
 
     model: dict

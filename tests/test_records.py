@@ -4,9 +4,13 @@ hashing, immutability, copying and the ``dataclasses`` helpers."""
 import copy
 import dataclasses
 import importlib
+import os
 import pickle
 import pkgutil
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
+from pathlib import Path
 
 import pytest
 
@@ -231,6 +235,35 @@ def test_record_type(cls):
                    pickle.loads(pickle.dumps(obj))):
         assert type(copied) is cls
         assert copied == obj and repr(copied) == text
+
+
+def test_no_dataclass_type_of_bfasp_carries_a_generated_method():
+    # ``@dataclass`` compiles each method it generates from "<string>" as
+    # the module loads, which every command pays at start-up; the shared
+    # ones in ``program.Record`` are compiled with their module.  Only
+    # dataclass types are looked at: a NamedTuple's ``__new__`` is
+    # generated too.
+    src = Path(bfasp.__file__).resolve().parent
+    script = (
+        "import importlib, inspect, pkgutil, dataclasses, bfasp\n"
+        "for info in pkgutil.iter_modules(bfasp.__path__):\n"
+        "    module = importlib.import_module('bfasp.' + info.name)\n"
+        "    for cls in vars(module).values():\n"
+        "        if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)\n"
+        "                and cls.__module__ == module.__name__):\n"
+        "            continue\n"
+        "        for name, value in vars(cls).items():\n"
+        "            if inspect.isfunction(value):\n"
+        "                print(cls.__name__, name, value.__code__.co_filename)\n")
+    env = dict(os.environ, PYTHONPATH=str(src.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=60)
+    lines = done.stdout.splitlines()
+    assert any(line.startswith("Literal __init__ ") for line in lines)
+    outside = [line for line in lines
+               if not Path(line.split(" ", 2)[2]).resolve().is_relative_to(src)]
+    assert outside == []
 
 
 def test_a_default_factory_gives_each_instance_its_own_list():
