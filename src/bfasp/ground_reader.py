@@ -18,7 +18,8 @@ program.
 
 This is the format's one grammar.  At a fault (a key that is no item, an
 unknown name or one of the wrong sort, a name declared twice, a second
-objective) every item is walked again by ``_Build`` from the start, to
+objective) the runs before the faulty one are read again as they were, on
+a fresh reading, and the items from there on are walked by ``_Build``, to
 find the first fault's token; the grammar's ``_Fault`` names what it
 expected there, or what is wrong, and a ``Cursor`` over the text raises
 it as a FormatError at that token's line.  The ``Cursor`` first refuses a
@@ -481,41 +482,59 @@ def read_ground_program(text: str) -> Program:
     # the runs of one key, so that the keys of each item can go
     runs = [(key, sum(1 for _ in run)) for key, run in groupby(keys)]
     del keys
+    # a NUL in the text would read as a name in the keys
+    if "\x00" in text:
+        return _walked(text, values, runs, counts, 0, tail)
     reading = _Reading()
-    make = _Build(reading)
-    try:
-        # a NUL in the text would read as a name in the keys
-        if tail or "\x00" in text:
-            raise _Fault(0)
-        at = 0
-        for key, count in runs:
-            if counts[key] >= _COMPILE_AT:
-                at = _generated(key)(values, at, count, reading,
-                                     reading.numbers.setdefault(key, {}))
-                continue
-            tokens = _tokens(key)
-            for _ in range(count):
-                make.v = values[at:at + len(tokens)]
-                _walk(tokens, make)
-                at += len(tokens)
-    except (KeyError, _Fault):
-        return _walked(text, values, runs, tail)
+    done, _ = _read(runs, counts, values, reading)
+    if done < len(runs) or tail:
+        return _walked(text, values, runs, counts, done, tail)
     return reading.program()
 
 
-def _walked(text: str, values: list, runs: list, tail: str) -> Program:
-    """The program of a text that a reader refused, walked item by item
-    from the start: raises the FormatError of its first bad token or
-    integer too long for ``int``, which the ``Cursor`` refuses when made,
-    else of the first fault of the walk, at its token's line."""
-    cursor = Cursor(_TOKEN_RE, text, FormatError, _line_only, _OPS)
-    items = [(_tokens(key), count) for key, count in runs]
+def _read(runs: list, counts: Counter, values: list,
+          reading: _Reading) -> tuple:
+    """Read the items of ``runs`` from ``values`` into ``reading``: a run
+    whose key comes at least ``_COMPILE_AT`` times in the text (``counts``)
+    by its generated reader, any other walked item by item.  Returns how
+    many runs were read, all unless one faults, and where the next begins."""
+    make = _Build(reading)
+    at = 0
+    for done, (key, count) in enumerate(runs):
+        try:
+            if counts[key] >= _COMPILE_AT:
+                end = _generated(key)(values, at, count, reading,
+                                      reading.numbers.setdefault(key, {}))
+            else:
+                tokens = _tokens(key)
+                end = at + count * len(tokens)
+                for start in range(at, end, len(tokens)):
+                    make.v = values[start:start + len(tokens)]
+                    _walk(tokens, make)
+        except (KeyError, _Fault):
+            return done, at
+        at = end
+    return len(runs), at
+
+
+def _walked(text: str, values: list, runs: list, counts: Counter, done: int,
+            tail: str) -> Program:
+    """The program of a text whose ``done``-th run a reader refused, or
+    whose last item lacks its ``;`` (``tail``): raises the FormatError of
+    its first bad token or integer too long for ``int``, which the
+    ``Cursor`` refuses when made, else of the first fault, at its token's
+    line.  The runs before the ``done``-th read as before, so they are read
+    again, on a fresh reading, and the walk goes item by item from there."""
+    cursor = Cursor(_TOKEN_RE, text, FormatError, _line_only, _OPS,
+                    values=values)
+    reading = _Reading()
+    _, at = _read(runs[:done], counts, values, reading)
+    items = [(_tokens(key), count) for key, count in runs[done:]]
     if tail:
         # the end token, keyed "" like a name, becomes a marker that no rule
         # reads, as no rule reads past an item's ``;``
         items.append((tail.split("\x00")[:-1] + ["\x00"], 1))
-    make = _Build(_Reading())
-    at = 0
+    make = _Build(reading)
     try:
         for tokens, count in items:
             for _ in range(count):
@@ -528,4 +547,5 @@ def _walked(text: str, values: list, runs: list, tail: str) -> Program:
             cursor._raise(fault.message, at)
         cursor._at = at
         cursor.fail(fault.expected)
-    return make.reading.program()
+    # reached only if a generated reader refused what the grammar reads
+    return reading.program()

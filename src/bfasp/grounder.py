@@ -555,12 +555,12 @@ class _Source:
         indices = [self.int_(i) for i in access.indices]
         a = self.slot(access.name, array)
         picked = list(enumerate(indices[:len(array[1])]))
+        # one index per dimension (the resolver checks), of which there are
+        # one or two (``_Grounder`` checks)
         if len(picked) == 2:
             offset = f"{indices[0]} * {a}w + {indices[1]} - {a}o"
-        elif picked:
-            offset = f"{indices[0]} - {a}l0"
         else:
-            offset = "0"
+            offset = f"{indices[0]} - {a}l0"
         code = f"{a}[{offset}]"
         for table in reversed(self.fn.tables):
             if code in table:

@@ -126,19 +126,22 @@ class Cursor:
     A location is made on demand, as ``where(line, column)`` (both counted
     from 1), and each token's is kept once made.  A ``located`` cursor's
     pattern is ``scan_located``'s, and it has its token offsets from the
-    start; another's first location re-scans the text for them.
+    start; another's first location re-scans the text for them.  Another
+    may be given the text's ``scan`` as ``values``.
     """
 
     located = False
 
     def __init__(self, pattern: re.Pattern, text: str, error, where,
-                 ops: frozenset, keywords: frozenset = frozenset()):
+                 ops: frozenset, keywords: frozenset = frozenset(),
+                 values: list | None = None):
         self._pattern = pattern
         self._text = text
+        self._offsets = None
         if self.located:
             values, self._offsets = scan_located(pattern, text)
-        else:
-            values, self._offsets = scan(pattern, text), None
+        elif values is None:
+            values = scan(pattern, text)
         self._values = values
         self._at = 0
         self._error = error

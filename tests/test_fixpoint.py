@@ -953,3 +953,30 @@ def test_an_idle_rule_raised_in_the_first_pass_runs_at_its_place():
     minimal_model(build_reduct(program, {}),
                   on_update=lambda var, old, new, i: spec_updates.append(var))
     assert result.ok and updates == spec_updates == [a, b, c]
+
+
+def test_rules_that_validation_refuses_still_meet_the_spec():
+    # A head that its clause does not hold: validation refuses such a rule,
+    # but neither fixpoint validates.  A standard head outside its clause
+    # still gets a bound in the spec path, its least value.
+    p = Variable("p", VarKind.FOUNDED, Sort.BOOL)
+    s = Variable("s", VarKind.STANDARD, Sort.BOOL)
+    pcp = PositiveCP((p, s), (Rule(Clause((Literal(0),)), 0),
+                              Rule(Clause((Literal(0),)), 1)))
+    assert validate_positive_cp(pcp)
+    assert minimal_model(pcp).model == {0: True, 1: False}
+    # An integer head in no atom can be met by no value of its own: the
+    # requirement kernel owes POS_INF, as ``clause_requirement`` does.
+    program = Program((Variable("q", VarKind.STANDARD, Sort.BOOL),
+                       Variable("a", VarKind.FOUNDED, Sort.INT, 0, 3)),
+                      rules=(Rule(Clause((Literal(0),)), 1),))
+    assert not validate_program(program).ok
+    evaluator = LeafEvaluator(program)
+    for q in (False, True):
+        reduct = build_reduct(program, {0: q})
+        spec = minimal_model(reduct)
+        got = evaluator.minimal_model({0: q})
+        assert got.model == spec.model == (
+            {1: NEG_INF} if q else None)
+        assert got.unsat_index == (None if q else reduct.origin_of(
+            spec.unsat_index)) == (None if q else 0)

@@ -199,6 +199,32 @@ def test_a_run_of_one_skeleton_compiles_one_reader():
                                             0, 5)
 
 
+def test_a_run_that_a_generated_reader_refuses_is_read_by_the_grammar(
+        monkeypatch):
+    # The walk is the format's grammar: should a generated reader ever
+    # refuse a run that the walk reads, the walk's program stands, made
+    # after the runs before it are read again by their readers.
+    text = "".join(f"var int 0..{i} founded n{i};\n" for i in range(40))
+    text += "".join(f"rule 1*n{i} - {i}*n{i + 1} >= -{i} head n{i};\n"
+                    for i in range(39))
+    want = parse_ground_program(text)
+    generated, refused = ground_reader._generated, []
+
+    def refusing(key):
+        if not key.startswith("rule"):
+            return generated(key)
+
+        def read(*args):
+            refused.append(key)
+            raise KeyError(key)
+        return read
+
+    monkeypatch.setattr(ground_reader, "_generated", refusing)
+    got = parse_ground_program(text)
+    assert len(refused) == 1
+    assert got == want and got.shapes == want.shapes == keyed_shapes(got)
+
+
 def test_a_fault_is_reported_by_the_token_grammar():
     text = ("var bool standard p;\n" * 1
             + "".join(f"var bool standard q{i};\n" for i in range(30))
