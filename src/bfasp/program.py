@@ -62,6 +62,7 @@ class _PerClass:
 
 
 def _key_of(cls, fields):
+    """What ``==`` and ``hash`` compare: the tuple of the fields."""
     names = [f.name for f in fields if f.compare]
     if len(names) == 1:
         get = attrgetter(names[0])
@@ -70,10 +71,35 @@ def _key_of(cls, fields):
 
 
 def _signature_of(cls, fields):
+    """What ``__init__`` takes: the fields' names, their defaults and
+    factories, and whether the class has a ``__post_init__``."""
     defaults = {f.name: (f.default_factory, f.default) for f in fields
                 if f.default is not MISSING or f.default_factory is not MISSING}
     return (tuple(f.name for f in fields if f.init), defaults,
             hasattr(cls, "__post_init__"))
+
+
+def _bind(cls, names: tuple, defaults: dict, args: tuple, kwargs: dict):
+    """The value of each field ``names`` of a new ``cls``, from the
+    arguments of its ``__init__``, as a generated ``__init__`` takes them."""
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__qualname__}() takes at most {len(names)} "
+                        f"arguments ({len(args)} given)")
+    values = list(args)
+    for name in names[len(args):]:
+        if name in kwargs:
+            values.append(kwargs.pop(name))
+        elif name in defaults:
+            factory, value = defaults[name]
+            values.append(value if factory is MISSING else factory())
+        else:
+            raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
+    if kwargs:
+        name = next(iter(kwargs))
+        problem = ("multiple values for" if name in names
+                   else "an unexpected keyword")
+        raise TypeError(f"{cls.__qualname__}() got {problem} argument {name!r}")
+    return values
 
 
 class Record:
@@ -104,28 +130,12 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         names, defaults, post_init = self._signature
-        if len(args) > len(names):
-            raise TypeError(f"{type(self).__qualname__}() takes at most "
-                            f"{len(names)} arguments ({len(args)} given)")
-        for name, value in zip(names, args):
-            _set(self, name, value)
-        for name in names[len(args):]:
-            if name in kwargs:
-                value = kwargs.pop(name)
-            elif name in defaults:
-                factory, value = defaults[name]
-                if factory is not MISSING:
-                    value = factory()
-            else:
-                raise TypeError(f"{type(self).__qualname__}() missing "
-                                f"argument {name!r}")
-            _set(self, name, value)
-        if kwargs:
-            name = next(iter(kwargs))
-            raise TypeError(f"{type(self).__qualname__}() got "
-                            + ("multiple values for" if name in names
-                               else "an unexpected keyword")
-                            + f" argument {name!r}")
+        if kwargs or len(args) != len(names):
+            args = _bind(type(self), names, defaults, args, kwargs)
+        at = 0
+        for value in args:  # faster than a loop over ``zip``
+            _set(self, names[at], value)
+            at += 1
         if post_init:
             self.__post_init__()
 
