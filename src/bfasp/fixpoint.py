@@ -102,6 +102,10 @@ class FixpointResult(Record):
     model: dict | None
     unsat_index: int | None = None
 
+    def __init__(self, model, unsat_index=None):  # made at every leaf
+        self.model = model
+        self.unsat_index = unsat_index
+
     @property
     def ok(self) -> bool:
         return self.model is not None
