@@ -180,7 +180,7 @@ class ArrayLit(FrozenRecord):
 
     def _set(self, **fields):
         for name, value in fields.items():
-            _set(self, name, value)
+            object.__setattr__(self, name, value)
 
     @classmethod
     def of_ints(cls, ints: tuple, offsets: list, line_starts: list,
