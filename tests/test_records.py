@@ -261,8 +261,12 @@ def test_no_dataclass_type_of_bfasp_carries_a_generated_method():
                           timeout=60)
     lines = done.stdout.splitlines()
     assert any(line.startswith("Literal __init__ ") for line in lines)
-    outside = [line for line in lines
-               if not Path(line.split(" ", 2)[2]).resolve().is_relative_to(src)]
+    # a function of ``dataclasses`` itself is shared, not generated (such
+    # as ``__replace__`` from Python 3.13 on)
+    shared = Path(dataclasses.__file__).resolve()
+    files = {line: Path(line.split(" ", 2)[2]).resolve() for line in lines}
+    outside = [line for line, path in files.items()
+               if not path.is_relative_to(src) and path != shared]
     assert outside == []
 
 
